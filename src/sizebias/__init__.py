@@ -11,13 +11,12 @@ from .combinatorics import (
     most_likely_black_count,
     share_distribution,
 )
-from .model import Dataset, Publication, Unit, group_h_index, h_index, productivity
+from .model import Dataset, Unit, group_h_index, h_index
 from .nullmodel import (
     ReshuffleConfig,
     ReshuffleResult,
     mean_spearman_vs_real,
     run_null_model,
-    spearman,
 )
 from .scaling import (
     Benchmark,
@@ -34,6 +33,7 @@ from .synth import (
     CitationModel,
     SizeModel,
     build_synthetic_dataset,
+    generation_stream,
     sample_citations,
     sample_sizes,
     verify_beta_relation,
@@ -49,7 +49,6 @@ __all__ = [
     "NormalizedScore",
     "PoolSpec",
     "PowerLawFit",
-    "Publication",
     "ReshuffleConfig",
     "ReshuffleResult",
     "SizeModel",
@@ -58,6 +57,7 @@ __all__ = [
     "build_synthetic_dataset",
     "count_distribution",
     "fit_power_law",
+    "generation_stream",
     "group_h_index",
     "h_index",
     "hypergeom_pmf",
@@ -65,12 +65,10 @@ __all__ = [
     "most_likely_black_count",
     "normalized_ranking",
     "normalized_scores",
-    "productivity",
     "run_null_model",
     "sample_citations",
     "sample_sizes",
     "share_distribution",
     "slope_significance",
-    "spearman",
     "verify_beta_relation",
 ]

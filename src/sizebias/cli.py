@@ -202,68 +202,14 @@ def cmd_null_model(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _pooled_points(path_text: str) -> tuple[list[tuple[float, float]], int, str, str]:
-    """Pooled (N, h) points from a null-model run directory or samples CSV."""
-    p = Path(path_text)
-    if p.is_dir():
-        samples, summary = p / "reshuffle_samples.csv", p / "reshuffle_summary.json"
-    else:
-        samples, summary = p, p.parent / "reshuffle_summary.json"
-    if not samples.is_file():
-        raise io.IngestError(samples, ["file not found"])
-    if not summary.is_file():
-        raise io.IngestError(summary, ["file not found; the run's summary JSON supplies unit sizes"])
-    try:
-        with open(summary, encoding="utf-8") as fh:
-            meta = json.load(fh)
-        sizes = {u["unit_id"]: int(u["n_publications"]) for u in meta["units"]}
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise io.IngestError(summary, [f"malformed run summary JSON: {exc}"]) from exc
-
-    import csv
-
-    points: list[tuple[float, float]] = []
-    n_excluded = 0
-    problems: list[str] = []
-    with open(samples, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(c.strip() for c in header) != io.SAMPLES_HEADER:
-            raise io.IngestError(samples, [f"bad header {header!r}; expected {','.join(io.SAMPLES_HEADER)}"])
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                problems.append(f"line {lineno}: expected 3 fields, got {len(row)}")
-                continue
-            uid = row[1].strip()
-            if uid not in sizes:
-                problems.append(f"line {lineno}: unit {uid!r} missing from the run summary")
-                continue
-            try:
-                h = int(row[2])
-            except ValueError:
-                problems.append(f"line {lineno}: h {row[2]!r} is not an integer")
-                continue
-            if h < 0:
-                problems.append(f"line {lineno}: h {h} is negative")
-                continue
-            if h > 0:
-                points.append((float(sizes[uid]), float(h)))
-            else:
-                n_excluded += 1
-    if problems:
-        raise io.IngestError(samples, problems)
-    return points, n_excluded, str(samples), io.file_sha256(samples)
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
     if args.source == "summary":
         rows, display, digest = _load_summary_spec(args.input)
         points = [(float(r.n_publications), float(r.h_index)) for r in rows if r.h_index > 0]
         n_excluded = len(rows) - len(points)
     else:
-        points, n_excluded, display, digest = _pooled_points(args.input)
+        points, n_excluded, samples = io.read_samples(args.input)
+        display, digest = str(samples), io.file_sha256(samples)
     fit = fit_power_law(points)
     payload = _fit_report(fit, args.alpha_level)
     payload["source"] = f"{args.source}:{display}"

@@ -1,8 +1,9 @@
 """File formats: ingestion, report writers, run manifests.
 
-All CSV files are UTF-8 with `\\n` line endings and a fixed header; all
-JSON is written with sorted keys so repeated runs produce identical
-bytes (manifests carry the only timestamp).
+All CSV files are UTF-8 with `\\n` line endings and a fixed header; a
+leading byte-order mark is accepted on input.  All JSON is written with
+sorted keys so repeated runs produce identical bytes (manifests carry the
+only timestamp).
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import __version__
-from .model import MAX_CITATIONS, Dataset, Publication, Unit
+from .model import MAX_CITATIONS, Dataset, Unit
 from .nullmodel import ReshuffleResult
 from .scaling import Benchmark, NormalizedScore, PowerLawFit
 
@@ -87,29 +88,37 @@ class RunManifest:
     created_utc: str
 
 
-def _read_rows(path: str | Path) -> list[list[str]]:
+def _csv_rows(
+    path: str | Path, expected: tuple[str, ...], other: tuple[str, ...] | None = None
+) -> Iterator[tuple[int, list[str]]]:
+    """Stream the data rows of a CSV file after checking its header.
+
+    Yields (line number, fields) for every non-blank row, numbered by
+    physical line in the file.  A header equal to `other`, the header of
+    another recognized format, raises WrongFormatError.
+    """
     p = Path(path)
     if not p.is_file():
         raise IngestError(path, ["file not found"])
     try:
-        with open(p, newline="", encoding="utf-8") as fh:
-            return [row for row in csv.reader(fh) if row]
+        with open(p, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            first = next((row for row in reader if row), None)
+            if first is None:
+                raise IngestError(path, ["empty file"])
+            header = tuple(cell.strip() for cell in first)
+            if header == other:
+                raise WrongFormatError(
+                    path,
+                    [f"header {','.join(other)} belongs to the other input format; expected {','.join(expected)}"],
+                )
+            if header != expected:
+                raise IngestError(path, [f"bad header {first!r}; expected {','.join(expected)}"])
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
     except UnicodeDecodeError as exc:
         raise IngestError(path, [f"not valid UTF-8: {exc}"]) from exc
-
-
-def _check_header(path: str | Path, rows: list[list[str]], expected: tuple[str, ...], other: tuple[str, ...]) -> None:
-    if not rows:
-        raise IngestError(path, ["empty file"])
-    header = tuple(cell.strip() for cell in rows[0])
-    if header == expected:
-        return
-    if header == other:
-        raise WrongFormatError(
-            path,
-            [f"header {','.join(other)} belongs to the other input format; expected {','.join(expected)}"],
-        )
-    raise IngestError(path, [f"bad header {rows[0]!r}; expected {','.join(expected)}"])
 
 
 def _parse_count(text: str, lineno: int, field: str, problems: list[str], cap: int = MAX_CITATIONS) -> int | None:
@@ -134,12 +143,10 @@ def read_publications(path: str | Path) -> Dataset:
     first occurrence order of ids.  All offending lines are reported at
     once.
     """
-    rows = _read_rows(path)
-    _check_header(path, rows, PUBLICATIONS_HEADER, SUMMARY_HEADER)
     problems: list[str] = []
     names: dict[str, str] = {}
     citations: dict[str, list[int]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in _csv_rows(path, PUBLICATIONS_HEADER, SUMMARY_HEADER):
         if len(row) != 3:
             problems.append(f"line {lineno}: expected 3 fields, got {len(row)}")
             continue
@@ -164,21 +171,16 @@ def read_publications(path: str | Path) -> Dataset:
         raise IngestError(path, problems)
     if not citations:
         raise IngestError(path, ["no data rows"])
-    units = tuple(
-        Unit(id=uid, name=names[uid], publications=tuple(Publication(c) for c in citations[uid]))
-        for uid in citations
-    )
+    units = tuple(Unit(id=uid, name=names[uid], citations=counts) for uid, counts in citations.items())
     return Dataset(name=Path(path).stem, units=units)
 
 
 def read_summary(path: str | Path) -> list[SummaryRow]:
     """Read a per-unit summary CSV (sizes and h-indices, no publications)."""
-    rows = _read_rows(path)
-    _check_header(path, rows, SUMMARY_HEADER, PUBLICATIONS_HEADER)
     problems: list[str] = []
     out: list[SummaryRow] = []
     seen: set[str] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in _csv_rows(path, SUMMARY_HEADER, PUBLICATIONS_HEADER):
         if len(row) != 4:
             problems.append(f"line {lineno}: expected 4 fields, got {len(row)}")
             continue
@@ -206,6 +208,57 @@ def read_summary(path: str | Path) -> list[SummaryRow]:
     if not out:
         raise IngestError(path, ["no data rows"])
     return out
+
+
+def read_samples(path: str | Path) -> tuple[list[tuple[float, float]], int, Path]:
+    """Pooled (N, h) points of a null-model run, from its directory or its
+    samples CSV; unit sizes come from the run's summary JSON beside it.
+
+    Returns the h > 0 points, the count of excluded h = 0 points, and the
+    samples CSV path.
+    """
+    p = Path(path)
+    if p.is_dir():
+        samples, summary = p / "reshuffle_samples.csv", p / "reshuffle_summary.json"
+    else:
+        samples, summary = p, p.parent / "reshuffle_summary.json"
+    if not samples.is_file():
+        raise IngestError(samples, ["file not found"])
+    if not summary.is_file():
+        raise IngestError(summary, ["file not found; the run's summary JSON supplies unit sizes"])
+    try:
+        with open(summary, encoding="utf-8") as fh:
+            meta = json.load(fh)
+        sizes = {u["unit_id"]: int(u["n_publications"]) for u in meta["units"]}
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise IngestError(summary, [f"malformed run summary JSON: {exc}"]) from exc
+
+    points: list[tuple[float, float]] = []
+    n_excluded = 0
+    problems: list[str] = []
+    for lineno, row in _csv_rows(samples, SAMPLES_HEADER):
+        if len(row) != 3:
+            problems.append(f"line {lineno}: expected 3 fields, got {len(row)}")
+            continue
+        uid = row[1].strip()
+        if uid not in sizes:
+            problems.append(f"line {lineno}: unit {uid!r} missing from the run summary")
+            continue
+        try:
+            h = int(row[2])
+        except ValueError:
+            problems.append(f"line {lineno}: h {row[2]!r} is not an integer")
+            continue
+        if h < 0:
+            problems.append(f"line {lineno}: h {h} is negative")
+            continue
+        if h > 0:
+            points.append((float(sizes[uid]), float(h)))
+        else:
+            n_excluded += 1
+    if problems:
+        raise IngestError(samples, problems)
+    return points, n_excluded, samples
 
 
 def bundled_summary_path(name: str):
@@ -244,8 +297,8 @@ def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[Sequenc
 def write_publications(dataset: Dataset, path: str | Path) -> None:
     def rows():
         for unit in dataset.units:
-            for pub in unit.publications:
-                yield unit.id, unit.name, pub.citations
+            for count in unit.citations.tolist():
+                yield unit.id, unit.name, count
 
     _write_csv(path, PUBLICATIONS_HEADER, rows())
 

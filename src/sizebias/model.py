@@ -1,7 +1,7 @@
 """Core domain types and the exact group h-index computation.
 
-A Unit owns a multiset of publications, each carrying only a citation
-count; a Dataset is an ordered collection of units.  All types are
+A Unit owns a multiset of publications, stored as one array of their
+citation counts; a Dataset is an ordered collection of units.  All types are
 immutable after construction and safe to share across workers.
 """
 
@@ -18,47 +18,32 @@ import numpy as np
 MAX_CITATIONS = 2**64 - 1
 
 
-@dataclass(frozen=True)
-class Publication:
-    """One research output, reduced to its citation count."""
-
-    citations: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.citations, int) or isinstance(self.citations, bool):
-            raise TypeError(f"citations must be an int, got {type(self.citations).__name__}")
-        if self.citations < 0:
-            raise ValueError(f"citations must be >= 0, got {self.citations}")
-        if self.citations > MAX_CITATIONS:
-            raise ValueError(f"citations {self.citations} exceeds the 64-bit unsigned range")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Unit:
     """A research group/institution owning a multiset of publications.
 
-    Zero publications is legal; such a unit scores h = 0.
+    Each publication is reduced to its citation count; `citations` holds
+    them as a read-only uint64 array, validated once at construction.
+    Zero publications is legal; such a unit scores h = 0.  Units compare
+    by identity: an array field has no single truth value for `==`.
     """
 
     id: str
     name: str
-    publications: tuple[Publication, ...]
+    citations: np.ndarray
 
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("unit id must be non-empty")
-        object.__setattr__(self, "publications", tuple(self.publications))
+        # A private copy, so freezing it never freezes the caller's array.
+        counts = np.array(_as_citation_array(self.citations), dtype=np.uint64)
+        counts.setflags(write=False)
+        object.__setattr__(self, "citations", counts)
 
     @property
     def productivity(self) -> int:
         """Number of publications attributed to this unit (its size proxy)."""
-        return len(self.publications)
-
-    def citation_counts(self) -> np.ndarray:
-        """Citation counts as a uint64 array, in publication order."""
-        return np.fromiter(
-            (p.citations for p in self.publications), dtype=np.uint64, count=len(self.publications)
-        )
+        return int(self.citations.size)
 
 
 @dataclass(frozen=True)
@@ -85,9 +70,12 @@ class Dataset:
 
 
 def _as_citation_array(citations: Iterable[int] | np.ndarray) -> np.ndarray:
-    """Coerce to an unsigned integer array, rejecting negatives."""
+    """Coerce to a one-dimensional integer array, rejecting negatives,
+    non-integers, booleans and values past MAX_CITATIONS."""
     if isinstance(citations, np.ndarray):
         arr = citations
+        if arr.ndim != 1:
+            raise ValueError(f"citation counts must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
             return arr.reshape(0).astype(np.uint64)
         if arr.dtype.kind == "u":
@@ -102,6 +90,8 @@ def _as_citation_array(citations: Iterable[int] | np.ndarray) -> np.ndarray:
     values = list(citations)
     if not values:
         return np.empty(0, dtype=np.uint64)
+    if any(isinstance(c, bool) for c in values):
+        raise ValueError("citation counts must be integers, not booleans")
     try:
         return np.array([operator.index(c) for c in values], dtype=np.uint64)
     except (OverflowError, TypeError, ValueError) as exc:
@@ -129,9 +119,4 @@ def h_index(citations: Iterable[int] | np.ndarray) -> int:
 
 def group_h_index(unit: Unit) -> int:
     """h-index of the unit's pooled citation counts."""
-    return h_index(unit.citation_counts())
-
-
-def productivity(unit: Unit) -> int:
-    """Cardinality of the unit's publication multiset."""
-    return unit.productivity
+    return h_index(unit.citations)

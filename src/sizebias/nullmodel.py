@@ -9,15 +9,15 @@ benchmarked against.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
+from scipy import stats
 
-from .model import Dataset, Publication, Unit, h_index
+from .model import Dataset, Unit, h_index
 
 _MAX_SEED = 2**64 - 1
 _DEFAULT_WORKER_CAP = 8
@@ -75,10 +75,7 @@ def replicate_stream(master_seed: int, index: int) -> np.random.Generator:
 
 def pool(dataset: Dataset) -> np.ndarray:
     """All citation counts of the dataset in one array, duplicates kept."""
-    parts = [u.citation_counts() for u in dataset.units]
-    if not parts:
-        return np.empty(0, dtype=np.uint64)
-    return np.concatenate(parts)
+    return np.concatenate([u.citations for u in dataset.units])
 
 
 def _block_offsets(productivities: np.ndarray) -> np.ndarray:
@@ -116,16 +113,18 @@ def reshuffled_dataset(dataset: Dataset, rng: np.random.Generator) -> Dataset:
     """A concrete dataset drawn from the null model (one redistribution)."""
     prods = np.array([u.productivity for u in dataset.units], dtype=np.int64)
     blocks = reshuffle_blocks(pool(dataset), prods, rng)
-    units = tuple(
-        Unit(id=u.id, name=u.name, publications=tuple(Publication(int(c)) for c in block))
-        for u, block in zip(dataset.units, blocks)
-    )
+    units = tuple(Unit(id=u.id, name=u.name, citations=block) for u, block in zip(dataset.units, blocks))
     return Dataset(name=f"{dataset.name}-reshuffled", units=units)
 
 
 def resolve_workers(workers: int | None) -> int:
+    """`workers` itself, or by default the CPUs this process may run on, capped."""
     if workers is None:
-        return max(1, min(_DEFAULT_WORKER_CAP, os.cpu_count() or 1))
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        return max(1, min(_DEFAULT_WORKER_CAP, cpus))
     if workers < 1:
         raise ValueError("workers must be >= 1")
     return workers
@@ -143,7 +142,7 @@ def run_null_model(
     workers = resolve_workers(workers)
     pool_counts = pool(dataset)
     prods = np.array([u.productivity for u in dataset.units], dtype=np.int64)
-    real_h = np.array([h_index(u.citation_counts()) for u in dataset.units], dtype=np.int64)
+    real_h = np.array([h_index(u.citations) for u in dataset.units], dtype=np.int64)
     samples = np.empty((config.replicates, len(dataset.units)), dtype=np.int64)
 
     def one(replicate: int) -> None:
@@ -165,45 +164,20 @@ def run_null_model(
     )
 
 
-def average_ranks(values: Iterable[float] | np.ndarray) -> np.ndarray:
-    """Ranks 1..n with tied values receiving the mean of their rank span."""
-    arr = np.asarray(values, dtype=float)
-    order = np.argsort(arr, kind="stable")
-    sorted_vals = arr[order]
-    ranks = np.empty(arr.size, dtype=float)
-    i = 0
-    while i < arr.size:
-        j = i
-        while j + 1 < arr.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
-def spearman(x: Iterable[float] | np.ndarray, y: Iterable[float] | np.ndarray) -> float:
-    """Rank correlation: Pearson correlation of average ranks."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.ndim != 1 or ya.ndim != 1 or xa.size != ya.size:
-        raise ValueError("inputs must be 1-d and of equal length")
-    if xa.size < 2:
-        raise ValueError("need at least 2 observations")
-    if np.all(xa == xa[0]) or np.all(ya == ya[0]):
-        raise ValueError("rank correlation is undefined for a constant input")
-    rx = average_ranks(xa) - (xa.size + 1) / 2.0
-    ry = average_ranks(ya) - (ya.size + 1) / 2.0
-    rho = float(np.dot(rx, ry) / math.sqrt(np.dot(rx, rx) * np.dot(ry, ry)))
-    return max(-1.0, min(1.0, rho))
-
-
 def mean_spearman_vs_real(result: ReshuffleResult) -> float:
-    """Mean over replicates of the rank correlation with the real h vector."""
-    coeffs = [spearman(result.real_h, row) for row in result.h_samples]
-    return float(np.mean(coeffs))
+    """Mean over replicates of the rank correlation with the real h vector.
 
-
-def spearman_vs_mean_null(result: ReshuffleResult) -> float:
-    """Diagnostic variant: correlate the real h vector against the per-unit
-    mean reshuffled h instead of averaging per-replicate coefficients."""
-    return spearman(result.real_h, result.h_samples.mean(axis=0))
+    Each coefficient is Spearman's rho: the Pearson correlation of average
+    ranks.  Raises ValueError where any coefficient is undefined: fewer
+    than 2 units, or a constant real vector or replicate row.
+    """
+    real, samples = result.real_h, result.h_samples
+    if real.size < 2:
+        raise ValueError("need at least 2 units")
+    if np.all(real == real[0]) or np.any(np.all(samples == samples[:, :1], axis=1)):
+        raise ValueError("rank correlation is undefined for a constant input")
+    middle = (real.size + 1) / 2.0
+    rx = stats.rankdata(real) - middle
+    ry = stats.rankdata(samples, axis=1) - middle
+    rho = (ry @ rx) / np.sqrt(np.dot(rx, rx) * np.sum(ry * ry, axis=1))
+    return float(np.mean(np.clip(rho, -1.0, 1.0)))

@@ -196,7 +196,7 @@ RANKING_KEYS = ("ratio", "z", "log_residual")
 
 def competition_ranks(values: Sequence[float]) -> list[int]:
     """Rank 1 for the largest value; ties share a rank ("1224" style)."""
-    return [1 + sum(1 for w in values if w > v) for v in values]
+    return stats.rankdata(-np.asarray(values, dtype=float), method="min").tolist()
 
 
 def normalized_ranking(

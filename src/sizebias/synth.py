@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Dataset, Publication, Unit
+from .model import Dataset, Unit
 from .nullmodel import ReshuffleConfig, run_null_model
 from .scaling import build_benchmark
 
@@ -153,10 +153,9 @@ def build_synthetic_dataset(
     units = []
     for i, n in enumerate(sizes):
         counts = sample_citations(model, int(n), rng)
-        pubs = tuple(Publication(int(c)) for c in counts)
         uid = ids[i] if ids is not None else f"u{i + 1:0{width}d}"
         uname = names[i] if names is not None else f"synthetic unit {i + 1}"
-        units.append(Unit(id=uid, name=uname, publications=pubs))
+        units.append(Unit(id=uid, name=uname, citations=counts))
     return Dataset(name=name, units=tuple(units))
 
 

@@ -362,9 +362,7 @@ class TestSynth:
         sizes = sample_sizes(model, 2, rng)
         expected = build_synthetic_dataset(sizes, CitationModel(alpha=2.0), rng)
         assert [u.id for u in back.units] == [u.id for u in expected.units]
-        assert [
-            [p.citations for p in u.publications] for u in back.units
-        ] == [[p.citations for p in u.publications] for u in expected.units]
+        assert [u.citations.tolist() for u in back.units] == [u.citations.tolist() for u in expected.units]
 
     def test_same_seed_same_bytes(self, tmp_path, capsys):
         blobs = []

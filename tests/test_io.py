@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sizebias
 from sizebias.io import (
@@ -19,6 +21,7 @@ from sizebias.io import (
     fit_payload,
     load_bundled_summary,
     read_publications,
+    read_samples,
     read_summary,
     reshuffle_summary_payload,
     write_benchmark_csv,
@@ -30,7 +33,7 @@ from sizebias.io import (
     write_samples_csv,
     write_summary,
 )
-from sizebias.model import Dataset, Publication, Unit
+from sizebias.model import MAX_CITATIONS, Dataset, Unit
 from sizebias.nullmodel import ReshuffleConfig, run_null_model
 from sizebias.scaling import fit_power_law
 
@@ -39,8 +42,8 @@ def small_dataset():
     return Dataset(
         name="d",
         units=(
-            Unit(id="a", name="Alpha", publications=(Publication(3), Publication(0))),
-            Unit(id="b", name="Beta, Inc.", publications=(Publication(7),)),
+            Unit(id="a", name="Alpha", citations=[3, 0]),
+            Unit(id="b", name="Beta, Inc.", citations=[7]),
         ),
     )
 
@@ -53,7 +56,26 @@ class TestPublicationsRoundTrip:
         back = read_publications(path)
         assert [u.id for u in back.units] == ["a", "b"]
         assert [u.name for u in back.units] == ["Alpha", "Beta, Inc."]
-        assert [[p.citations for p in u.publications] for u in back.units] == [[3, 0], [7]]
+        assert [u.citations.tolist() for u in back.units] == [[3, 0], [7]]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(alphabet="abcxyz019_-", min_size=1, max_size=6),
+                st.text(alphabet=st.characters(blacklist_categories=("Cs", "Cc")), max_size=12),
+                st.lists(st.one_of(st.integers(0, 50), st.integers(0, MAX_CITATIONS)), min_size=1, max_size=20),
+            ),
+            min_size=1,
+            max_size=5,
+            unique_by=lambda unit: unit[0],
+        )
+    )
+    def test_round_trip_property(self, tmp_path_factory, units):
+        ds = Dataset(name="d", units=tuple(Unit(id=i, name=n, citations=c) for i, n, c in units))
+        path = tmp_path_factory.mktemp("rt") / "pubs.csv"
+        write_publications(ds, path)
+        back = read_publications(path)
+        assert [(u.id, u.name, u.citations.tolist()) for u in back.units] == units
 
     def test_comma_in_name_survives(self, tmp_path):
         path = tmp_path / "pubs.csv"
@@ -117,6 +139,24 @@ class TestReadPublications:
         assert any(p.startswith("line 6:") and "renamed" in p for p in problems)
         assert len(problems) == 4
 
+        # Blank lines are skipped but still counted: numbers are physical lines.
+        path.write_text("unit_id,unit_name,citations\n\na,A,1\n\nb,B,x\n", encoding="utf-8")
+        with pytest.raises(IngestError) as err:
+            read_publications(path)
+        assert err.value.problems == ["line 5: citations 'x' is not an integer"]
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffunit_id,unit_name,citations\na,A,4\na,A,1\n", encoding="utf-8")
+        back = read_publications(path)
+        assert [(u.id, u.citations.tolist()) for u in back.units] == [("a", [4, 1])]
+
+    def test_invalid_utf8(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("unit_id,unit_name,citations\na,Caf\u00e9,1\n".encode("latin-1"))
+        with pytest.raises(IngestError, match="not valid UTF-8"):
+            read_publications(path)
+
     def test_field_count_mismatch(self, tmp_path):
         path = tmp_path / "width.csv"
         path.write_text("unit_id,unit_name,citations\na,A,1,9\n", encoding="utf-8")
@@ -162,6 +202,70 @@ class TestReadSummary:
         path = tmp_path / "s.csv"
         write_summary(rows, path)
         assert read_summary(path) == rows
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("\ufeffunit_id,unit_name,n_publications,h_index\nx,X,10,3\n", encoding="utf-8")
+        assert read_summary(path) == [SummaryRow("x", "X", 10, 3)]
+
+
+class TestReadSamples:
+    @staticmethod
+    def run_dir(tmp_path):
+        result = run_null_model(small_dataset(), ReshuffleConfig(master_seed=1, replicates=4), workers=1)
+        write_samples_csv(result, tmp_path / "reshuffle_samples.csv")
+        write_json(reshuffle_summary_payload(result, None), tmp_path / "reshuffle_summary.json")
+        return result
+
+    def test_points_from_directory_or_file(self, tmp_path):
+        result = self.run_dir(tmp_path)
+        points, n_excluded, samples = read_samples(tmp_path)
+        assert samples == tmp_path / "reshuffle_samples.csv"
+        expected = [
+            (float(n), float(h))
+            for row in result.h_samples
+            for n, h in zip(result.productivities, row)
+            if h > 0
+        ]
+        assert points == expected
+        assert n_excluded == result.h_samples.size - len(expected)
+        assert read_samples(samples) == (points, n_excluded, samples)
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        self.run_dir(tmp_path)
+        expected = read_samples(tmp_path)
+        samples = tmp_path / "reshuffle_samples.csv"
+        samples.write_bytes(b"\xef\xbb\xbf" + samples.read_bytes())
+        assert read_samples(tmp_path) == expected
+
+    def test_problems_list_line_numbers(self, tmp_path):
+        self.run_dir(tmp_path)
+        (tmp_path / "reshuffle_samples.csv").write_text(
+            "replicate,unit_id,h\n0,a,1\n\n0,zz,1\n0,a,x\n0,b,-1\n0,b\n", encoding="utf-8"
+        )
+        with pytest.raises(IngestError) as err:
+            read_samples(tmp_path)
+        assert err.value.problems == [
+            "line 4: unit 'zz' missing from the run summary",
+            "line 5: h 'x' is not an integer",
+            "line 6: h -1 is negative",
+            "line 7: expected 3 fields, got 2",
+        ]
+
+    def test_bad_inputs(self, tmp_path):
+        with pytest.raises(IngestError, match="file not found"):
+            read_samples(tmp_path)
+        self.run_dir(tmp_path)
+        (tmp_path / "reshuffle_summary.json").write_text("{}", encoding="utf-8")
+        with pytest.raises(IngestError, match="malformed run summary"):
+            read_samples(tmp_path)
+        (tmp_path / "reshuffle_summary.json").unlink()
+        with pytest.raises(IngestError, match="supplies unit sizes"):
+            read_samples(tmp_path)
+        self.run_dir(tmp_path)
+        (tmp_path / "reshuffle_samples.csv").write_text("unit_id,unit_name,citations\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="bad header"):
+            read_samples(tmp_path)
 
 
 class TestBundledData:

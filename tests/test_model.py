@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sizebias.model import (
     MAX_CITATIONS,
     Dataset,
-    Publication,
     Unit,
     group_h_index,
     h_index,
-    productivity,
 )
 
 
@@ -25,7 +25,7 @@ def naive_h(citations):
 
 
 def make_unit(uid, citations, name=None):
-    return Unit(id=uid, name=name or uid, publications=tuple(Publication(c) for c in citations))
+    return Unit(id=uid, name=name or uid, citations=citations)
 
 
 class TestHIndex:
@@ -64,6 +64,11 @@ class TestHIndex:
             size = int(rng.integers(1, 200))
             cs = rng.integers(0, 10**6, size=size).tolist()
             assert h_index(cs) == naive_h(cs)
+
+    @given(st.lists(st.one_of(st.integers(0, 60), st.integers(0, MAX_CITATIONS)), max_size=150))
+    def test_oracle_property(self, cs):
+        assert h_index(cs) == naive_h(cs)
+        assert h_index(np.array(cs, dtype=np.uint64)) == naive_h(cs)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
@@ -107,6 +112,8 @@ class TestHIndex:
     def test_rejects_non_integer(self):
         with pytest.raises((ValueError, TypeError)):
             h_index([3.5, 2])
+        with pytest.raises(ValueError):
+            h_index([True, 2])
 
     def test_rejects_over_cap(self):
         with pytest.raises(ValueError):
@@ -114,33 +121,42 @@ class TestHIndex:
 
 
 class TestPublication:
+    """A publication is one entry of `Unit.citations`: each count is
+    validated when the unit is built."""
+
     def test_valid(self):
-        assert Publication(0).citations == 0
-        assert Publication(MAX_CITATIONS).citations == MAX_CITATIONS
+        assert make_unit("a", [0]).citations.tolist() == [0]
+        assert make_unit("a", [MAX_CITATIONS]).citations.tolist() == [MAX_CITATIONS]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            Publication(-1)
+            make_unit("a", [-1])
+        with pytest.raises(ValueError):
+            make_unit("a", np.array([3, -1], dtype=np.int64))
 
     def test_non_integer_rejected(self):
         with pytest.raises((TypeError, ValueError)):
-            Publication(2.5)
+            make_unit("a", [2.5])
+        for bad in ([True], [1, False], np.array([1.0]), np.array([True])):
+            with pytest.raises(ValueError):
+                make_unit("a", bad)
 
     def test_over_cap_rejected(self):
         with pytest.raises(ValueError):
-            Publication(MAX_CITATIONS + 1)
+            make_unit("a", [MAX_CITATIONS + 1])
 
     def test_frozen(self):
-        pub = Publication(3)
+        unit = make_unit("a", [3])
+        with pytest.raises(ValueError):
+            unit.citations[0] = 4
         with pytest.raises(AttributeError):
-            pub.citations = 4
+            unit.citations = np.array([4], dtype=np.uint64)
 
 
 class TestUnit:
     def test_productivity(self):
         unit = make_unit("a", [5, 1, 0])
         assert unit.productivity == 3
-        assert productivity(unit) == 3
 
     def test_group_h(self):
         unit = make_unit("a", [10, 8, 5, 4, 3])
@@ -153,7 +169,7 @@ class TestUnit:
 
     def test_citation_counts_dtype(self):
         unit = make_unit("a", [5, 1])
-        arr = unit.citation_counts()
+        arr = unit.citations
         assert arr.dtype == np.uint64
         assert arr.tolist() == [5, 1]
 
@@ -161,9 +177,26 @@ class TestUnit:
         with pytest.raises(ValueError):
             make_unit("", [1])
 
-    def test_publication_list_becomes_tuple(self):
-        unit = Unit(id="a", name="a", publications=[Publication(1)])
-        assert isinstance(unit.publications, tuple)
+    def test_citations_become_private_read_only_array(self):
+        unit = Unit(id="a", name="a", citations=[1])
+        assert isinstance(unit.citations, np.ndarray)
+        assert not unit.citations.flags.writeable
+        given_counts = np.array([4, 2], dtype=np.uint64)
+        unit = Unit(id="b", name="b", citations=given_counts)
+        assert not unit.citations.flags.writeable
+        assert given_counts.flags.writeable
+        given_counts[0] = 9
+        assert unit.citations.tolist() == [4, 2]
+
+    def test_rejects_multidimensional_counts(self):
+        with pytest.raises(ValueError):
+            make_unit("a", np.ones((2, 2), dtype=np.uint64))
+
+    def test_units_compare_by_identity(self):
+        a, b = make_unit("a", [1, 2]), make_unit("a", [1, 2])
+        assert a == a and a != b
+        assert len({a, b}) == 2
+        hash(Dataset(name="d", units=(a,)))
 
 
 class TestDataset:

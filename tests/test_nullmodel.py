@@ -1,14 +1,18 @@
 """Reshuffling engine: conservation, determinism, and rank statistics."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-from sizebias.model import Dataset, Publication, Unit, group_h_index
+from sizebias.model import Dataset, Unit, group_h_index
 from sizebias.nullmodel import (
     ReshuffleConfig,
     ReshuffleResult,
-    average_ranks,
     mean_spearman_vs_real,
     pool,
     replicate_stream,
@@ -17,13 +21,11 @@ from sizebias.nullmodel import (
     reshuffled_dataset,
     resolve_workers,
     run_null_model,
-    spearman,
-    spearman_vs_mean_null,
 )
 
 
 def make_unit(uid, citations):
-    return Unit(id=uid, name=uid.upper(), publications=tuple(Publication(c) for c in citations))
+    return Unit(id=uid, name=uid.upper(), citations=citations)
 
 
 def toy_dataset():
@@ -157,6 +159,16 @@ class TestRunNullModel:
         assert resolve_workers(3) == 3
         assert resolve_workers(None) >= 1
 
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert resolve_workers(None) == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)), raising=False)
+        assert resolve_workers(None) == 8
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert resolve_workers(None) == 5
+
 
 class TestResultValidation:
     def test_shape_mismatch_rejected(self):
@@ -169,60 +181,73 @@ class TestResultValidation:
             )
 
 
-class TestAverageRanks:
-    def test_known_ties(self):
-        assert average_ranks([10, 20, 20, 30]).tolist() == [1.0, 2.5, 2.5, 4.0]
+def result_of(real, *rows, units=None):
+    """A result with the given real h vector and replicate rows."""
+    real = np.asarray(real, dtype=np.int64)
+    units = real.size if units is None else units
+    return ReshuffleResult(
+        unit_ids=tuple(f"u{i}" for i in range(units)),
+        h_samples=np.array(rows, dtype=np.int64).reshape(len(rows), units),
+        real_h=real,
+        productivities=np.ones(units, dtype=np.int64),
+    )
 
-    def test_all_equal(self):
-        assert average_ranks([7, 7, 7]).tolist() == [2.0, 2.0, 2.0]
 
-    def test_matches_scipy_rankdata(self):
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            x = rng.integers(0, 6, size=int(rng.integers(2, 40))).astype(float)
-            assert np.allclose(average_ranks(x), stats.rankdata(x, method="average"))
+def naive_spearman_mean(real, rows):
+    """Reference: the mean of scipy's per-replicate Spearman coefficients."""
+    return float(np.mean([stats.spearmanr(real, row).statistic for row in rows]))
 
 
 class TestSpearman:
-    def test_perfect_and_reversed(self):
-        assert spearman([1, 2, 3, 4], [10, 20, 30, 40]) == pytest.approx(1.0)
-        assert spearman([1, 2, 3, 4], [40, 30, 20, 10]) == pytest.approx(-1.0)
+    """`mean_spearman_vs_real`: Spearman's rho of each replicate row against
+    the real h vector, averaged over replicates."""
 
-    def test_matches_scipy_with_ties(self):
-        rng = np.random.default_rng(67)
-        for _ in range(300):
-            n = int(rng.integers(3, 50))
-            x = rng.integers(0, 7, size=n).astype(float)
-            y = rng.integers(0, 7, size=n).astype(float)
-            if np.all(x == x[0]) or np.all(y == y[0]):
-                continue
-            assert spearman(x, y) == pytest.approx(
-                stats.spearmanr(x, y).statistic, abs=1e-12
+    def test_perfect_and_reversed(self):
+        assert mean_spearman_vs_real(result_of([1, 2, 3, 4], [10, 20, 30, 40])) == pytest.approx(1.0)
+        assert mean_spearman_vs_real(result_of([1, 2, 3, 4], [40, 30, 20, 10])) == pytest.approx(-1.0)
+        both = result_of([1, 2, 3, 4], [10, 20, 30, 40], [40, 30, 20, 10])
+        assert mean_spearman_vs_real(both) == pytest.approx(0.0, abs=1e-12)
+
+    @given(
+        st.integers(3, 40).flatmap(
+            lambda n: st.tuples(
+                hnp.arrays(np.int64, n, elements=st.integers(0, 6)),
+                hnp.arrays(np.int64, st.tuples(st.integers(1, 6), st.just(n)), elements=st.integers(0, 6)),
             )
+        )
+    )
+    def test_matches_scipy_with_ties(self, data):
+        real, rows = data
+        assume(not np.all(real == real[0]))
+        assume(not np.any(np.all(rows == rows[:, :1], axis=1)))
+        result = result_of(real, *rows)
+        assert mean_spearman_vs_real(result) == pytest.approx(naive_spearman_mean(real, rows), abs=1e-12)
 
     def test_constant_input_rejected(self):
         with pytest.raises(ValueError):
-            spearman([1, 1, 1], [1, 2, 3])
+            mean_spearman_vs_real(result_of([1, 1, 1], [1, 2, 3]))
         with pytest.raises(ValueError):
-            spearman([1, 2, 3], [5, 5, 5])
+            mean_spearman_vs_real(result_of([1, 2, 3], [5, 5, 5]))
+        with pytest.raises(ValueError):
+            mean_spearman_vs_real(result_of([1, 2, 3], [3, 1, 2], [5, 5, 5], [1, 2, 3]))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            spearman([1, 2], [1, 2, 3])
+            result_of([1, 2], [1, 2, 3], units=3)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            spearman([1], [2])
+            mean_spearman_vs_real(result_of([1], [2]))
 
     def test_always_in_unit_interval(self):
         rng = np.random.default_rng(97)
         for _ in range(100):
             n = int(rng.integers(3, 30))
-            x = rng.integers(0, 4, size=n).astype(float)
-            y = rng.integers(0, 4, size=n).astype(float)
-            if np.all(x == x[0]) or np.all(y == y[0]):
+            x = rng.integers(0, 4, size=n)
+            rows = rng.integers(0, 4, size=(int(rng.integers(1, 5)), n))
+            if np.all(x == x[0]) or np.any(np.all(rows == rows[:, :1], axis=1)):
                 continue
-            assert -1.0 <= spearman(x, y) <= 1.0
+            assert -1.0 <= mean_spearman_vs_real(result_of(x, *rows)) <= 1.0
 
 
 def manual_result():
@@ -241,11 +266,6 @@ class TestRankAgreement:
             [stats.spearmanr(result.real_h, row).statistic for row in result.h_samples]
         )
         assert mean_spearman_vs_real(result) == pytest.approx(float(expected), abs=1e-12)
-
-    def test_spearman_vs_mean_null_matches_scipy(self):
-        result = manual_result()
-        expected = stats.spearmanr(result.real_h, result.h_samples.mean(axis=0)).statistic
-        assert spearman_vs_mean_null(result) == pytest.approx(float(expected), abs=1e-12)
 
     def test_null_model_pipeline_agreement_is_high_for_size_spread(self):
         # strongly size-heterogeneous units: size alone orders the null ranking

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
-from sizebias.model import Dataset, Publication, Unit
+from sizebias.model import Dataset, Unit
 from sizebias.nullmodel import ReshuffleConfig, ReshuffleResult, run_null_model
 from sizebias.scaling import (
     RANKING_KEYS,
@@ -165,7 +167,7 @@ class TestSlopeSignificance:
 
 
 def make_unit(uid, citations):
-    return Unit(id=uid, name=uid, publications=tuple(Publication(c) for c in citations))
+    return Unit(id=uid, name=uid, citations=citations)
 
 
 def spread_dataset(seed=4):
@@ -333,6 +335,20 @@ def score(uid, ratio=1.0, z=0.0, log_residual=0.0, n=10, real_h=5):
 class TestRanking:
     def test_competition_ranks_1224(self):
         assert competition_ranks([5.0, 4.0, 4.0, 3.0]) == [1, 2, 2, 4]
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(-3, 3).map(float), st.sampled_from([-math.inf, math.inf]), st.floats(-1e6, 1e6)),
+            max_size=60,
+        )
+    )
+    def test_competition_ranks_match_pairwise_count(self, values):
+        # Reference: the quadratic definition, one plus the number of
+        # strictly larger values.
+        expected = [1 + sum(1 for w in values if w > v) for v in values]
+        ranks = competition_ranks(values)
+        assert ranks == expected
+        assert all(type(r) is int for r in ranks)
 
     def test_order_by_ratio(self):
         ranking = normalized_ranking([score("a", ratio=0.8), score("b", ratio=1.2)], key="ratio")
