@@ -8,7 +8,8 @@ Subcommands:
   toy-balls   exact two-color urn distribution tables
   synth       synthetic publications file from a Paretian citation model
 
-Exit codes: 0 success, 2 usage error, 3 ingestion error, 4 computation error.
+Exit codes: 0 success, 2 usage error, 3 ingestion error, 4 computation error,
+5 I/O error (cannot read an input or write an output).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .scaling import (
     build_benchmark,
     competition_ranks,
     fit_power_law,
+    normalized_ranking,
     normalized_scores,
     slope_significance,
 )
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INGEST = 3
 EXIT_COMPUTE = 4
+EXIT_IO = 5
 
 DEFAULT_REPLICATES = 200
 DEFAULT_ALPHA_LEVEL = 0.01
@@ -243,8 +246,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     benchmark = build_benchmark(result)
     scores = normalized_scores(result, benchmark)
     raw_ranks = competition_ranks([float(h) for h in result.real_h])
-    key_values = [getattr(s, args.rank_key) for s in scores]
-    norm_ranks = competition_ranks([float("-inf") if v is None else float(v) for v in key_values])
+    norm_ranks = {s.unit_id: rank for rank, s in normalized_ranking(scores, args.rank_key)}
     rows = []
     for i, score in enumerate(scores):
         n = int(result.productivities[i])
@@ -260,7 +262,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                 score.z,
                 score.log_residual,
                 raw_ranks[i],
-                norm_ranks[i],
+                norm_ranks[score.unit_id],
             )
         )
     out = _ensure_out_dir(args.out_dir)
@@ -450,7 +452,10 @@ def main(argv: list[str] | None = None) -> int:
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

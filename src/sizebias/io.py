@@ -295,6 +295,13 @@ def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[Sequenc
 
 
 def write_publications(dataset: Dataset, path: str | Path) -> None:
+    """One row per publication.  A unit with no publications would have no
+    row and be lost on reading back, so such a dataset is rejected before
+    the file is opened."""
+    empty = [u.id for u in dataset.units if u.productivity == 0]
+    if empty:
+        raise ValueError(f"units with no publications cannot be written as publications: {', '.join(empty)}")
+
     def rows():
         for unit in dataset.units:
             for count in unit.citations.tolist():

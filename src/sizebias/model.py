@@ -98,6 +98,14 @@ def _as_citation_array(citations: Iterable[int] | np.ndarray) -> np.ndarray:
         raise ValueError(f"citation counts must be integers in [0, 2^64): {exc}") from None
 
 
+def h_from_tally(tally: np.ndarray) -> np.ndarray:
+    """h of every row of a tally: tally[b, k] counts block b's papers with k
+    citations, capped at the last level.  The k >= 1 with at least k papers
+    cited >= k times form a prefix, so counting them gives h."""
+    at_least = np.cumsum(tally[:, ::-1], axis=1)[:, ::-1]
+    return np.count_nonzero(at_least[:, 1:] >= np.arange(1, tally.shape[1]), axis=1)
+
+
 def h_index(citations: Iterable[int] | np.ndarray) -> int:
     """Largest h such that at least h of the counts are >= h.
 
@@ -107,14 +115,8 @@ def h_index(citations: Iterable[int] | np.ndarray) -> int:
     """
     arr = _as_citation_array(citations)
     n = int(arr.size)
-    if n == 0:
-        return 0
-    capped = np.minimum(arr, n).astype(np.int64)
-    counts = np.bincount(capped, minlength=n + 1)
-    # at_least[h] = number of papers with at least h citations, for h <= n
-    at_least = np.cumsum(counts[::-1])[::-1]
-    qualifying = np.nonzero(at_least >= np.arange(n + 1))[0]
-    return int(qualifying[-1])
+    tally = np.bincount(np.minimum(arr, n).astype(np.int64), minlength=n + 1)
+    return int(h_from_tally(tally[np.newaxis])[0])
 
 
 def group_h_index(unit: Unit) -> int:

@@ -89,6 +89,12 @@ class TestHindex:
         assert manifest["command"] == "hindex"
         assert manifest["seed"] is None
 
+    def test_unwritable_out_dir_is_io_error(self, tiny_pubs, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x", encoding="utf-8")
+        assert main(["hindex", str(tiny_pubs), "--out-dir", str(blocker / "run")]) == 5
+        assert "error:" in capsys.readouterr().err
+
     def test_summary_input_is_wrong_format(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
         path.write_text("unit_id,unit_name,n_publications,h_index\nx,X,3,1\n", encoding="utf-8")
@@ -293,6 +299,24 @@ class TestBenchmark:
             ["benchmark", str(synth_run), "--seed", "13", "--rank-key", "bogus", "--out-dir", str(out)]
         ) == 2
         capsys.readouterr()
+
+    def test_undefined_z_ranks_last(self, tmp_path, capsys):
+        # Every paper is cited, so the one-paper unit has h = 1 in every
+        # replicate: its null spread is zero and its z is undefined.
+        lines = ["unit_id,unit_name,citations", "solo,Solo,50"]
+        for uid, size in (("a", 8), ("b", 20), ("c", 40)):
+            lines += [f"{uid},{uid.upper()},{1 + (7 * i) % 30}" for i in range(size)]
+        path = tmp_path / "pubs.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "z"
+        argv = ["benchmark", str(path), "--seed", "4", "--replicates", "40", "--rank-key", "z"]
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        rows = {r[0]: r for r in read_rows(out / "benchmark.csv")[1:]}
+        assert rows["solo"][7] == ""
+        assert all(rows[u][7] != "" for u in ("a", "b", "c"))
+        assert int(rows["solo"][10]) == 4
+        assert sorted(int(rows[u][10]) for u in ("a", "b", "c")) == [1, 2, 3]
 
     def test_single_replicate_is_compute_error(self, synth_run, tmp_path, capsys):
         code = main(

@@ -77,6 +77,13 @@ class TestPublicationsRoundTrip:
         back = read_publications(path)
         assert [(u.id, u.name, u.citations.tolist()) for u in back.units] == units
 
+    def test_empty_unit_rejected_before_opening(self, tmp_path):
+        ds = Dataset(name="d", units=(Unit("a", "A", [3, 1]), Unit("b", "B", []), Unit("c", "C", [])))
+        path = tmp_path / "pubs.csv"
+        with pytest.raises(ValueError, match="b, c"):
+            write_publications(ds, path)
+        assert not path.exists()
+
     def test_comma_in_name_survives(self, tmp_path):
         path = tmp_path / "pubs.csv"
         write_publications(small_dataset(), path)

@@ -4,12 +4,12 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-from sizebias.model import Dataset, Unit, group_h_index
+from sizebias.model import MAX_CITATIONS, Dataset, Unit, group_h_index, h_index
 from sizebias.nullmodel import (
     ReshuffleConfig,
     ReshuffleResult,
@@ -17,7 +17,6 @@ from sizebias.nullmodel import (
     pool,
     replicate_stream,
     reshuffle_blocks,
-    reshuffle_once,
     reshuffled_dataset,
     resolve_workers,
     run_null_model,
@@ -91,14 +90,12 @@ class TestPoolAndBlocks:
         with pytest.raises(ValueError):
             reshuffle_blocks(counts, np.array([4, -1]), replicate_stream(0, 0))
 
-    def test_reshuffle_once_is_h_of_blocks(self):
+    def test_null_model_row_is_h_of_blocks(self):
         ds = random_dataset(9)
         counts = pool(ds)
         prods = np.array([u.productivity for u in ds.units])
-        hs = reshuffle_once(counts, prods, replicate_stream(11, 4))
+        hs = run_null_model(ds, ReshuffleConfig(master_seed=11, replicates=5), workers=1).h_samples[4]
         blocks = reshuffle_blocks(counts, prods, replicate_stream(11, 4))
-        from sizebias.model import h_index
-
         assert hs.tolist() == [h_index(b) for b in blocks]
 
     def test_reshuffled_dataset_preserves_structure(self):
@@ -126,8 +123,31 @@ class TestRunNullModel:
         prods = np.array([u.productivity for u in ds.units])
         result = run_null_model(ds, ReshuffleConfig(master_seed=77, replicates=12), workers=4)
         for r in range(12):
-            expected = reshuffle_once(counts, prods, replicate_stream(77, r))
-            assert result.h_samples[r].tolist() == expected.tolist()
+            expected = [h_index(b) for b in reshuffle_blocks(counts, prods, replicate_stream(77, r))]
+            assert result.h_samples[r].tolist() == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @given(
+        units=st.lists(
+            st.lists(st.integers(0, 12) | st.integers(MAX_CITATIONS - 3, MAX_CITATIONS), max_size=12),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**64 - 1),
+        replicates=st.integers(1, 4),
+    )
+    @example(units=[[0, 0, 0], [], [0]], seed=0, replicates=3)  # all-zero pool, an empty unit
+    @example(units=[[], []], seed=1, replicates=2)  # no publications at all
+    @example(units=[[MAX_CITATIONS, 5, 1, MAX_CITATIONS - 1]], seed=2, replicates=2)  # a single unit
+    def test_matches_permute_and_cut_oracle(self, workers, units, seed, replicates):
+        ds = Dataset(name="prop", units=tuple(make_unit(f"u{i}", c) for i, c in enumerate(units)))
+        counts = pool(ds)
+        prods = np.array([len(c) for c in units], dtype=np.int64)
+        result = run_null_model(ds, ReshuffleConfig(master_seed=seed, replicates=replicates), workers=workers)
+        assert result.real_h.tolist() == [h_index(c) for c in units]
+        for r in range(replicates):
+            blocks = reshuffle_blocks(counts, prods, replicate_stream(seed, r))
+            assert result.h_samples[r].tolist() == [h_index(b) for b in blocks]
 
     def test_worker_count_does_not_change_results(self):
         ds = random_dataset(2)
