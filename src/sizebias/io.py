@@ -3,7 +3,8 @@
 All CSV files are UTF-8 with `\\n` line endings and a fixed header; a
 leading byte-order mark is accepted on input.  All JSON is written with
 sorted keys so repeated runs produce identical bytes (manifests carry the
-only timestamp).
+only timestamp).  Every report is written to a temporary file beside its
+target and renamed over it, so a failed write never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -286,8 +289,24 @@ def _cell(value) -> str:
     return str(value)
 
 
+@contextmanager
+def _atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """A text file that replaces `path` only once it is fully written; on any
+    error the temporary file is removed and `path` is left as it was."""
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    fh = open(tmp, "w", newline=newline, encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -342,7 +361,7 @@ def write_distribution_csv(rows: Sequence[tuple[int, float, float]], path: str |
 
 
 def write_json(payload: dict, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_write(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, ensure_ascii=False)
         fh.write("\n")
 

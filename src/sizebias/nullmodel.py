@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .model import Dataset, Unit, h_from_tally, h_index
+
+# scipy.stats is imported inside the functions that use it: loading it takes
+# about a second, which commands that never call them should not pay.
 
 _MAX_SEED = 2**64 - 1
 _DEFAULT_WORKER_CAP = 8
@@ -126,6 +128,12 @@ def run_null_model(
     No block's h can exceed the pool's h, H, so counts are capped at H and
     tallied per unit and level in a (units, H + 1) matrix that gives every
     unit's h at once; each worker holds one (4000 x 132 is about 4 MB).
+    An uncited paper raises no h, so a replicate places only the cited
+    papers: it draws distinct positions for them in block order, uniformly
+    and in random order, which is exactly where a uniform permutation of
+    the pool sends them.  The uncited papers fill the other positions and
+    are never tallied (no h reads the level-0 column), so a replicate costs
+    the number of cited papers, not the pool size.
     Replicate r uses the RNG stream keyed by (master_seed, r) and writes
     exactly one row of the sample matrix, so the result is identical for
     any worker count or scheduling order.
@@ -136,16 +144,19 @@ def run_null_model(
     units, cap = prods.size, h_index(pool_counts)
     levels = np.minimum(pool_counts, cap).astype(np.int64)
     slots = np.repeat(np.arange(units) * (cap + 1), prods)
+    cited = np.flatnonzero(levels)
+    cited_levels = levels[cited]
 
-    def h_of(keys: np.ndarray) -> np.ndarray:  # keys: a fresh array of levels, in block order
-        keys += slots
+    def h_of(keys: np.ndarray) -> np.ndarray:  # keys: a fresh array of the cited papers' slots
+        keys += cited_levels
         return h_from_tally(np.bincount(keys, minlength=units * (cap + 1)).reshape(units, cap + 1))
 
-    real_h = h_of(levels.copy())
+    real_h = h_of(slots[cited])
     samples = np.empty((config.replicates, units), dtype=np.int64)
 
     def one(replicate: int) -> None:
-        samples[replicate, :] = h_of(replicate_stream(config.master_seed, replicate).permutation(levels))
+        rng = replicate_stream(config.master_seed, replicate)
+        samples[replicate, :] = h_of(slots[rng.choice(levels.size, cited.size, replace=False)])
 
     if workers == 1:
         for r in range(config.replicates):
@@ -169,6 +180,8 @@ def mean_spearman_vs_real(result: ReshuffleResult) -> float:
     ranks.  Raises ValueError where any coefficient is undefined: fewer
     than 2 units, or a constant real vector or replicate row.
     """
+    from scipy import stats
+
     real, samples = result.real_h, result.h_samples
     if real.size < 2:
         raise ValueError("need at least 2 units")

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .nullmodel import ReshuffleResult
+
+# scipy.stats is imported inside the functions that use it: loading it takes
+# about a second, which commands that never call them should not pay.
 
 
 class FitError(ValueError):
@@ -102,6 +104,8 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> PowerLawFit:
     if stderr == 0.0:
         p_value = 1.0 if slope == 0.0 else 0.0
     else:
+        from scipy import stats
+
         t = slope / stderr
         p_value = 2.0 * float(stats.t.sf(abs(t), n_pts - 2))
     return PowerLawFit(
@@ -196,6 +200,8 @@ RANKING_KEYS = ("ratio", "z", "log_residual")
 
 def competition_ranks(values: Sequence[float]) -> list[int]:
     """Rank 1 for the largest value; ties share a rank ("1224" style)."""
+    from scipy import stats
+
     return stats.rankdata(-np.asarray(values, dtype=float), method="min").tolist()
 
 

@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sizebias
 from sizebias.cli import main
 from sizebias.io import BENCHMARK_HEADER, read_publications, read_summary
 from sizebias.model import group_h_index
@@ -61,6 +66,15 @@ class TestTopLevel:
     def test_missing_positional(self, capsys):
         assert main(["hindex"]) == 2
         capsys.readouterr()
+
+    def test_import_does_not_load_scipy(self):
+        # scipy.stats takes about a second to import; commands that never
+        # use it (hindex, toy-balls, --help, --version) must not pay for it.
+        src = str(Path(sizebias.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = "import sys, sizebias.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestHindex:

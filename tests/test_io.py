@@ -351,6 +351,25 @@ class TestWriters:
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text(encoding="utf-8").startswith('{\n  "a"')
 
+    def test_failed_csv_write_leaves_no_file(self, tmp_path):
+        rows = [("a", 4, 2)] * 5000 + [("b", True, 1)]  # a boolean cell raises after 5000 rows
+        with pytest.raises(TypeError):
+            write_hindex_csv(rows, tmp_path / "h.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_previous_report(self, tmp_path):
+        path = tmp_path / "h.csv"
+        write_hindex_csv([("a", 4, 2)], path)
+        with pytest.raises(TypeError):
+            write_hindex_csv([("b", 1, 1), ("c", True, 1)], path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text(encoding="utf-8") == "unit_id,N,h\na,4,2\n"
+
+    def test_failed_json_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_json({"a": list(range(5000)), "b": object()}, tmp_path / "r.json")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPayloads:
     def test_fit_payload_keys(self):

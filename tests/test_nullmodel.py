@@ -1,5 +1,7 @@
 """Reshuffling engine: conservation, determinism, and rank statistics."""
 
+import itertools
+import math
 import os
 
 import numpy as np
@@ -21,6 +23,7 @@ from sizebias.nullmodel import (
     resolve_workers,
     run_null_model,
 )
+from sizebias.synth import CitationModel, SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
 
 
 def make_unit(uid, citations):
@@ -45,6 +48,12 @@ def random_dataset(seed, units=8, max_size=60):
         size = int(rng.integers(1, max_size))
         made.append(make_unit(f"u{i}", rng.integers(0, 50, size=size).tolist()))
     return Dataset(name=f"rand{seed}", units=tuple(made))
+
+
+def sorted_block_h(blocks):
+    """h of every row of a (rows, size) matrix by the sort-based definition."""
+    desc = -np.sort(-blocks, axis=1)
+    return np.count_nonzero(desc >= np.arange(1, blocks.shape[1] + 1), axis=1)
 
 
 class TestStreams:
@@ -90,14 +99,6 @@ class TestPoolAndBlocks:
         with pytest.raises(ValueError):
             reshuffle_blocks(counts, np.array([4, -1]), replicate_stream(0, 0))
 
-    def test_null_model_row_is_h_of_blocks(self):
-        ds = random_dataset(9)
-        counts = pool(ds)
-        prods = np.array([u.productivity for u in ds.units])
-        hs = run_null_model(ds, ReshuffleConfig(master_seed=11, replicates=5), workers=1).h_samples[4]
-        blocks = reshuffle_blocks(counts, prods, replicate_stream(11, 4))
-        assert hs.tolist() == [h_index(b) for b in blocks]
-
     def test_reshuffled_dataset_preserves_structure(self):
         ds = toy_dataset()
         shuffled = reshuffled_dataset(ds, replicate_stream(3, 0))
@@ -117,14 +118,50 @@ class TestRunNullModel:
         assert result.productivities.tolist() == [4, 2, 6]
         assert result.replicates == 17
 
-    def test_rows_match_per_replicate_streams(self):
-        ds = random_dataset(1)
-        counts = pool(ds)
-        prods = np.array([u.productivity for u in ds.units])
-        result = run_null_model(ds, ReshuffleConfig(master_seed=77, replicates=12), workers=4)
-        for r in range(12):
-            expected = [h_index(b) for b in reshuffle_blocks(counts, prods, replicate_stream(77, r))]
-            assert result.h_samples[r].tolist() == expected
+    def test_joint_h_matches_exact_permute_and_cut_pmf(self):
+        # Every one of the 9! orders of this pool, cut into blocks of the
+        # units' sizes, gives the exact pmf of the joint h vector.
+        units = [[0, 4, 1], [2, 2], [0, 0, 3, 1]]
+        counts = np.array([c for unit in units for c in unit], dtype=np.int64)
+        orders = np.fromiter(
+            itertools.chain.from_iterable(itertools.permutations(range(counts.size))),
+            dtype=np.int8,
+            count=math.factorial(counts.size) * counts.size,
+        ).reshape(-1, counts.size)
+        blocks = np.split(counts[orders], np.cumsum([len(u) for u in units])[:-1], axis=1)
+        h = np.stack([sorted_block_h(b) for b in blocks], axis=1)
+        vectors, exact = np.unique(h, axis=0, return_counts=True)
+        assert len(vectors) == 11
+
+        ds = Dataset(name="tiny", units=tuple(make_unit(f"u{i}", c) for i, c in enumerate(units)))
+        replicates = 20_000
+        samples = run_null_model(ds, ReshuffleConfig(master_seed=2024, replicates=replicates), workers=1).h_samples
+        observed = np.array([np.all(samples == v, axis=1).sum() for v in vectors])
+        assert observed.sum() == replicates  # no row outside the exact support
+        expected = exact * replicates / exact.sum()
+        assert expected.min() >= 5  # the chi-square approximation holds
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+    def test_unit_means_match_permute_and_cut_oracle(self):
+        # A Pareto (alpha = 1.5) pool dealt to units best-cited first, so a
+        # sampler that kept papers near their own unit would shift the means.
+        rng = generation_stream(31)
+        sizes = sample_sizes(SizeModel.uniform_floor(20, 400), 12, rng)
+        pooled = np.sort(pool(build_synthetic_dataset(sizes, CitationModel(alpha=1.5), rng)))[::-1]
+        cuts = np.split(pooled, np.cumsum(sizes)[:-1])
+        ds = Dataset(name="dealt", units=tuple(make_unit(f"u{i}", c) for i, c in enumerate(cuts)))
+        replicates = 600
+        fast = run_null_model(ds, ReshuffleConfig(master_seed=5, replicates=replicates), workers=1).h_samples
+        oracle = np.array(
+            [
+                [h_index(b) for b in reshuffle_blocks(pooled, sizes, replicate_stream(6, r))]
+                for r in range(replicates)
+            ]
+        )
+        diff = fast.mean(axis=0) - oracle.mean(axis=0)
+        se = np.sqrt((fast.var(axis=0, ddof=1) + oracle.var(axis=0, ddof=1)) / replicates)
+        assert np.all(se > 0)
+        assert np.max(np.abs(diff / se)) < 4.0  # 12 units: P(any |z| >= 4) is about 1e-3 under equality
 
     @pytest.mark.parametrize("workers", [1, 2])
     @given(
@@ -140,14 +177,28 @@ class TestRunNullModel:
     @example(units=[[], []], seed=1, replicates=2)  # no publications at all
     @example(units=[[MAX_CITATIONS, 5, 1, MAX_CITATIONS - 1]], seed=2, replicates=2)  # a single unit
     def test_matches_permute_and_cut_oracle(self, workers, units, seed, replicates):
+        # Rows need not equal permute-and-cut on the same stream, only obey
+        # what every permute-and-cut row obeys exactly.
         ds = Dataset(name="prop", units=tuple(make_unit(f"u{i}", c) for i, c in enumerate(units)))
-        counts = pool(ds)
-        prods = np.array([len(c) for c in units], dtype=np.int64)
-        result = run_null_model(ds, ReshuffleConfig(master_seed=seed, replicates=replicates), workers=workers)
+        config = ReshuffleConfig(master_seed=seed, replicates=replicates)
+        result = run_null_model(ds, config, workers=workers)
         assert result.real_h.tolist() == [h_index(c) for c in units]
-        for r in range(replicates):
-            blocks = reshuffle_blocks(counts, prods, replicate_stream(seed, r))
-            assert result.h_samples[r].tolist() == [h_index(b) for b in blocks]
+        assert np.array_equal(run_null_model(ds, config, workers=1).h_samples, result.h_samples)
+        pool_h = h_index(pool(ds))
+        assert np.all(result.h_samples >= 0)
+        assert np.all(result.h_samples <= np.minimum([len(c) for c in units], pool_h))
+        if len(units) == 1:  # the block is the whole pool
+            assert np.all(result.h_samples == pool_h)
+        if pool_h == 0:  # all-zero or empty pool
+            assert not result.h_samples.any()
+        # Capped at the pool size, which no block's h can exceed, so the counts fit int64.
+        counts = np.minimum(pool(ds), pool(ds).size).astype(np.int64)
+        if counts.size <= 7:  # small enough to enumerate every permute-and-cut order
+            orders = np.array(list(itertools.permutations(range(counts.size))), dtype=np.int64)
+            cuts = np.cumsum([len(c) for c in units])[:-1]
+            blocks = np.split(counts[orders.reshape(math.factorial(counts.size), counts.size)], cuts, axis=1)
+            support = {tuple(v) for v in np.stack([sorted_block_h(b) for b in blocks], axis=1).tolist()}
+            assert {tuple(row) for row in result.h_samples.tolist()} <= support
 
     def test_worker_count_does_not_change_results(self):
         ds = random_dataset(2)
