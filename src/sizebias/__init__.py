@@ -1,7 +1,7 @@
 """Size bias of the group h-index: null models, scaling fits, and
 size-normalized rankings."""
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .combinatorics import (
     BasketSpec,

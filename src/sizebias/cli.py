@@ -20,6 +20,7 @@ import os
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import Any, Callable
 
 from . import __version__, io
 from .combinatorics import PoolSpec, count_distribution
@@ -32,7 +33,6 @@ from .nullmodel import (
 )
 from .scaling import (
     RANKING_KEYS,
-    FitError,
     build_benchmark,
     competition_ranks,
     fit_power_law,
@@ -61,44 +61,33 @@ class UsageError(Exception):
     """Bad flag combination or parameter value; exits with code 2."""
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(
+    convert: Callable[[str], Any], kind: str, ok: Callable[[Any], bool], message: str
+) -> Callable[[str], Any]:
+    """An argparse type: `convert` the text, then require `ok(value)`.
+
+    `kind` names what the text failed to parse as; `message`, formatted
+    with the value, says why a parsed value was refused.
+    """
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {kind}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message.format(value=value))
+        return value
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
-
-
-def _alpha_level(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"significance level must be in (0, 1), got {value}")
-    return value
+_positive_int = _checked(int, "an integer", lambda v: v >= 1, "must be >= 1, got {value}")
+_nonneg_int = _checked(int, "an integer", lambda v: v >= 0, "must be >= 0, got {value}")
+_seed = _checked(int, "an integer", lambda v: 0 <= v < 2**64, "seed must fit in an unsigned 64-bit integer")
+_alpha_level = _checked(
+    float, "a number", lambda v: 0.0 < v < 1.0, "significance level must be in (0, 1), got {value}"
+)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -449,9 +438,6 @@ def main(argv: list[str] | None = None) -> int:
     except io.IngestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INGEST
-    except FitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,19 +1,15 @@
 """Exact two-color urn model: draw a basket of k balls from a pool of
 black and white balls and ask how many black ones come out.
 
-All probability arithmetic runs in natural-log space with a single
-exponentiation at the end, so pools of thousands of balls are fine even
-though the raw combination counts overflow any fixed-width integer.
+Every probability is a ratio of exact integer combination counts, turned
+into a float by one correctly rounded division, so each value is the
+float nearest the true rational probability, however large the pool.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-# Probabilities below this are emitted as exact 0 so that file output is
-# reproducible and free of subnormal noise.
-_TRUNCATE_BELOW = 1e-300
 
 
 @dataclass(frozen=True)
@@ -49,34 +45,6 @@ class BasketSpec:
             raise ValueError("basket size must be nonnegative")
 
 
-def log_binomial(n: int, r: int) -> float:
-    """ln C(n, r), in log space throughout.
-
-    Summed with fsum over the shorter side of the coefficient so every
-    intermediate stays on the order of the result; the difference of
-    log-factorials near ln(4000!) = 29181 would lose ~4e-12 to
-    cancellation, more than the 1e-12 normalization budget.  Small n
-    takes the exact integer path.
-    """
-    if r < 0 or r > n:
-        raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
-    short = min(r, n - r)
-    if short == 0:
-        return 0.0
-    if n <= 60:
-        return math.log(math.comb(n, r))
-    terms = [math.log(n - short + i) for i in range(1, short + 1)]
-    terms.extend(-math.log(i) for i in range(2, short + 1))
-    return math.fsum(terms)
-
-
-def exact_binomial(n: int, r: int) -> int:
-    """C(n, r) as an exact integer; the cross-check path for small n."""
-    if r < 0 or r > n:
-        raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
-    return math.comb(n, r)
-
-
 def _check_draw(pool: PoolSpec, black_drawn: int, white_drawn: int) -> None:
     if not 0 <= black_drawn <= pool.black:
         raise ValueError(f"black draw {black_drawn} out of range [0, {pool.black}]")
@@ -88,12 +56,6 @@ def count_combinations(pool: PoolSpec, black_drawn: int, white_drawn: int) -> in
     """Exact number of baskets containing exactly this color split."""
     _check_draw(pool, black_drawn, white_drawn)
     return math.comb(pool.black, black_drawn) * math.comb(pool.white, white_drawn)
-
-
-def log_count_combinations(pool: PoolSpec, black_drawn: int, white_drawn: int) -> float:
-    """Natural log of count_combinations; safe at any pool size."""
-    _check_draw(pool, black_drawn, white_drawn)
-    return log_binomial(pool.black, black_drawn) + log_binomial(pool.white, white_drawn)
 
 
 def hypergeom_pmf(pool: PoolSpec, basket: BasketSpec, black_drawn: int) -> float:
@@ -111,13 +73,7 @@ def hypergeom_pmf(pool: PoolSpec, basket: BasketSpec, black_drawn: int) -> float
     white_drawn = k - black_drawn
     if black_drawn > pool.black or white_drawn > pool.white:
         return 0.0
-    log_p = (
-        log_binomial(pool.black, black_drawn)
-        + log_binomial(pool.white, white_drawn)
-        - log_binomial(pool.total, k)
-    )
-    p = math.exp(log_p)
-    return p if p >= _TRUNCATE_BELOW else 0.0
+    return count_combinations(pool, black_drawn, white_drawn) / math.comb(pool.total, k)
 
 
 def count_distribution(pool: PoolSpec, basket_size: int) -> list[tuple[int, float]]:
@@ -134,10 +90,16 @@ def share_distribution(pool: PoolSpec, basket_size: int) -> list[tuple[float, fl
 
 
 def most_likely_black_count(pool: PoolSpec, basket_size: int) -> int:
-    """Mode of the distribution; on a tie, the smallest count wins."""
-    dist = count_distribution(pool, basket_size)
-    best_k1, best_p = dist[0]
-    for k1, p in dist[1:]:
-        if p > best_p:
-            best_k1, best_p = k1, p
-    return best_k1
+    """Mode of the distribution; on a tie, the smallest count wins.
+
+    Compared on exact counts, so two probabilities that round to the same
+    float cannot tie by accident.
+    """
+    k = BasketSpec(basket_size).size
+    if k > pool.total:
+        raise ValueError(f"basket size {k} exceeds pool size {pool.total}")
+    # max keeps the first of equal keys, so the smallest count wins a tie
+    return max(
+        range(max(0, k - pool.white), min(k, pool.black) + 1),
+        key=lambda k1: count_combinations(pool, k1, k - k1),
+    )

@@ -379,8 +379,7 @@ def fit_payload(fit: PowerLawFit) -> dict:
 
 def reshuffle_summary_payload(result: ReshuffleResult, mean_spearman: float | None) -> dict:
     """Per-unit null statistics plus the rank-agreement diagnostic."""
-    mean = result.h_samples.mean(axis=0)
-    sd = result.h_samples.std(axis=0, ddof=1) if result.replicates > 1 else np.zeros(len(result.unit_ids))
+    mean, sd = result.null_mean_h, result.null_sd_h
     q025 = np.quantile(result.h_samples, 0.025, axis=0)
     q975 = np.quantile(result.h_samples, 0.975, axis=0)
     units = [

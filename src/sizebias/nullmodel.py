@@ -65,6 +65,18 @@ class ReshuffleResult:
     def replicates(self) -> int:
         return int(self.h_samples.shape[0])
 
+    @property
+    def null_mean_h(self) -> np.ndarray:
+        """Each unit's mean h over the replicates."""
+        return self.h_samples.mean(axis=0)
+
+    @property
+    def null_sd_h(self) -> np.ndarray:
+        """Each unit's sample standard deviation of h (ddof 1); 0 for one replicate."""
+        if self.replicates < 2:
+            return np.zeros(len(self.unit_ids))
+        return self.h_samples.std(axis=0, ddof=1)
+
 
 def replicate_stream(master_seed: int, index: int) -> np.random.Generator:
     """Independent RNG stream for one replicate.
@@ -158,12 +170,8 @@ def run_null_model(
         rng = replicate_stream(config.master_seed, replicate)
         samples[replicate, :] = h_of(slots[rng.choice(levels.size, cited.size, replace=False)])
 
-    if workers == 1:
-        for r in range(config.replicates):
-            one(r)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(one, range(config.replicates)))
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        list(ex.map(one, range(config.replicates)))
 
     return ReshuffleResult(
         unit_ids=tuple(u.id for u in dataset.units),

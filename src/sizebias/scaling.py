@@ -16,8 +16,8 @@ import numpy as np
 
 from .nullmodel import ReshuffleResult
 
-# scipy.stats is imported inside the functions that use it: loading it takes
-# about a second, which commands that never call them should not pay.
+# scipy is imported inside the functions that use it: loading scipy.stats
+# takes about a second, which commands that never call them should not pay.
 
 
 class FitError(ValueError):
@@ -104,10 +104,10 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> PowerLawFit:
     if stderr == 0.0:
         p_value = 1.0 if slope == 0.0 else 0.0
     else:
-        from scipy import stats
+        from scipy import special
 
         t = slope / stderr
-        p_value = 2.0 * float(stats.t.sf(abs(t), n_pts - 2))
+        p_value = 2.0 * float(special.stdtr(n_pts - 2, -abs(t)))
     return PowerLawFit(
         beta=slope,
         log10_prefactor=intercept,
@@ -143,8 +143,6 @@ def build_benchmark(result: ReshuffleResult) -> Benchmark:
     point, all replicates pooled together with equal weight."""
     if result.replicates < 2:
         raise ValueError("need at least 2 replicates to estimate a spread")
-    null_mean = result.h_samples.mean(axis=0)
-    null_sd = result.h_samples.std(axis=0, ddof=1)
 
     sizes = np.broadcast_to(result.productivities, result.h_samples.shape)
     h_flat = result.h_samples.ravel()
@@ -163,8 +161,8 @@ def build_benchmark(result: ReshuffleResult) -> Benchmark:
     return Benchmark(
         unit_ids=result.unit_ids,
         productivities=result.productivities,
-        null_mean_h=null_mean,
-        null_sd_h=null_sd,
+        null_mean_h=result.null_mean_h,
+        null_sd_h=result.null_sd_h,
         fit=fit,
         n_excluded_zero_h=n_excluded,
     )

@@ -1,6 +1,10 @@
 """Power-law fits, benchmarks, normalized scores, rankings."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+import sizebias
 from sizebias.model import Dataset, Unit
 from sizebias.nullmodel import ReshuffleConfig, ReshuffleResult, run_null_model
 from sizebias.scaling import (
@@ -100,6 +105,21 @@ class TestFitPowerLaw:
             assert fit.beta_stderr == pytest.approx(ref.stderr, abs=1e-12)
             assert fit.p_value == pytest.approx(ref.pvalue, abs=1e-12)
             assert fit.r_squared == pytest.approx(ref.rvalue**2, abs=1e-12)
+
+    def test_p_value_does_not_load_scipy_stats(self):
+        # the t tail comes from scipy.special; a `fit` process must not pay
+        # the extra import time of scipy.stats for it
+        src = str(Path(sizebias.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = (
+            "import sys\n"
+            "from sizebias.scaling import fit_power_law\n"
+            "fit = fit_power_law([(10, 3), (100, 8), (1000, 20), (10000, 70)])\n"
+            "assert fit.beta_stderr > 0 and 0 < fit.p_value < 1\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_too_few_points_rejected(self):
         with pytest.raises(FitError):
