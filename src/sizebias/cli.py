@@ -197,12 +197,13 @@ def cmd_null_model(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     if args.source == "summary":
         rows, display, digest = _load_summary_spec(args.input)
-        points = [(float(r.n_publications), float(r.h_index)) for r in rows if r.h_index > 0]
-        n_excluded = len(rows) - len(points)
+        kept = [r for r in rows if r.h_index > 0]
+        sizes, h = [r.n_publications for r in kept], [r.h_index for r in kept]
+        n_excluded = len(rows) - len(kept)
     else:
-        points, n_excluded, samples = io.read_samples(args.input)
+        sizes, h, n_excluded, samples = io.read_samples(args.input)
         display, digest = str(samples), io.file_sha256(samples)
-    fit = fit_power_law(points)
+    fit = fit_power_law(sizes, h)
     payload = _fit_report(fit, args.alpha_level)
     payload["source"] = f"{args.source}:{display}"
     payload["n_excluded_zero_h"] = n_excluded

@@ -77,9 +77,17 @@ def hypergeom_pmf(pool: PoolSpec, basket: BasketSpec, black_drawn: int) -> float
 
 
 def count_distribution(pool: PoolSpec, basket_size: int) -> list[tuple[int, float]]:
-    """Full PMF over the number of black balls in one basket."""
-    basket = BasketSpec(basket_size)
-    return [(k1, hypergeom_pmf(pool, basket, k1)) for k1 in range(basket_size + 1)]
+    """Full PMF over the number of black balls in one basket: hypergeom_pmf
+    for every count, over one shared denominator."""
+    k = BasketSpec(basket_size).size
+    if k > pool.total:
+        raise ValueError(f"basket size {k} exceeds pool size {pool.total}")
+    lo, hi = max(0, k - pool.white), min(k, pool.black)
+    total = math.comb(pool.total, k)
+    return [
+        (k1, count_combinations(pool, k1, k - k1) / total if lo <= k1 <= hi else 0.0)
+        for k1 in range(k + 1)
+    ]
 
 
 def share_distribution(pool: PoolSpec, basket_size: int) -> list[tuple[float, float]]:

@@ -213,12 +213,12 @@ def read_summary(path: str | Path) -> list[SummaryRow]:
     return out
 
 
-def read_samples(path: str | Path) -> tuple[list[tuple[float, float]], int, Path]:
+def read_samples(path: str | Path) -> tuple[np.ndarray, np.ndarray, int, Path]:
     """Pooled (N, h) points of a null-model run, from its directory or its
     samples CSV; unit sizes come from the run's summary JSON beside it.
 
-    Returns the h > 0 points, the count of excluded h = 0 points, and the
-    samples CSV path.
+    Returns the sizes and the h of the h > 0 points as two float arrays,
+    the count of excluded h = 0 points, and the samples CSV path.
     """
     p = Path(path)
     if p.is_dir():
@@ -236,7 +236,8 @@ def read_samples(path: str | Path) -> tuple[list[tuple[float, float]], int, Path
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise IngestError(summary, [f"malformed run summary JSON: {exc}"]) from exc
 
-    points: list[tuple[float, float]] = []
+    kept_n: list[int] = []
+    kept_h: list[int] = []
     n_excluded = 0
     problems: list[str] = []
     for lineno, row in _csv_rows(samples, SAMPLES_HEADER):
@@ -256,12 +257,13 @@ def read_samples(path: str | Path) -> tuple[list[tuple[float, float]], int, Path
             problems.append(f"line {lineno}: h {h} is negative")
             continue
         if h > 0:
-            points.append((float(sizes[uid]), float(h)))
+            kept_n.append(sizes[uid])
+            kept_h.append(h)
         else:
             n_excluded += 1
     if problems:
         raise IngestError(samples, problems)
-    return points, n_excluded, samples
+    return np.array(kept_n, dtype=float), np.array(kept_h, dtype=float), n_excluded, samples
 
 
 def bundled_summary_path(name: str):

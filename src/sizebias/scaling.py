@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .nullmodel import ReshuffleResult
 
-# scipy is imported inside the functions that use it: loading scipy.stats
-# takes about a second, which commands that never call them should not pay.
+# scipy.special is imported inside fit_power_law, the one function that
+# uses it, so that commands which never fit do not pay for loading it.
 
 
 class FitError(ValueError):
@@ -71,26 +72,31 @@ class NormalizedScore:
     log_residual: float
 
 
-def fit_power_law(points: Iterable[tuple[float, float]]) -> PowerLawFit:
-    """Ordinary least squares of log10 h on log10 N.
+def fit_power_law(sizes: ArrayLike, h: ArrayLike) -> PowerLawFit:
+    """Ordinary least squares of log10 h on log10 N over the points
+    (sizes[i], h[i]).
 
     Points must have N >= 1 and h > 0; zero-h points are the caller's job
     to exclude (and count).  Needs at least 3 points and 2 distinct sizes.
     """
-    pts = [(float(n), float(h)) for n, h in points]
-    if len(pts) < 3:
-        raise FitError(f"need at least 3 points, got {len(pts)}")
-    for n, h in pts:
-        if not n >= 1:
-            raise FitError(f"sizes must be >= 1, got {n}")
-        if not h > 0:
-            raise FitError("h = 0 points cannot be fitted on a log axis; exclude them upstream")
-    x = np.log10([n for n, _ in pts])
-    y = np.log10([h for _, h in pts])
+    n_arr = np.asarray(sizes, dtype=float)
+    h_arr = np.asarray(h, dtype=float)
+    if n_arr.ndim != 1 or n_arr.shape != h_arr.shape:
+        raise FitError(f"sizes and h must be 1-D of equal length, got shapes {n_arr.shape} and {h_arr.shape}")
+    n_pts = n_arr.size
+    if n_pts < 3:
+        raise FitError(f"need at least 3 points, got {n_pts}")
+    bad = ~((n_arr >= 1) & (h_arr > 0))
+    if bad.any():
+        first = n_arr[np.argmax(bad)]
+        if not first >= 1:
+            raise FitError(f"sizes must be >= 1, got {float(first)}")
+        raise FitError("h = 0 points cannot be fitted on a log axis; exclude them upstream")
+    x = np.log10(n_arr)
+    y = np.log10(h_arr)
     if np.all(x == x[0]):
         raise FitError("all sizes are equal; the slope is undetermined")
 
-    n_pts = len(pts)
     x_mean = x.mean()
     y_mean = y.mean()
     sxx = float(np.dot(x - x_mean, x - x_mean))
@@ -152,7 +158,7 @@ def build_benchmark(result: ReshuffleResult) -> Benchmark:
     kept_n = n_flat[keep]
     kept_h = h_flat[keep]
     if kept_h.size >= 3 and np.unique(kept_n).size >= 2:
-        fit = fit_power_law(zip(kept_n.tolist(), kept_h.tolist()))
+        fit = fit_power_law(kept_n, kept_h)
     elif kept_h.size >= 1:
         fit = _flat_fit(np.log10(kept_h.astype(float)))
     else:
@@ -198,9 +204,9 @@ RANKING_KEYS = ("ratio", "z", "log_residual")
 
 def competition_ranks(values: Sequence[float]) -> list[int]:
     """Rank 1 for the largest value; ties share a rank ("1224" style)."""
-    from scipy import stats
-
-    return stats.rankdata(-np.asarray(values, dtype=float), method="min").tolist()
+    _, inverse, counts = np.unique(-np.asarray(values, dtype=float), return_inverse=True, return_counts=True)
+    # a tie group's rank is one more than the count of values sorted before it
+    return (np.cumsum(counts) - counts + 1)[inverse].tolist()
 
 
 def normalized_ranking(

@@ -142,7 +142,7 @@ def test_criterion_3_power_law_fit_recovery():
         log10_a = float(rng.uniform(-0.5, 1.0))
         n_values = np.geomspace(10, 1e5, 12)
         points = [(float(n), float(10**log10_a * n**beta)) for n in n_values]
-        fit = fit_power_law(points)
+        fit = fit_power_law(*zip(*points))
         worst_exact = max(worst_exact, abs(fit.beta - beta), abs(fit.log10_prefactor - log10_a))
 
     worst_noisy = 0.0
@@ -156,7 +156,7 @@ def test_criterion_3_power_law_fit_recovery():
             (float(n), float(10 ** (log10_a + beta * math.log10(n) + e)))
             for n, e in zip(n_values, noise)
         ]
-        fit = fit_power_law(points)
+        fit = fit_power_law(*zip(*points))
         ob, ose, op, or2, oa = ols_oracle(points)
         worst_noisy = max(
             worst_noisy,
@@ -183,9 +183,8 @@ def test_criterion_4_bundled_table_scaling_slopes():
     fits = {}
     for name in ("ukraine_2019", "uk_rae2008_physics"):
         rows = load_bundled_summary(name)
-        fits[name] = fit_power_law(
-            [(float(r.n_publications), float(r.h_index)) for r in rows if r.h_index > 0]
-        )
+        kept = [r for r in rows if r.h_index > 0]
+        fits[name] = fit_power_law([r.n_publications for r in kept], [r.h_index for r in kept])
     ua, uk = fits["ukraine_2019"], fits["uk_rae2008_physics"]
     elapsed = time.perf_counter() - t0
     ok = (

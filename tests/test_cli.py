@@ -76,6 +76,29 @@ class TestTopLevel:
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_null_model_fit_benchmark_do_not_load_scipy_stats(self, tmp_path):
+        # both rankings are computed in numpy, so the commands that rank
+        # never pay the scipy.stats import either
+        src = str(Path(sizebias.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = (
+            "import sys\n"
+            "from sizebias.cli import main\n"
+            "d = sys.argv[1]\n"
+            "assert main(['synth', '--alpha', '1.5', '--seed', '5', '--sizes', '10,40,160', '--out-dir', d]) == 0\n"
+            "pubs = d + '/publications.csv'\n"
+            "assert main(['null-model', pubs, '--replicates', '5', '--seed', '1', '--out-dir', d + '/null']) == 0\n"
+            "assert main(['fit', d + '/null', '--source', 'null-model']) == 0\n"
+            "for key in ('ratio', 'z'):\n"
+            "    argv = ['benchmark', pubs, '--replicates', '5', '--seed', '1', '--rank-key', key]\n"
+            "    assert main(argv + ['--out-dir', d + '/bench-' + key]) == 0\n"
+            "print('scipy.stats' in sys.modules, file=sys.stderr)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path)], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stderr.strip() == "False"
+
 
 class TestHindex:
     def test_csv_format_stdout(self, tiny_pubs, capsys):

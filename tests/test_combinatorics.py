@@ -140,6 +140,20 @@ class TestDistributions:
             dist = count_distribution(pool, k)
             assert [p for _, p in dist] == [float(exact_pmf(2120, 1880, k, k1)) for k1 in range(k + 1)]
 
+    def test_equals_hypergeom_pmf_element_for_element(self):
+        # one shared denominator must give bit-identical probabilities
+        cases = [(2, 2, 2), (6, 0, 4), (0, 6, 4), (3, 5, 8), (50, 1, 20), (2120, 1880, 1000)]
+        for black, white, k in cases:
+            pool = PoolSpec(black=black, white=white)
+            expected = [(k1, hypergeom_pmf(pool, BasketSpec(k), k1)) for k1 in range(k + 1)]
+            assert count_distribution(pool, k) == expected
+
+    def test_basket_larger_than_pool_rejected(self):
+        with pytest.raises(ValueError, match="exceeds pool size"):
+            count_distribution(PoolSpec(black=2, white=2), 5)
+        with pytest.raises(ValueError):
+            count_distribution(PoolSpec(black=2, white=2), -1)
+
     def test_distribution_sums_to_one(self):
         for black, white, k in [(2120, 1880, 100), (3, 3, 6), (50, 1, 20)]:
             dist = count_distribution(PoolSpec(black=black, white=white), k)

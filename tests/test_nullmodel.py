@@ -15,6 +15,7 @@ from sizebias.model import MAX_CITATIONS, Dataset, Unit, group_h_index, h_index
 from sizebias.nullmodel import (
     ReshuffleConfig,
     ReshuffleResult,
+    _row_average_ranks,
     mean_spearman_vs_real,
     pool,
     replicate_stream,
@@ -293,6 +294,20 @@ class TestSpearman:
         assume(not np.any(np.all(rows == rows[:, :1], axis=1)))
         result = result_of(real, *rows)
         assert mean_spearman_vs_real(result) == pytest.approx(naive_spearman_mean(real, rows), abs=1e-12)
+
+    @given(
+        hnp.arrays(
+            np.int64,
+            st.tuples(st.integers(1, 8), st.integers(1, 40)),
+            elements=st.one_of(st.integers(0, 4), st.integers(-(2**40), 2**40)),
+        )
+    )
+    def test_row_average_ranks_match_scipy(self, a):
+        # heavily tied rows, ranked in one pass as scipy ranks each row
+        ranks = _row_average_ranks(a)
+        expected = stats.rankdata(a, axis=1)
+        assert ranks.dtype == expected.dtype
+        assert np.array_equal(ranks, expected)
 
     def test_constant_input_rejected(self):
         with pytest.raises(ValueError):

@@ -53,12 +53,13 @@ def ols_oracle(points):
 
 
 def exact_points(beta=0.4, prefactor=2.0, ns=(10, 100, 1000)):
-    return [(n, prefactor * n**beta) for n in ns]
+    """Sizes and h lying exactly on h = prefactor * N**beta."""
+    return list(ns), [prefactor * n**beta for n in ns]
 
 
 class TestFitPowerLaw:
     def test_exact_three_point_recovery(self):
-        fit = fit_power_law(exact_points())
+        fit = fit_power_law(*exact_points())
         assert fit.beta == pytest.approx(0.4, abs=1e-6)
         assert 10**fit.log10_prefactor == pytest.approx(2.0, abs=1e-6)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -72,7 +73,7 @@ class TestFitPowerLaw:
             ns = np.unique(rng.integers(1, 10**5, size=12))
             if ns.size < 3:
                 continue
-            fit = fit_power_law([(int(n), pref * n**beta) for n in ns])
+            fit = fit_power_law(ns, pref * ns.astype(float) ** beta)
             assert fit.beta == pytest.approx(beta, abs=1e-9)
             assert 10**fit.log10_prefactor == pytest.approx(pref, rel=1e-9)
 
@@ -84,9 +85,8 @@ class TestFitPowerLaw:
             hs = np.exp(rng.uniform(0.05, 5, size=n_pts))
             if np.unique(np.log10(ns)).size < 2:
                 continue
-            points = list(zip(ns, hs))
-            fit = fit_power_law(points)
-            slope, intercept, stderr, p, r2 = ols_oracle(points)
+            fit = fit_power_law(ns, hs)
+            slope, intercept, stderr, p, r2 = ols_oracle(list(zip(ns, hs)))
             assert fit.beta == pytest.approx(slope, abs=1e-10)
             assert fit.log10_prefactor == pytest.approx(intercept, abs=1e-10)
             assert fit.beta_stderr == pytest.approx(stderr, abs=1e-10)
@@ -98,7 +98,7 @@ class TestFitPowerLaw:
         for _ in range(50):
             ns = rng.uniform(2, 1e4, size=15)
             hs = np.exp(rng.uniform(0.1, 4, size=15))
-            fit = fit_power_law(list(zip(ns, hs)))
+            fit = fit_power_law(ns, hs)
             ref = stats.linregress(np.log10(ns), np.log10(hs))
             assert fit.beta == pytest.approx(ref.slope, abs=1e-12)
             assert fit.log10_prefactor == pytest.approx(ref.intercept, abs=1e-12)
@@ -114,7 +114,7 @@ class TestFitPowerLaw:
         probe = (
             "import sys\n"
             "from sizebias.scaling import fit_power_law\n"
-            "fit = fit_power_law([(10, 3), (100, 8), (1000, 20), (10000, 70)])\n"
+            "fit = fit_power_law([10, 100, 1000, 10000], [3, 8, 20, 70])\n"
             "assert fit.beta_stderr > 0 and 0 < fit.p_value < 1\n"
             "print('scipy.stats' in sys.modules)\n"
         )
@@ -122,43 +122,58 @@ class TestFitPowerLaw:
         assert out.stdout.strip() == "False"
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(FitError):
-            fit_power_law([(10, 2), (100, 5)])
+        with pytest.raises(FitError, match="need at least 3 points, got 2"):
+            fit_power_law([10, 100], [2, 5])
 
     def test_all_sizes_equal_rejected(self):
-        with pytest.raises(FitError):
-            fit_power_law([(10, 2), (10, 3), (10, 4)])
+        with pytest.raises(FitError, match="all sizes are equal"):
+            fit_power_law([10, 10, 10], [2, 3, 4])
 
     def test_zero_h_rejected(self):
-        with pytest.raises(FitError):
-            fit_power_law([(10, 2), (100, 0), (1000, 8)])
+        with pytest.raises(FitError, match="h = 0 points cannot be fitted"):
+            fit_power_law([10, 100, 1000], [2, 0, 8])
 
     def test_size_below_one_rejected(self):
-        with pytest.raises(FitError):
-            fit_power_law([(0, 2), (100, 5), (1000, 8)])
+        with pytest.raises(FitError, match=r"sizes must be >= 1, got 0\.0"):
+            fit_power_law([0, 100, 1000], [2, 5, 8])
+
+    def test_first_bad_point_names_the_error(self):
+        # points are checked in order, the size of a point before its h
+        with pytest.raises(FitError, match="h = 0"):
+            fit_power_law([10, 0.5, 1000], [0, 5, 8])
+        with pytest.raises(FitError, match=r"sizes must be >= 1, got 0\.5"):
+            fit_power_law([10, 0.5, 1000], [2, 0, 8])
+        with pytest.raises(FitError, match="sizes must be >= 1, got nan"):
+            fit_power_law([10, math.nan, 1000], [2, 5, 8])
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(FitError, match="equal length"):
+            fit_power_law([10, 100, 1000], [2, 5, 8, 9])
+        with pytest.raises(FitError, match="equal length"):
+            fit_power_law([10, 100, 1000], 5)
 
     def test_scale_equivariance_in_n(self):
-        points = [(n, h) for n, h in zip([12, 87, 330, 4100], [3.0, 7.5, 12.2, 40.1])]
-        fit = fit_power_law(points)
+        ns, hs = np.array([12, 87, 330, 4100]), [3.0, 7.5, 12.2, 40.1]
+        fit = fit_power_law(ns, hs)
         for c in (10, 250):
-            scaled = fit_power_law([(n * c, h) for n, h in points])
+            scaled = fit_power_law(ns * c, hs)
             assert scaled.beta == pytest.approx(fit.beta, abs=1e-9)
             assert scaled.log10_prefactor == pytest.approx(
                 fit.log10_prefactor - fit.beta * math.log10(c), abs=1e-9
             )
 
     def test_scale_equivariance_in_h(self):
-        points = [(12, 3.0), (87, 7.5), (330, 12.2), (4100, 40.1)]
-        fit = fit_power_law(points)
+        ns, hs = [12, 87, 330, 4100], np.array([3.0, 7.5, 12.2, 40.1])
+        fit = fit_power_law(ns, hs)
         for c in (10, 3):
-            scaled = fit_power_law([(n, h * c) for n, h in points])
+            scaled = fit_power_law(ns, hs * c)
             assert scaled.beta == pytest.approx(fit.beta, abs=1e-9)
             assert scaled.log10_prefactor == pytest.approx(
                 fit.log10_prefactor + math.log10(c), abs=1e-9
             )
 
     def test_predict_h(self):
-        fit = fit_power_law(exact_points(beta=0.5, prefactor=3.0, ns=(4, 25, 100)))
+        fit = fit_power_law(*exact_points(beta=0.5, prefactor=3.0, ns=(4, 25, 100)))
         assert fit.predict_h(100) == pytest.approx(30.0, rel=1e-9)
         grid = fit.predict_h(np.array([4.0, 25.0]))
         assert np.allclose(grid, [6.0, 15.0])
@@ -167,22 +182,22 @@ class TestFitPowerLaw:
 class TestSlopeSignificance:
     def test_exact_power_law_is_significant(self):
         ns = np.unique(np.geomspace(10, 10**4, 30).astype(int))
-        fit = fit_power_law([(int(n), 2.0 * n**0.4) for n in ns])
+        fit = fit_power_law(ns, 2.0 * ns**0.4)
         assert slope_significance(fit, 0.01) is True
 
     def test_constant_h_is_not_significant(self):
-        fit = fit_power_law([(10, 5), (100, 5), (1000, 5)])
+        fit = fit_power_law([10, 100, 1000], [5, 5, 5])
         assert fit.beta == pytest.approx(0.0, abs=1e-12)
         assert slope_significance(fit, 0.01) is False
 
     def test_alpha_out_of_range_rejected(self):
-        fit = fit_power_law(exact_points())
+        fit = fit_power_law(*exact_points())
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
                 slope_significance(fit, bad)
 
     def test_default_alpha(self):
-        fit = fit_power_law(exact_points())
+        fit = fit_power_law(*exact_points())
         assert slope_significance(fit) is True
 
 
@@ -217,7 +232,7 @@ class TestBuildBenchmark:
             for n, h in zip(result.productivities, row):
                 if h > 0:
                     points.append((float(n), float(h)))
-        manual = fit_power_law(points)
+        manual = fit_power_law(*zip(*points))
         assert bench.fit.beta == pytest.approx(manual.beta, abs=1e-12)
         assert bench.fit.n_points == manual.n_points == len(points)
 
@@ -279,7 +294,7 @@ class TestNormalizedScores:
             assert s.z == pytest.approx(0.0, abs=1e-12)
 
     def test_ratio_and_log_residual_on_curve(self):
-        fit = fit_power_law([(10, 2.0), (100, 4.0), (1000, 8.0), (10000, 16.0)])
+        fit = fit_power_law([10, 100, 1000, 10000], [2.0, 4.0, 8.0, 16.0])
         bench = Benchmark(
             unit_ids=("a",),
             productivities=np.array([100]),
@@ -369,6 +384,17 @@ class TestRanking:
         ranks = competition_ranks(values)
         assert ranks == expected
         assert all(type(r) is int for r in ranks)
+
+    @given(
+        st.lists(
+            st.one_of(st.just(-math.inf), st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]), st.floats(-1e6, 1e6)),
+            max_size=60,
+        )
+    )
+    def test_competition_ranks_match_scipy_min_ranks(self, values):
+        # -inf is what normalized_ranking passes for an undefined z
+        expected = stats.rankdata(-np.asarray(values, dtype=float), method="min").tolist()
+        assert competition_ranks(values) == expected
 
     def test_order_by_ratio(self):
         ranking = normalized_ranking([score("a", ratio=0.8), score("b", ratio=1.2)], key="ratio")
