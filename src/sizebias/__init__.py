@@ -1,7 +1,7 @@
 """Size bias of the group h-index: null models, scaling fits, and
 size-normalized rankings."""
 
-__version__ = "0.2.1"
+__version__ = "0.3.0"
 
 from .combinatorics import (
     BasketSpec,
@@ -24,6 +24,7 @@ from .scaling import (
     NormalizedScore,
     PowerLawFit,
     build_benchmark,
+    exact_benchmark,
     fit_power_law,
     normalized_ranking,
     normalized_scores,
@@ -56,6 +57,7 @@ __all__ = [
     "build_benchmark",
     "build_synthetic_dataset",
     "count_distribution",
+    "exact_benchmark",
     "fit_power_law",
     "generation_stream",
     "group_h_index",

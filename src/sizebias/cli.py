@@ -4,7 +4,7 @@ Subcommands:
   hindex      per-unit group h-index from a publications CSV
   null-model  citation-reshuffling replicates; samples and summary reports
   fit         power-law fit of h against N from a summary file or a null-model run
-  benchmark   null-model benchmark with normalized scores and rankings
+  benchmark   exact null-model benchmark with normalized scores and rankings
   toy-balls   exact two-color urn distribution tables
   synth       synthetic publications file from a Paretian citation model
 
@@ -33,8 +33,8 @@ from .nullmodel import (
 )
 from .scaling import (
     RANKING_KEYS,
-    build_benchmark,
     competition_ranks,
+    exact_benchmark,
     fit_power_law,
     normalized_ranking,
     normalized_scores,
@@ -230,45 +230,26 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
+    if args.seed is not None or args.replicates is not None:
+        note = "note: the benchmark null is exact; --seed and --replicates have no effect and will be removed"
+        print(note, file=sys.stderr)
     dataset = io.read_publications(args.input)
-    config = ReshuffleConfig(master_seed=args.seed, replicates=args.replicates)
-    result = run_null_model(dataset, config, workers=_workers())
-    benchmark = build_benchmark(result)
-    scores = normalized_scores(result, benchmark)
-    raw_ranks = competition_ranks([float(h) for h in result.real_h])
+    benchmark = exact_benchmark(dataset)
+    real_h = [group_h_index(u) for u in dataset.units]
+    scores = normalized_scores(real_h, benchmark)
+    raw_ranks = competition_ranks(real_h)
     norm_ranks = {s.unit_id: rank for rank, s in normalized_ranking(scores, args.rank_key)}
-    rows = []
-    for i, score in enumerate(scores):
-        n = int(result.productivities[i])
-        rows.append(
-            (
-                score.unit_id,
-                n,
-                int(result.real_h[i]),
-                float(benchmark.null_mean_h[i]),
-                float(benchmark.null_sd_h[i]),
-                float(benchmark.expected_h(n)),
-                score.ratio,
-                score.z,
-                score.log_residual,
-                raw_ranks[i],
-                norm_ranks[score.unit_id],
-            )
-        )
+    null_mean, null_sd = benchmark.null_mean_h.tolist(), benchmark.null_sd_h.tolist()
+    rows = [
+        (s.unit_id, s.productivity, s.real_h, null_mean[i], null_sd[i], float(benchmark.expected_h(s.productivity)),
+         s.ratio, s.z, s.log_residual, raw_ranks[i], norm_ranks[s.unit_id])
+        for i, s in enumerate(scores)
+    ]
     out = _ensure_out_dir(args.out_dir)
     io.write_benchmark_csv(rows, out / "benchmark.csv")
     io.write_json(_fit_report(benchmark.fit, args.alpha_level), out / "benchmark_fit.json")
-    io.write_manifest(
-        io.build_manifest(
-            "benchmark", args.argv, input_path=args.input, seed=args.seed, replicates=args.replicates
-        ),
-        out / "manifest.json",
-    )
-    fit = benchmark.fit
-    print(
-        f"benchmark over {result.replicates} replicates: beta={fit.beta:.4f} "
-        f"(stderr {fit.beta_stderr:.4f}), ranking key {args.rank_key}"
-    )
+    io.write_manifest(io.build_manifest("benchmark", args.argv, input_path=args.input), out / "manifest.json")
+    print(f"benchmark from the exact null model: beta={benchmark.fit.beta:.4f}, ranking key {args.rank_key}")
     print(f"wrote benchmark.csv and benchmark_fit.json to {out}")
     return EXIT_OK
 
@@ -376,10 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", help="also write fit_report.json and manifest.json here")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("benchmark", help="normalized scores and rankings against the null model")
+    p = sub.add_parser("benchmark", help="normalized scores and rankings against the exact null model")
     p.add_argument("input", help="publications CSV")
-    p.add_argument("--replicates", type=_positive_int, default=DEFAULT_REPLICATES)
-    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--replicates", type=_positive_int, help="deprecated; has no effect")
+    p.add_argument("--seed", type=_seed, help="deprecated; has no effect")
     p.add_argument("--rank-key", choices=RANKING_KEYS, default="ratio")
     p.add_argument("--alpha-level", type=_alpha_level, default=DEFAULT_ALPHA_LEVEL)
     p.add_argument("--out-dir", required=True)

@@ -308,11 +308,15 @@ def _atomic_write(path: str | Path, newline: str | None = None) -> Iterator[Text
 
 
 def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[Sequence]) -> None:
+    _write_rows(path, header, ([_cell(v) for v in row] for row in rows))
+
+
+def _write_rows(path: str | Path, header: tuple[str, ...], rows: Iterable[Sequence]) -> None:
+    """Rows of text or Python ints, which the csv module writes by `str`."""
     with _atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_publications(dataset: Dataset, path: str | Path) -> None:
@@ -340,14 +344,11 @@ def write_summary(rows: Sequence[SummaryRow], path: str | Path) -> None:
 
 
 def write_samples_csv(result: ReshuffleResult, path: str | Path) -> None:
-    """Replicate-major long format: one row per (replicate, unit)."""
-
-    def rows():
-        for r in range(result.replicates):
-            for i, uid in enumerate(result.unit_ids):
-                yield r, uid, int(result.h_samples[r, i])
-
-    _write_csv(path, SAMPLES_HEADER, rows())
+    """Replicate-major long format: one row per (replicate, unit), built
+    from whole columns."""
+    replicate = np.repeat(np.arange(result.replicates), len(result.unit_ids)).tolist()
+    unit_ids = result.unit_ids * result.replicates
+    _write_rows(path, SAMPLES_HEADER, zip(replicate, unit_ids, result.h_samples.ravel().tolist()))
 
 
 def write_hindex_csv(rows: Sequence[tuple[str, int, int]], path: str | Path) -> None:

@@ -178,6 +178,40 @@ def run_null_model(
     )
 
 
+def null_h_tails(pool_counts: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
+    """Exact P(h >= k), k = 1..min(N, H), for each block size N in `sizes`;
+    H is the pool's h-index.
+
+    N of the M pooled papers have h >= k exactly when k of them are cited
+    k times or more, so P(h >= k) = P(X >= k) with X ~ Hypergeom(M, K_k, N),
+    K_k counting the pooled papers cited k times or more.  Each pmf is built
+    from log pmf ratios over mean +- (12 sd + 12), clipped to the support,
+    and normalised by its own sum, so a certain event gets exactly 1.0.
+    """
+    cap = h_index(pool_counts)
+    tally = np.bincount(np.minimum(pool_counts, cap).astype(np.int64), minlength=cap + 1)
+    marked = np.cumsum(tally[::-1])[::-1][1:].astype(float)  # K_k, k = 1..H
+    total = float(pool_counts.size)
+    tails = []
+    for size in sizes:
+        n = float(size)
+        k = np.arange(1, min(int(size), cap) + 1)
+        K = marked[: k.size, None]
+        mean = n * K / total
+        sd = np.sqrt(mean * (1.0 - K / total) * (total - n) / max(total - 1.0, 1.0))
+        lo = np.maximum(np.maximum(0.0, n + K - total), np.floor(mean - 12.0 * sd - 12.0))
+        hi = np.minimum(np.minimum(n, K), np.ceil(mean + 12.0 * sd + 12.0))
+        x = lo + np.arange(int((hi - lo).max(initial=0)) + 1)
+        step = x < hi
+        ratio = np.log(np.where(step, (K - x) * (n - x), 1.0)) - np.log(  # log pmf(x + 1) - log pmf(x)
+            np.where(step, (x + 1.0) * (total - K - n + x + 1.0), 1.0)
+        )
+        log_pmf = np.cumsum(ratio, axis=1) - ratio  # log pmf(x) - log pmf(lo)
+        weight = np.where(x <= hi, np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True)), 0.0)
+        tails.append(np.where(x >= k[:, None], weight, 0.0).sum(axis=1) / weight.sum(axis=1))
+    return tails
+
+
 def _row_average_ranks(a: np.ndarray) -> np.ndarray:
     """Average ranks within each row of a nonempty integer matrix: 1 for
     the smallest value, and tied values share the mean of their ranks.

@@ -2,8 +2,9 @@
 
 Group h-indices grow with unit size roughly as a power law, so rankings
 built on raw h mostly reward size.  This module fits that law on log-log
-axes, turns null-model output into a size-dependent benchmark curve, and
-scores every unit against the benchmark instead of against other units.
+axes, builds a size-dependent benchmark curve from the null model (exactly,
+or from Monte Carlo replicates), and scores every unit against the
+benchmark instead of against other units.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .nullmodel import ReshuffleResult
+from .model import Dataset
+from .nullmodel import ReshuffleResult, null_h_tails, pool
 
-# scipy.special is imported inside fit_power_law, the one function that
+# scipy.special is imported inside _line_fit, the one function that
 # uses it, so that commands which never fit do not pay for loading it.
 
 
@@ -97,30 +99,36 @@ def fit_power_law(sizes: ArrayLike, h: ArrayLike) -> PowerLawFit:
     if np.all(x == x[0]):
         raise FitError("all sizes are equal; the slope is undetermined")
 
-    x_mean = x.mean()
-    y_mean = y.mean()
-    sxx = float(np.dot(x - x_mean, x - x_mean))
-    sxy = float(np.dot(x - x_mean, y - y_mean))
-    syy = float(np.dot(y - y_mean, y - y_mean))
-    slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
+    return _line_fit(x, y, np.ones_like(x), n_pts - 2)
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray, dof: int | None) -> PowerLawFit:
+    """Weighted least squares of y = log10 h on x = log10 N; one size only
+    gives the best constant.  `dof` None marks an exact distribution, whose
+    slope has no sampling error.  np.sum of products adds in a fixed order,
+    where np.dot's BLAS sums change in the last bits with its thread count."""
+    x_mean = np.sum(w * x) / np.sum(w)
+    y_mean = np.sum(w * y) / np.sum(w)
+    dx, dy = x - x_mean, y - y_mean
+    sxx = float(np.sum(w * dx * dx))
+    sxy = float(np.sum(w * dx * dy))
+    syy = float(np.sum(w * dy * dy))
+    slope = sxy / sxx if x.min() < x.max() else 0.0
     sse = max(syy - slope * sxy, 0.0)
-    r_squared = 1.0 - sse / syy if syy > 0 else 1.0
-    stderr = math.sqrt(sse / (n_pts - 2) / sxx)
+    stderr = 0.0 if dof is None else math.sqrt(sse / dof / sxx)
     if stderr == 0.0:
         p_value = 1.0 if slope == 0.0 else 0.0
     else:
         from scipy import special
 
-        t = slope / stderr
-        p_value = 2.0 * float(special.stdtr(n_pts - 2, -abs(t)))
+        p_value = 2.0 * float(special.stdtr(dof, -abs(slope / stderr)))
     return PowerLawFit(
         beta=slope,
-        log10_prefactor=intercept,
+        log10_prefactor=float(y_mean - slope * x_mean),
         beta_stderr=stderr,
         p_value=p_value,
-        r_squared=r_squared,
-        n_points=n_pts,
+        r_squared=1.0 - sse / syy if syy > 0 else 1.0,
+        n_points=int(x.size),
     )
 
 
@@ -174,14 +182,47 @@ def build_benchmark(result: ReshuffleResult) -> Benchmark:
     )
 
 
-def normalized_scores(result: ReshuffleResult, benchmark: Benchmark) -> list[NormalizedScore]:
-    """Ratio, z and log-residual of every unit against the benchmark."""
-    if benchmark.unit_ids != result.unit_ids:
-        raise ValueError("benchmark was built from a different dataset")
+def exact_benchmark(dataset: Dataset) -> Benchmark:
+    """The limit of build_benchmark over infinitely many replicates.
+
+    From the exact tails P(h >= k) of `nullmodel.null_h_tails`, once per
+    size: E[h] = sum_k P(h >= k), E[h^2] = sum_k (2k - 1) P(h >= k), and a
+    fit of (log10 N_i, log10 k), k >= 1, weighted by P(h_i = k), stderr 0.
+    `n_points` counts the (unit, k) pairs of positive weight and
+    `n_excluded_zero_h` the units whose null h can be 0."""
+    prods = np.array([u.productivity for u in dataset.units], dtype=np.int64)
+    sizes, inverse = np.unique(prods, return_inverse=True)
+    tails = null_h_tails(pool(dataset), sizes.tolist())
+    levels = [np.arange(1, t.size + 1) for t in tails]
+    mean = np.array([t.sum() for t in tails])
+    second = np.array([np.sum((2 * k - 1) * t) for k, t in zip(levels, tails)])
+    pmf = [np.maximum(t - np.append(t[1:], 0.0), 0.0) for t in tails]  # P(h = k), k >= 1
+    w = np.concatenate([pmf[d] for d in inverse])
+    keep = w > 0
+    x = np.log10(np.repeat(prods, [levels[d].size for d in inverse]))[keep]
+    y = np.log10(np.concatenate([levels[d] for d in inverse]))[keep]
+    if not x.size:
+        raise FitError("every unit's null h is 0; nothing to benchmark")
+    return Benchmark(
+        unit_ids=tuple(u.id for u in dataset.units),
+        productivities=prods,
+        null_mean_h=mean[inverse],
+        null_sd_h=np.sqrt(np.maximum(second - mean**2, 0.0))[inverse],
+        fit=_line_fit(x, y, w[keep], None),
+        n_excluded_zero_h=int(sum(tails[d][:1].sum() < 1.0 for d in inverse)),
+    )
+
+
+def normalized_scores(real_h: ArrayLike, benchmark: Benchmark) -> list[NormalizedScore]:
+    """Ratio, z and log-residual of every unit against the benchmark;
+    real_h[i] is the real h of benchmark.unit_ids[i]."""
+    real_h = np.asarray(real_h)
+    if real_h.shape != (len(benchmark.unit_ids),):
+        raise ValueError(f"need one real h for each of the {len(benchmark.unit_ids)} benchmark units")
     scores = []
-    for i, unit_id in enumerate(result.unit_ids):
-        real = int(result.real_h[i])
-        expected = float(benchmark.expected_h(int(result.productivities[i])))
+    for i, unit_id in enumerate(benchmark.unit_ids):
+        real = int(real_h[i])
+        expected = float(benchmark.expected_h(int(benchmark.productivities[i])))
         sd = float(benchmark.null_sd_h[i])
         z = (real - float(benchmark.null_mean_h[i])) / sd if sd > 0 else None
         ratio = real / expected
@@ -189,7 +230,7 @@ def normalized_scores(result: ReshuffleResult, benchmark: Benchmark) -> list[Nor
         scores.append(
             NormalizedScore(
                 unit_id=unit_id,
-                productivity=int(result.productivities[i]),
+                productivity=int(benchmark.productivities[i]),
                 real_h=real,
                 ratio=ratio,
                 z=z,

@@ -313,7 +313,7 @@ def test_criterion_8_normalized_scores_calibrated_on_null_data():
         null_draw = reshuffled_dataset(base, replicate_stream(master_seed, 2**32 - 2))
         result = run_null_model(null_draw, ReshuffleConfig(master_seed=master_seed + 1000, replicates=200))
         benchmark = build_benchmark(result)
-        scores = normalized_scores(result, benchmark)
+        scores = normalized_scores(result.real_h, benchmark)
         for j, score in enumerate(scores):
             assert score.z is not None
             assert math.isfinite(score.log_residual)

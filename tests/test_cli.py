@@ -8,12 +8,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sizebias
 from sizebias.cli import main
-from sizebias.io import BENCHMARK_HEADER, read_publications, read_summary
+from sizebias.io import (
+    BENCHMARK_HEADER,
+    read_publications,
+    read_summary,
+    reshuffle_summary_payload,
+    write_json,
+    write_samples_csv,
+)
 from sizebias.model import group_h_index
+from sizebias.nullmodel import ReshuffleResult
 from sizebias.synth import CitationModel, SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
 
 
@@ -97,7 +106,29 @@ class TestTopLevel:
         out = subprocess.run(
             [sys.executable, "-c", probe, str(tmp_path)], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stderr.strip() == "False"
+        assert out.stderr.strip().splitlines()[-1] == "False"
+
+    def test_benchmark_loads_no_scipy_and_runs_no_replicates(self, tmp_path):
+        # the exact null needs neither scipy nor the Monte Carlo sampler
+        src = str(Path(sizebias.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = (
+            "import sys\n"
+            "from sizebias import cli, nullmodel\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('benchmark ran the Monte Carlo null model')\n"
+            "cli.run_null_model = nullmodel.run_null_model = refuse\n"
+            "d = sys.argv[1]\n"
+            "assert cli.main(['synth', '--alpha', '1.5', '--seed', '5', '--sizes', '10,40,160', '--out-dir', d]) == 0\n"
+            "for key in ('ratio', 'z'):\n"
+            "    argv = ['benchmark', d + '/publications.csv', '--rank-key', key, '--out-dir', d + '/b']\n"
+            "    assert cli.main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path)], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stderr.strip() == "[]"
 
 
 class TestHindex:
@@ -274,6 +305,35 @@ class TestFit:
         assert payload["n_points"] + payload["n_excluded_zero_h"] == 20 * 3
         assert 0.0 < payload["beta"] < 1.0
 
+    def test_null_model_source_ignores_blas_threads(self, tmp_path):
+        # 160k points: enough for BLAS to split a dot product over threads
+        rng = np.random.default_rng(3)
+        sizes = rng.integers(20, 5000, size=40)
+        result = ReshuffleResult(
+            unit_ids=tuple(f"u{i}" for i in range(40)),
+            h_samples=rng.integers(1, 60, size=(4000, 40)),
+            real_h=rng.integers(1, 60, size=40),
+            productivities=sizes,
+        )
+        run = tmp_path / "nm"
+        run.mkdir()
+        write_samples_csv(result, run / "reshuffle_samples.csv")
+        write_json(reshuffle_summary_payload(result, None), run / "reshuffle_summary.json")
+        src = str(Path(sizebias.__file__).resolve().parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            }
+            out = tmp_path / f"fit{threads}"
+            argv = ["fit", str(run), "--source", "null-model", "--out-dir", str(out)]
+            probe = "import sys; from sizebias.cli import main; sys.exit(main(sys.argv[1:]))"
+            subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, check=True)
+            reports.append((out / "fit_report.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_null_model_source_requires_summary_json(self, synth_run, tmp_path, capsys):
         run = tmp_path / "nm"
         assert main(
@@ -305,8 +365,11 @@ class TestBenchmark:
             ["benchmark", str(synth_run), "--seed", "13", "--replicates", "30", "--out-dir", str(out)]
         )
         assert code == 0
-        text = capsys.readouterr().out
-        assert "benchmark over 30 replicates" in text
+        captured = capsys.readouterr()
+        assert "benchmark from the exact null model: beta=" in captured.out
+        assert "replicates" not in captured.out
+        assert captured.err.count("note:") == 1
+        assert "--seed and --replicates have no effect and will be removed" in captured.err
         rows = read_rows(out / "benchmark.csv")
         assert tuple(rows[0]) == BENCHMARK_HEADER
         assert len(rows) == 1 + 3
@@ -318,9 +381,13 @@ class TestBenchmark:
         assert raw_ranks[best] == 1
         fit = json.loads((out / "benchmark_fit.json").read_text(encoding="utf-8"))
         assert set(fit) >= {"beta", "p_value", "significant", "alpha_level"}
+        # the exact null curve has no sampling error
+        assert fit["beta_stderr"] == 0.0
+        assert fit["p_value"] == 0.0
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["command"] == "benchmark"
-        assert manifest["seed"] == 13
+        assert manifest["seed"] is None
+        assert manifest["replicates"] is None
 
     def test_rank_key_choices(self, synth_run, tmp_path, capsys):
         out = tmp_path / "z"
@@ -355,12 +422,24 @@ class TestBenchmark:
         assert int(rows["solo"][10]) == 4
         assert sorted(int(rows[u][10]) for u in ("a", "b", "c")) == [1, 2, 3]
 
-    def test_single_replicate_is_compute_error(self, synth_run, tmp_path, capsys):
-        code = main(
-            ["benchmark", str(synth_run), "--seed", "1", "--replicates", "1", "--out-dir", str(tmp_path / "o")]
-        )
-        assert code == 4
-        capsys.readouterr()
+    def test_output_ignores_seed_replicates_and_threads(self, synth_run, tmp_path, monkeypatch, capsys):
+        blobs = set()
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SIZEBIAS_THREADS", threads)
+            deprecated = (["--seed", "1", "--replicates", "1"], ["--seed", "2", "--replicates", "30"], [])
+            for i, flags in enumerate(deprecated):
+                out = tmp_path / f"t{threads}-{i}"
+                assert main(["benchmark", str(synth_run), *flags, "--out-dir", str(out)]) == 0
+                err = capsys.readouterr().err
+                assert ("no effect" in err) == bool(flags)
+                blobs.add((out / "benchmark.csv").read_bytes() + (out / "benchmark_fit.json").read_bytes())
+        assert len(blobs) == 1
+
+    def test_pool_without_h_is_compute_error(self, tmp_path, capsys):
+        path = tmp_path / "uncited.csv"
+        path.write_text("unit_id,unit_name,citations\na,A,0\na,A,0\nb,B,0\n", encoding="utf-8")
+        assert main(["benchmark", str(path), "--out-dir", str(tmp_path / "o")]) == 4
+        assert "null h is 0" in capsys.readouterr().err
 
 
 class TestToyBalls:

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
+from sizebias.combinatorics import BasketSpec, PoolSpec, hypergeom_pmf
 from sizebias.model import MAX_CITATIONS, Dataset, Unit, group_h_index, h_index
 from sizebias.nullmodel import (
     ReshuffleConfig,
     ReshuffleResult,
     _row_average_ranks,
     mean_spearman_vs_real,
+    null_h_tails,
     pool,
     replicate_stream,
     reshuffle_blocks,
@@ -240,6 +242,50 @@ class TestRunNullModel:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         assert resolve_workers(None) == 5
+
+
+class TestNullHTails:
+    @given(st.lists(st.integers(0, 8), max_size=14))
+    @example([])  # empty pool
+    @example([4])  # single paper
+    @example([0, 0, 0])  # nothing cited
+    @example([6, 6, 6, 6, 6])  # every paper cited, h certain for every size
+    def test_match_exact_urn_and_every_draw(self, counts):
+        m, cap = len(counts), h_index(counts)
+        tails = null_h_tails(np.array(counts, dtype=np.uint64), range(m + 1))
+        assert len(tails) == m + 1
+        for n, tail in enumerate(tails):
+            assert tail.shape == (min(n, cap),)
+            if m <= 8:
+                # the claim itself: P(h >= k) over every equally likely block
+                drawn = [
+                    sum(c >= r for r, c in enumerate(sorted((counts[i] for i in block), reverse=True), 1))
+                    for block in itertools.combinations(range(m), n)
+                ]
+                for k in range(1, tail.size + 1):
+                    assert tail[k - 1] == pytest.approx(sum(h >= k for h in drawn) / len(drawn), abs=1e-12)
+            for k in range(1, tail.size + 1):
+                marked = sum(c >= k for c in counts)
+                spec = PoolSpec(black=marked, white=m - marked)
+                exact = math.fsum(hypergeom_pmf(spec, BasketSpec(n), x) for x in range(k, n + 1))
+                assert tail[k - 1] == pytest.approx(exact, abs=1e-12)
+                # certain and impossible events are exact
+                if max(0, n + marked - m) >= k:
+                    assert tail[k - 1] == 1.0
+                if min(n, marked) < k:
+                    assert tail[k - 1] == 0.0
+
+    def test_large_pool_matches_scipy(self):
+        rng = np.random.default_rng(8)
+        counts = np.floor(rng.pareto(1.2, size=60_000) * 3).astype(np.uint64)
+        sizes = [1, 7, 150, 2_000, 30_000, 59_999, 60_000]
+        cap = h_index(counts)
+        k = np.arange(1, cap + 1)
+        marked = np.array([np.count_nonzero(counts >= level) for level in k])
+        for n, tail in zip(sizes, null_h_tails(counts, sizes)):
+            upto = min(n, cap)
+            expected = stats.hypergeom.sf(k[:upto] - 1, counts.size, marked[:upto], n)
+            assert np.max(np.abs(tail - expected)) < 1e-12
 
 
 class TestResultValidation:

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import sizebias
-from sizebias.model import Dataset, Unit
-from sizebias.nullmodel import ReshuffleConfig, ReshuffleResult, run_null_model
+from sizebias.model import Dataset, Unit, h_index
+from sizebias.nullmodel import ReshuffleConfig, ReshuffleResult, pool, run_null_model
 from sizebias.scaling import (
     RANKING_KEYS,
     Benchmark,
@@ -23,11 +23,13 @@ from sizebias.scaling import (
     PowerLawFit,
     build_benchmark,
     competition_ranks,
+    exact_benchmark,
     fit_power_law,
     normalized_ranking,
     normalized_scores,
     slope_significance,
 )
+from sizebias.synth import CitationModel, SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
 
 
 def ols_oracle(points):
@@ -273,6 +275,69 @@ class TestBuildBenchmark:
         assert bench.fit.n_points == result.h_samples.size - zeros
 
 
+def paretian_dataset(seed, units=40, max_size=10000):
+    rng = generation_stream(seed)
+    sizes = sample_sizes(SizeModel.uniform_floor(100, max_size), units, rng)
+    return build_synthetic_dataset(sizes, CitationModel(alpha=1.5), rng)
+
+
+class TestExactBenchmark:
+    def test_moments_match_scipy_hypergeometric_tails(self):
+        ds = paretian_dataset(1)
+        counts = pool(ds)
+        cap = h_index(counts)
+        bench = exact_benchmark(ds)
+        k = np.arange(1, cap + 1)
+        marked = np.array([np.count_nonzero(counts >= level) for level in k])
+        for i, unit in enumerate(ds.units):
+            n = unit.productivity
+            tail = np.where(k <= n, stats.hypergeom.sf(k - 1, counts.size, marked, n), 0.0)
+            mean = tail.sum()
+            sd = math.sqrt(max(np.sum((2 * k - 1) * tail) - mean**2, 0.0))
+            assert bench.null_mean_h[i] == pytest.approx(mean, abs=1e-9)
+            assert bench.null_sd_h[i] == pytest.approx(sd, abs=1e-9)
+        assert bench.unit_ids == tuple(u.id for u in ds.units)
+        assert bench.n_excluded_zero_h == 0
+
+    def test_agrees_with_monte_carlo_within_its_error(self):
+        ds = paretian_dataset(2, max_size=3000)
+        result = run_null_model(ds, ReshuffleConfig(master_seed=3, replicates=1000), workers=2)
+        mc, exact = build_benchmark(result), exact_benchmark(ds)
+        se = mc.null_sd_h / math.sqrt(result.replicates)
+        assert np.all(np.abs(exact.null_mean_h - mc.null_mean_h) <= 4 * se + 1e-9)
+        assert abs(exact.fit.beta - mc.fit.beta) <= 3 * mc.fit.beta_stderr
+        assert exact.fit.beta_stderr == 0.0
+        assert exact.fit.p_value == 0.0
+
+    def test_certain_null_h_has_zero_spread(self):
+        # every paper is cited, so the one-paper unit always has h = 1
+        units = (make_unit("solo", [50]),) + tuple(
+            make_unit(uid, [1 + (7 * i) % 30 for i in range(size)]) for uid, size in (("a", 8), ("b", 20))
+        )
+        bench = exact_benchmark(Dataset(name="certain", units=units))
+        assert bench.null_mean_h[0] == 1.0
+        assert bench.null_sd_h[0] == 0.0
+        assert np.all(bench.null_sd_h[1:] > 0)
+        scores = normalized_scores([1, 5, 9], bench)
+        assert scores[0].z is None and scores[1].z is not None
+        # a unit holding the whole pool has the pool's h for certain
+        whole = exact_benchmark(Dataset(name="whole", units=(make_unit("all", [9, 4, 4, 2, 0]),)))
+        assert (whole.null_mean_h[0], whole.null_sd_h[0]) == (3.0, 0.0)
+        assert whole.fit.beta == 0.0 and whole.fit.log10_prefactor == math.log10(3)
+
+    def test_fit_counts_positive_weight_points(self):
+        units = (make_unit("a", [0, 0, 0, 1]), make_unit("b", [0, 0, 2, 1]), make_unit("c", [3, 0, 0, 0, 5, 2]))
+        bench = exact_benchmark(Dataset(name="tiny", units=units))
+        # pool h is 2: each unit's null h can be 0, 1 or 2
+        assert bench.fit.n_points == 6
+        assert bench.n_excluded_zero_h == 3
+
+    def test_pool_without_h_rejected(self):
+        units = (make_unit("a", [0, 0]), make_unit("b", [0]))
+        with pytest.raises(FitError, match="null h is 0"):
+            exact_benchmark(Dataset(name="uncited", units=units))
+
+
 def manual_result_and_benchmark():
     result = ReshuffleResult(
         unit_ids=("a", "b", "c"),
@@ -287,7 +352,7 @@ def manual_result_and_benchmark():
 class TestNormalizedScores:
     def test_z_zero_when_real_equals_null_mean(self):
         result, bench = manual_result_and_benchmark()
-        scores = normalized_scores(result, bench)
+        scores = normalized_scores(result.real_h, bench)
         # real_h was chosen as the exact per-unit null means
         assert np.allclose(bench.null_mean_h, [3.0, 5.0, 8.0])
         for s in scores:
@@ -309,7 +374,7 @@ class TestNormalizedScores:
             real_h=np.array([4], dtype=np.int64),
             productivities=np.array([100], dtype=np.int64),
         )
-        scores = normalized_scores(result, bench)
+        scores = normalized_scores(result.real_h, bench)
         assert scores[0].ratio == pytest.approx(1.0, rel=1e-9)
         assert scores[0].log_residual == pytest.approx(0.0, abs=1e-9)
 
@@ -321,7 +386,7 @@ class TestNormalizedScores:
             productivities=np.array([5, 500], dtype=np.int64),
         )
         bench = build_benchmark(result)
-        scores = normalized_scores(result, bench)
+        scores = normalized_scores(result.real_h, bench)
         assert scores[0].z is None
         assert scores[1].z is not None
 
@@ -333,20 +398,16 @@ class TestNormalizedScores:
             productivities=np.array([10, 100, 1000], dtype=np.int64),
         )
         bench = build_benchmark(result)
-        scores = normalized_scores(result, bench)
+        scores = normalized_scores(result.real_h, bench)
         assert scores[0].log_residual == -math.inf
         assert scores[0].ratio == 0.0
 
     def test_foreign_benchmark_rejected(self):
+        # real h of a dataset with other units cannot line up with the benchmark
         result, bench = manual_result_and_benchmark()
-        other = ReshuffleResult(
-            unit_ids=("x", "y", "z"),
-            h_samples=result.h_samples.copy(),
-            real_h=result.real_h.copy(),
-            productivities=result.productivities.copy(),
-        )
-        with pytest.raises(ValueError):
-            normalized_scores(other, bench)
+        for other in (result.real_h[:2], np.append(result.real_h, 4), result.real_h[None, :]):
+            with pytest.raises(ValueError, match="one real h for each of the 3 benchmark units"):
+                normalized_scores(other, bench)
 
     def test_self_consistency_log_residual_centered(self):
         # the real data IS one null draw: residuals must center near zero
@@ -356,7 +417,7 @@ class TestNormalizedScores:
         draw = reshuffled_dataset(ds, replicate_stream(90, 10**6))
         result = run_null_model(draw, ReshuffleConfig(master_seed=91, replicates=200), workers=2)
         bench = build_benchmark(result)
-        scores = normalized_scores(result, bench)
+        scores = normalized_scores(result.real_h, bench)
         mean_log_residual = float(np.mean([s.log_residual for s in scores]))
         assert abs(mean_log_residual) < 0.05
 
@@ -435,7 +496,7 @@ class TestRanking:
         ds = spread_dataset(seed=77)
         result = run_null_model(ds, ReshuffleConfig(master_seed=5, replicates=60), workers=2)
         bench = build_benchmark(result)
-        scores = normalized_scores(result, bench)
+        scores = normalized_scores(result.real_h, bench)
         raw_order = [
             uid for _, uid in sorted(zip(-result.real_h, result.unit_ids))
         ]
