@@ -1,7 +1,7 @@
 """Size bias of the group h-index: null models, scaling fits, and
 size-normalized rankings."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .combinatorics import (
     BasketSpec,
@@ -11,7 +11,7 @@ from .combinatorics import (
     most_likely_black_count,
     share_distribution,
 )
-from .model import Dataset, Unit, group_h_index, h_index
+from .model import Dataset, Unit, group_h_index, group_h_indices, h_index
 from .nullmodel import (
     ReshuffleConfig,
     ReshuffleResult,
@@ -21,12 +21,11 @@ from .nullmodel import (
 from .scaling import (
     Benchmark,
     FitError,
-    NormalizedScore,
     PowerLawFit,
     build_benchmark,
+    competition_ranks,
     exact_benchmark,
     fit_power_law,
-    normalized_ranking,
     normalized_scores,
     slope_significance,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "CitationModel",
     "Dataset",
     "FitError",
-    "NormalizedScore",
     "PoolSpec",
     "PowerLawFit",
     "ReshuffleConfig",
@@ -56,16 +54,17 @@ __all__ = [
     "Unit",
     "build_benchmark",
     "build_synthetic_dataset",
+    "competition_ranks",
     "count_distribution",
     "exact_benchmark",
     "fit_power_law",
     "generation_stream",
     "group_h_index",
+    "group_h_indices",
     "h_index",
     "hypergeom_pmf",
     "mean_spearman_vs_real",
     "most_likely_black_count",
-    "normalized_ranking",
     "normalized_scores",
     "run_null_model",
     "sample_citations",

@@ -22,9 +22,11 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable
 
+import numpy as np
+
 from . import __version__, io
 from .combinatorics import PoolSpec, count_distribution
-from .model import group_h_index
+from .model import group_h_indices
 from .nullmodel import (
     ReshuffleConfig,
     mean_spearman_vs_real,
@@ -36,7 +38,6 @@ from .scaling import (
     competition_ranks,
     exact_benchmark,
     fit_power_law,
-    normalized_ranking,
     normalized_scores,
     slope_significance,
 )
@@ -152,7 +153,8 @@ def _fit_report(fit, alpha_level: float) -> dict:
 
 def cmd_hindex(args: argparse.Namespace) -> int:
     dataset = io.read_publications(args.input)
-    rows = [(unit.id, unit.productivity, group_h_index(unit)) for unit in dataset.units]
+    h = group_h_indices(dataset).tolist()
+    rows = [(unit.id, unit.productivity, unit_h) for unit, unit_h in zip(dataset.units, h)]
     if args.out_dir:
         out = _ensure_out_dir(args.out_dir)
         io.write_hindex_csv(rows, out / "hindex.csv")
@@ -235,16 +237,16 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         print(note, file=sys.stderr)
     dataset = io.read_publications(args.input)
     benchmark = exact_benchmark(dataset)
-    real_h = [group_h_index(u) for u in dataset.units]
+    real_h = group_h_indices(dataset)
     scores = normalized_scores(real_h, benchmark)
-    raw_ranks = competition_ranks(real_h)
-    norm_ranks = {s.unit_id: rank for rank, s in normalized_ranking(scores, args.rank_key)}
-    null_mean, null_sd = benchmark.null_mean_h.tolist(), benchmark.null_sd_h.tolist()
-    rows = [
-        (s.unit_id, s.productivity, s.real_h, null_mean[i], null_sd[i], float(benchmark.expected_h(s.productivity)),
-         s.ratio, s.z, s.log_residual, raw_ranks[i], norm_ranks[s.unit_id])
-        for i, s in enumerate(scores)
-    ]
+    z, key = scores["z"], scores[args.rank_key]
+    # an undefined z is an empty cell and ranks below every defined value
+    rows = list(zip(
+        benchmark.unit_ids, benchmark.productivities.tolist(), real_h.tolist(),
+        benchmark.null_mean_h.tolist(), benchmark.null_sd_h.tolist(), scores["h_hat"].tolist(),
+        scores["ratio"].tolist(), np.where(np.isnan(z), None, z).tolist(), scores["log_residual"].tolist(),
+        competition_ranks(real_h), competition_ranks(np.where(np.isnan(key), -np.inf, key)),
+    ))
     out = _ensure_out_dir(args.out_dir)
     io.write_benchmark_csv(rows, out / "benchmark.csv")
     io.write_json(_fit_report(benchmark.fit, args.alpha_level), out / "benchmark_fit.json")

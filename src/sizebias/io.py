@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .model import MAX_CITATIONS, Dataset, Unit
 from .nullmodel import ReshuffleResult
-from .scaling import Benchmark, NormalizedScore, PowerLawFit
+from .scaling import PowerLawFit
 
 PUBLICATIONS_HEADER = ("unit_id", "unit_name", "citations")
 SUMMARY_HEADER = ("unit_id", "unit_name", "n_publications", "h_index")

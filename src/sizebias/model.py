@@ -122,3 +122,24 @@ def h_index(citations: Iterable[int] | np.ndarray) -> int:
 def group_h_index(unit: Unit) -> int:
     """h-index of the unit's pooled citation counts."""
     return h_index(unit.citations)
+
+
+def _tally_keys(dataset: Dataset) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """Unit sizes, the pool's h, H, and for every pooled paper in unit
+    order the start of its unit's row and its citation count capped at H,
+    both flat indices into a (units, H + 1) tally.  No unit's h can exceed
+    H, so tallying row + level gives every unit's h through h_from_tally."""
+    sizes = np.array([u.productivity for u in dataset.units], dtype=np.int64)
+    counts = np.concatenate([u.citations for u in dataset.units])
+    cap = h_index(counts)
+    rows = np.repeat(np.arange(sizes.size) * (cap + 1), sizes)
+    return sizes, cap, rows, np.minimum(counts, cap).astype(np.int64)
+
+
+def group_h_indices(dataset: Dataset) -> np.ndarray:
+    """Every unit's group h-index, in unit order, from one tally."""
+    sizes, cap, keys, levels = _tally_keys(dataset)
+    keys += levels
+    tally = np.bincount(keys, minlength=sizes.size * (cap + 1)).reshape(sizes.size, cap + 1)
+    del keys, levels  # freed before h_from_tally copies the tally: a lower peak memory
+    return h_from_tally(tally)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Dataset, Unit, h_from_tally, h_index
+from .model import Dataset, Unit, _tally_keys, h_from_tally, h_index
 
 _MAX_SEED = 2**64 - 1
 _DEFAULT_WORKER_CAP = 8
@@ -148,11 +148,8 @@ def run_null_model(
     any worker count or scheduling order.
     """
     workers = resolve_workers(workers)
-    pool_counts = pool(dataset)
-    prods = np.array([u.productivity for u in dataset.units], dtype=np.int64)
-    units, cap = prods.size, h_index(pool_counts)
-    levels = np.minimum(pool_counts, cap).astype(np.int64)
-    slots = np.repeat(np.arange(units) * (cap + 1), prods)
+    prods, cap, slots, levels = _tally_keys(dataset)
+    units = prods.size
     cited = np.flatnonzero(levels)
     cited_levels = levels[cited]
 

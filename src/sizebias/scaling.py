@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -53,25 +52,6 @@ class Benchmark:
     null_sd_h: np.ndarray
     fit: PowerLawFit
     n_excluded_zero_h: int
-
-    def expected_h(self, n: float | np.ndarray) -> float | np.ndarray:
-        return self.fit.predict_h(n)
-
-
-@dataclass(frozen=True)
-class NormalizedScore:
-    """A unit's real h compared to its size benchmark.
-
-    `z` is None when the null spread of the unit is zero (degenerate
-    pools); the other two scores stay defined.
-    """
-
-    unit_id: str
-    productivity: int
-    real_h: int
-    ratio: float
-    z: float | None
-    log_residual: float
 
 
 def fit_power_law(sizes: ArrayLike, h: ArrayLike) -> PowerLawFit:
@@ -189,7 +169,7 @@ def exact_benchmark(dataset: Dataset) -> Benchmark:
     size: E[h] = sum_k P(h >= k), E[h^2] = sum_k (2k - 1) P(h >= k), and a
     fit of (log10 N_i, log10 k), k >= 1, weighted by P(h_i = k), stderr 0.
     `n_points` counts the (unit, k) pairs of positive weight and
-    `n_excluded_zero_h` the units whose null h can be 0."""
+    `n_excluded_zero_h` the units whose null h can be 0, P(h >= 1) < 1."""
     prods = np.array([u.productivity for u in dataset.units], dtype=np.int64)
     sizes, inverse = np.unique(prods, return_inverse=True)
     tails = null_h_tails(pool(dataset), sizes.tolist())
@@ -203,70 +183,50 @@ def exact_benchmark(dataset: Dataset) -> Benchmark:
     y = np.log10(np.concatenate([levels[d] for d in inverse]))[keep]
     if not x.size:
         raise FitError("every unit's null h is 0; nothing to benchmark")
+    can_be_zero = np.array([t[:1].sum() < 1.0 for t in tails])
     return Benchmark(
         unit_ids=tuple(u.id for u in dataset.units),
         productivities=prods,
         null_mean_h=mean[inverse],
         null_sd_h=np.sqrt(np.maximum(second - mean**2, 0.0))[inverse],
         fit=_line_fit(x, y, w[keep], None),
-        n_excluded_zero_h=int(sum(tails[d][:1].sum() < 1.0 for d in inverse)),
+        n_excluded_zero_h=int(np.count_nonzero(can_be_zero[inverse])),
     )
 
 
-def normalized_scores(real_h: ArrayLike, benchmark: Benchmark) -> list[NormalizedScore]:
-    """Ratio, z and log-residual of every unit against the benchmark;
-    real_h[i] is the real h of benchmark.unit_ids[i]."""
-    real_h = np.asarray(real_h)
-    if real_h.shape != (len(benchmark.unit_ids),):
+def normalized_scores(real_h: ArrayLike, benchmark: Benchmark) -> dict[str, np.ndarray]:
+    """Every unit's real h against the benchmark, as float columns in
+    benchmark.unit_ids order; real_h[i] is the real h of unit i.
+
+    `h_hat` is the fitted curve at the unit's size, `ratio` is
+    real_h / h_hat, `z` is (real_h - null_mean_h) / null_sd_h, NaN where the
+    null spread is zero, and `log_residual` is log10(ratio), -inf for h = 0.
+    A unit without publications has no size to benchmark against.
+    """
+    real = np.asarray(real_h)
+    if real.shape != (len(benchmark.unit_ids),):
         raise ValueError(f"need one real h for each of the {len(benchmark.unit_ids)} benchmark units")
-    scores = []
-    for i, unit_id in enumerate(benchmark.unit_ids):
-        real = int(real_h[i])
-        expected = float(benchmark.expected_h(int(benchmark.productivities[i])))
-        sd = float(benchmark.null_sd_h[i])
-        z = (real - float(benchmark.null_mean_h[i])) / sd if sd > 0 else None
-        ratio = real / expected
-        log_residual = math.log10(ratio) if real > 0 else -math.inf
-        scores.append(
-            NormalizedScore(
-                unit_id=unit_id,
-                productivity=int(benchmark.productivities[i]),
-                real_h=real,
-                ratio=ratio,
-                z=z,
-                log_residual=log_residual,
-            )
-        )
-    return scores
+    empty = np.flatnonzero(benchmark.productivities == 0)
+    if empty.size:
+        names = ", ".join(repr(benchmark.unit_ids[i]) for i in empty)
+        raise ValueError(f"units without publications cannot be scored against size: {names}")
+    real = real.astype(float)
+    sd = benchmark.null_sd_h
+    h_hat = benchmark.fit.predict_h(benchmark.productivities)
+    ratio = real / h_hat
+    z = np.divide(real - benchmark.null_mean_h, sd, out=np.full(real.shape, np.nan), where=sd > 0)
+    # math.log10 per value, not np.log10: numpy's SIMD log10 loop differs
+    # from math.log10 in the last bit on some values, and the reports print
+    # every bit.
+    log_residual = np.array([math.log10(r) if r > 0 else -math.inf for r in ratio.tolist()])
+    return {"h_hat": h_hat, "ratio": ratio, "z": z, "log_residual": log_residual}
 
 
 RANKING_KEYS = ("ratio", "z", "log_residual")
 
 
-def competition_ranks(values: Sequence[float]) -> list[int]:
+def competition_ranks(values: ArrayLike) -> list[int]:
     """Rank 1 for the largest value; ties share a rank ("1224" style)."""
     _, inverse, counts = np.unique(-np.asarray(values, dtype=float), return_inverse=True, return_counts=True)
     # a tie group's rank is one more than the count of values sorted before it
     return (np.cumsum(counts) - counts + 1)[inverse].tolist()
-
-
-def normalized_ranking(
-    scores: Sequence[NormalizedScore], key: str = "ratio"
-) -> list[tuple[int, NormalizedScore]]:
-    """Scores ordered best-first by the chosen key.
-
-    Ties share a rank and are ordered by unit id; units with an undefined
-    z sort below every defined value when ranking by z.
-    """
-    if key not in RANKING_KEYS:
-        raise ValueError(f"unknown ranking key {key!r}; choose one of {RANKING_KEYS}")
-    if not scores:
-        raise ValueError("cannot rank an empty score list")
-
-    def value(s: NormalizedScore) -> float:
-        v = getattr(s, key)
-        return -math.inf if v is None else float(v)
-
-    ordered = sorted(scores, key=lambda s: (-value(s), s.unit_id))
-    ranks = competition_ranks([value(s) for s in ordered])
-    return list(zip(ranks, ordered))

@@ -314,12 +314,11 @@ def test_criterion_8_normalized_scores_calibrated_on_null_data():
         result = run_null_model(null_draw, ReshuffleConfig(master_seed=master_seed + 1000, replicates=200))
         benchmark = build_benchmark(result)
         scores = normalized_scores(result.real_h, benchmark)
-        for j, score in enumerate(scores):
-            assert score.z is not None
-            assert math.isfinite(score.log_residual)
-            z_all.append(score.z)
-            logres_all.append(score.log_residual)
-            z_by_unit[i, j] = score.z
+        assert np.all(np.isfinite(scores["z"]))
+        assert np.all(np.isfinite(scores["log_residual"]))
+        z_all.extend(scores["z"].tolist())
+        logres_all.extend(scores["log_residual"].tolist())
+        z_by_unit[i] = scores["z"]
     mean_z = float(np.mean(z_all))
     mean_logres = float(np.mean(logres_all))
     trend = scipy.stats.spearmanr(sizes, z_by_unit.mean(axis=0))

@@ -358,6 +358,20 @@ class TestFit:
         capsys.readouterr()
 
 
+# benchmark.csv of TestBenchmark.test_undefined_z_ranks_last's input as
+# written by sizebias 0.3.0, less the normalized_rank column.
+UNDEFINED_Z_ROWS = (
+    "zero,2,0,1.5965909090909092,0.5277774001980188,1.7265749024571797,0.0,-3.0251217814402023,-inf,5",
+    "a,3,2,1.8916788856304985,0.31662807787814934,1.78498598189784,1.1204569785324319,0.3421083660533342,"
+    "0.04939518586468811,1",
+    "a2,3,2,1.8916788856304985,0.31662807787814934,1.78498598189784,1.1204569785324319,0.3421083660533342,"
+    "0.04939518586468811,1",
+    "c,5,2,1.9960730778305862,0.06260933096030952,1.8613964589273049,1.0744621278330841,0.0627210370911525,"
+    "0.03119111227699583,1",
+    "b,20,2,2.0,0.0,2.0856511092481167,0.9589331557572953,,-0.018211665089533015,1",
+)
+
+
 class TestBenchmark:
     def test_reports(self, synth_run, tmp_path, capsys):
         out = tmp_path / "bench"
@@ -405,22 +419,23 @@ class TestBenchmark:
         capsys.readouterr()
 
     def test_undefined_z_ranks_last(self, tmp_path, capsys):
-        # Every paper is cited, so the one-paper unit has h = 1 in every
-        # replicate: its null spread is zero and its z is undefined.
-        lines = ["unit_id,unit_name,citations", "solo,Solo,50"]
-        for uid, size in (("a", 8), ("b", 20), ("c", 40)):
-            lines += [f"{uid},{uid.upper()},{1 + (7 * i) % 30}" for i in range(size)]
+        # The pool's h is 2 and 26 of its 33 papers are cited twice, so any 9
+        # papers hold two of them: b has h = 2 in every replicate, its null
+        # spread is zero and its z is undefined.  zero has h = 0, so its
+        # log_residual is -inf, and a and a2 tie on every column.
+        units = {"zero": [0, 0], "a": [2, 2, 0], "a2": [2, 2, 0], "c": [1, 2, 0, 2, 1], "b": [2] * 20}
+        lines = ["unit_id,unit_name,citations"]
+        lines += [f"{uid},{uid.upper()},{c}" for uid, counts in units.items() for c in counts]
         path = tmp_path / "pubs.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        out = tmp_path / "z"
-        argv = ["benchmark", str(path), "--seed", "4", "--replicates", "40", "--rank-key", "z"]
-        assert main(argv + ["--out-dir", str(out)]) == 0
-        capsys.readouterr()
-        rows = {r[0]: r for r in read_rows(out / "benchmark.csv")[1:]}
-        assert rows["solo"][7] == ""
-        assert all(rows[u][7] != "" for u in ("a", "b", "c"))
-        assert int(rows["solo"][10]) == 4
-        assert sorted(int(rows[u][10]) for u in ("a", "b", "c")) == [1, 2, 3]
+        for key, ranks in (("ratio", "51134"), ("z", "41135"), ("log_residual", "51134")):
+            out = tmp_path / key
+            assert main(["benchmark", str(path), "--rank-key", key, "--out-dir", str(out)]) == 0
+            capsys.readouterr()
+            expected = ",".join(BENCHMARK_HEADER) + "\n" + "".join(
+                f"{row},{rank}\n" for row, rank in zip(UNDEFINED_Z_ROWS, ranks)
+            )
+            assert (out / "benchmark.csv").read_bytes() == expected.encode("utf-8")
 
     def test_output_ignores_seed_replicates_and_threads(self, synth_run, tmp_path, monkeypatch, capsys):
         blobs = set()

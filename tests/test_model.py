@@ -10,6 +10,7 @@ from sizebias.model import (
     Dataset,
     Unit,
     group_h_index,
+    group_h_indices,
     h_index,
 )
 
@@ -197,6 +198,29 @@ class TestUnit:
         assert a == a and a != b
         assert len({a, b}) == 2
         hash(Dataset(name="d", units=(a,)))
+
+
+# Small counts, so h is not trivially the paper count, or counts at the
+# top of the representable range.
+citation_counts = st.lists(
+    st.one_of(st.integers(0, 12), st.integers(MAX_CITATIONS - 3, MAX_CITATIONS)), max_size=15
+)
+
+
+class TestGroupHIndices:
+    @given(st.lists(citation_counts, min_size=1, max_size=8))
+    def test_match_per_unit_group_h_index(self, per_unit):
+        units = tuple(make_unit(f"u{i}", counts) for i, counts in enumerate(per_unit))
+        h = group_h_indices(Dataset(name="d", units=units))
+        assert h.tolist() == [group_h_index(u) for u in units]
+        # one unit holding the whole pool has the pool's h
+        whole = make_unit("all", [c for counts in per_unit for c in counts])
+        assert group_h_indices(Dataset(name="whole", units=(whole,))).tolist() == [group_h_index(whole)]
+
+    def test_empty_units_score_zero(self):
+        units = (make_unit("a", []), make_unit("b", [4, 4, 4]), make_unit("c", []))
+        assert group_h_indices(Dataset(name="d", units=units)).tolist() == [0, 3, 0]
+        assert group_h_indices(Dataset(name="none", units=units[:1])).tolist() == [0]
 
 
 class TestDataset:

@@ -19,13 +19,11 @@ from sizebias.scaling import (
     RANKING_KEYS,
     Benchmark,
     FitError,
-    NormalizedScore,
     PowerLawFit,
     build_benchmark,
     competition_ranks,
     exact_benchmark,
     fit_power_law,
-    normalized_ranking,
     normalized_scores,
     slope_significance,
 )
@@ -244,7 +242,7 @@ class TestBuildBenchmark:
         bench = build_benchmark(result)
         assert bench.fit.beta > 0
         grid = np.linspace(result.productivities.min(), result.productivities.max(), 50)
-        values = bench.expected_h(grid)
+        values = bench.fit.predict_h(grid)
         assert np.all(np.diff(values) > 0)
 
     def test_identical_units_give_flat_benchmark(self):
@@ -255,8 +253,8 @@ class TestBuildBenchmark:
         result = run_null_model(ds, ReshuffleConfig(master_seed=2, replicates=30), workers=1)
         bench = build_benchmark(result)
         assert bench.fit.beta == 0.0
-        expected = [float(bench.expected_h(int(n))) for n in result.productivities]
-        assert max(expected) - min(expected) == pytest.approx(0.0, abs=1e-12)
+        expected = bench.fit.predict_h(result.productivities)
+        assert np.ptp(expected) == pytest.approx(0.0, abs=1e-12)
 
     def test_needs_two_replicates(self):
         ds = spread_dataset()
@@ -318,8 +316,8 @@ class TestExactBenchmark:
         assert bench.null_mean_h[0] == 1.0
         assert bench.null_sd_h[0] == 0.0
         assert np.all(bench.null_sd_h[1:] > 0)
-        scores = normalized_scores([1, 5, 9], bench)
-        assert scores[0].z is None and scores[1].z is not None
+        z = normalized_scores([1, 5, 9], bench)["z"]
+        assert np.isnan(z[0]) and not np.isnan(z[1:]).any()
         # a unit holding the whole pool has the pool's h for certain
         whole = exact_benchmark(Dataset(name="whole", units=(make_unit("all", [9, 4, 4, 2, 0]),)))
         assert (whole.null_mean_h[0], whole.null_sd_h[0]) == (3.0, 0.0)
@@ -355,8 +353,18 @@ class TestNormalizedScores:
         scores = normalized_scores(result.real_h, bench)
         # real_h was chosen as the exact per-unit null means
         assert np.allclose(bench.null_mean_h, [3.0, 5.0, 8.0])
-        for s in scores:
-            assert s.z == pytest.approx(0.0, abs=1e-12)
+        assert scores["z"] == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
+
+    def test_columns_match_per_unit_formulas(self):
+        result, bench = manual_result_and_benchmark()
+        scores = normalized_scores(result.real_h, bench)
+        assert list(scores) == ["h_hat", "ratio", "z", "log_residual"]
+        for i, n in enumerate(result.productivities.tolist()):
+            real, h_hat = int(result.real_h[i]), float(scores["h_hat"][i])
+            assert h_hat == pytest.approx(float(bench.fit.predict_h(n)), rel=1e-15)
+            assert scores["ratio"][i] == real / h_hat
+            assert scores["z"][i] == (real - float(bench.null_mean_h[i])) / float(bench.null_sd_h[i])
+            assert scores["log_residual"][i] == math.log10(real / h_hat)
 
     def test_ratio_and_log_residual_on_curve(self):
         fit = fit_power_law([10, 100, 1000, 10000], [2.0, 4.0, 8.0, 16.0])
@@ -375,10 +383,10 @@ class TestNormalizedScores:
             productivities=np.array([100], dtype=np.int64),
         )
         scores = normalized_scores(result.real_h, bench)
-        assert scores[0].ratio == pytest.approx(1.0, rel=1e-9)
-        assert scores[0].log_residual == pytest.approx(0.0, abs=1e-9)
+        assert scores["ratio"][0] == pytest.approx(1.0, rel=1e-9)
+        assert scores["log_residual"][0] == pytest.approx(0.0, abs=1e-9)
 
-    def test_sd_zero_flags_z_none(self):
+    def test_sd_zero_gives_nan_z(self):
         result = ReshuffleResult(
             unit_ids=("a", "b"),
             h_samples=np.array([[2, 3], [2, 5]], dtype=np.int64),
@@ -386,9 +394,9 @@ class TestNormalizedScores:
             productivities=np.array([5, 500], dtype=np.int64),
         )
         bench = build_benchmark(result)
-        scores = normalized_scores(result.real_h, bench)
-        assert scores[0].z is None
-        assert scores[1].z is not None
+        z = normalized_scores(result.real_h, bench)["z"]
+        assert np.isnan(z[0])
+        assert np.isfinite(z[1])
 
     def test_zero_real_h_gives_minus_infinite_log_residual(self):
         result = ReshuffleResult(
@@ -399,8 +407,15 @@ class TestNormalizedScores:
         )
         bench = build_benchmark(result)
         scores = normalized_scores(result.real_h, bench)
-        assert scores[0].log_residual == -math.inf
-        assert scores[0].ratio == 0.0
+        assert scores["log_residual"][0] == -math.inf
+        assert scores["ratio"][0] == 0.0
+
+    def test_unit_without_publications_rejected(self):
+        units = (make_unit("a", [3, 1, 2, 5]), make_unit("b", [0, 4, 1]), make_unit("e", []))
+        ds = Dataset(name="d", units=units)
+        bench = exact_benchmark(ds)
+        with pytest.raises(ValueError, match="without publications.*'e'"):
+            normalized_scores([3, 1, 0], bench)
 
     def test_foreign_benchmark_rejected(self):
         # real h of a dataset with other units cannot line up with the benchmark
@@ -417,15 +432,8 @@ class TestNormalizedScores:
         draw = reshuffled_dataset(ds, replicate_stream(90, 10**6))
         result = run_null_model(draw, ReshuffleConfig(master_seed=91, replicates=200), workers=2)
         bench = build_benchmark(result)
-        scores = normalized_scores(result.real_h, bench)
-        mean_log_residual = float(np.mean([s.log_residual for s in scores]))
-        assert abs(mean_log_residual) < 0.05
-
-
-def score(uid, ratio=1.0, z=0.0, log_residual=0.0, n=10, real_h=5):
-    return NormalizedScore(
-        unit_id=uid, productivity=n, real_h=real_h, ratio=ratio, z=z, log_residual=log_residual
-    )
+        log_residual = normalized_scores(result.real_h, bench)["log_residual"]
+        assert abs(float(np.mean(log_residual))) < 0.05
 
 
 class TestRanking:
@@ -453,43 +461,24 @@ class TestRanking:
         )
     )
     def test_competition_ranks_match_scipy_min_ranks(self, values):
-        # -inf is what normalized_ranking passes for an undefined z
+        # -inf is what the benchmark command ranks an undefined z as
         expected = stats.rankdata(-np.asarray(values, dtype=float), method="min").tolist()
         assert competition_ranks(values) == expected
 
     def test_order_by_ratio(self):
-        ranking = normalized_ranking([score("a", ratio=0.8), score("b", ratio=1.2)], key="ratio")
-        assert [s.unit_id for _, s in ranking] == ["b", "a"]
-        assert [r for r, _ in ranking] == [1, 2]
+        assert competition_ranks(np.array([0.8, 1.2])) == [2, 1]
 
     def test_all_tied_rank_one(self):
-        ranking = normalized_ranking([score("b"), score("a"), score("c")], key="ratio")
-        assert [r for r, _ in ranking] == [1, 1, 1]
-        assert [s.unit_id for _, s in ranking] == ["a", "b", "c"]
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            normalized_ranking([score("a")], key="h")
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            normalized_ranking([], key="ratio")
+        assert competition_ranks(np.ones(3)) == [1, 1, 1]
 
     def test_undefined_z_ranks_last(self):
-        scores = [score("a", z=None), score("b", z=-3.0), score("c", z=1.0)]
-        ranking = normalized_ranking(scores, key="z")
-        assert [s.unit_id for _, s in ranking] == ["c", "b", "a"]
-        assert [r for r, _ in ranking] == [1, 2, 3]
+        z = np.array([np.nan, -3.0, 1.0])
+        assert competition_ranks(np.where(np.isnan(z), -np.inf, z)) == [3, 2, 1]
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(55)
-        base = [score(f"u{i}", ratio=float(rng.uniform(0.2, 3))) for i in range(12)]
-        transformed = [
-            score(s.unit_id, ratio=float(np.exp(2.0 * s.ratio + 1.0))) for s in base
-        ]
-        order_a = [s.unit_id for _, s in normalized_ranking(base, key="ratio")]
-        order_b = [s.unit_id for _, s in normalized_ranking(transformed, key="ratio")]
-        assert order_a == order_b
+        ratio = rng.uniform(0.2, 3, size=12)
+        assert competition_ranks(ratio) == competition_ranks(np.exp(2.0 * ratio + 1.0))
         assert set(RANKING_KEYS) == {"ratio", "z", "log_residual"}
 
     def test_normalization_changes_order_on_size_heterogeneous_data(self):
@@ -497,8 +486,4 @@ class TestRanking:
         result = run_null_model(ds, ReshuffleConfig(master_seed=5, replicates=60), workers=2)
         bench = build_benchmark(result)
         scores = normalized_scores(result.real_h, bench)
-        raw_order = [
-            uid for _, uid in sorted(zip(-result.real_h, result.unit_ids))
-        ]
-        norm_order = [s.unit_id for _, s in normalized_ranking(scores, key="ratio")]
-        assert raw_order != norm_order
+        assert competition_ranks(result.real_h) != competition_ranks(scores["ratio"])
