@@ -1,7 +1,7 @@
 """Size bias of the group h-index: null models, scaling fits, and
 size-normalized rankings."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .combinatorics import (
     BasketSpec,

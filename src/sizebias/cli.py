@@ -145,7 +145,11 @@ def _print_table(header: tuple[str, ...], rows: list[tuple]) -> None:
 
 
 def _fit_report(fit, alpha_level: float) -> dict:
+    """The curve keys plus the t-test of the slope, for `fit`, whose points
+    are samples; the exact benchmark curve carries no test."""
     payload = io.fit_payload(fit)
+    payload["beta_stderr"] = fit.beta_stderr
+    payload["p_value"] = fit.p_value
     payload["alpha_level"] = alpha_level
     payload["significant"] = slope_significance(fit, alpha_level)
     return payload
@@ -249,7 +253,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     ))
     out = _ensure_out_dir(args.out_dir)
     io.write_benchmark_csv(rows, out / "benchmark.csv")
-    io.write_json(_fit_report(benchmark.fit, args.alpha_level), out / "benchmark_fit.json")
+    io.write_json(io.fit_payload(benchmark.fit), out / "benchmark_fit.json")
     io.write_manifest(io.build_manifest("benchmark", args.argv, input_path=args.input), out / "manifest.json")
     print(f"benchmark from the exact null model: beta={benchmark.fit.beta:.4f}, ranking key {args.rank_key}")
     print(f"wrote benchmark.csv and benchmark_fit.json to {out}")
@@ -364,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=_positive_int, help="deprecated; has no effect")
     p.add_argument("--seed", type=_seed, help="deprecated; has no effect")
     p.add_argument("--rank-key", choices=RANKING_KEYS, default="ratio")
-    p.add_argument("--alpha-level", type=_alpha_level, default=DEFAULT_ALPHA_LEVEL)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_benchmark)
 

@@ -174,7 +174,12 @@ def read_publications(path: str | Path) -> Dataset:
         raise IngestError(path, problems)
     if not citations:
         raise IngestError(path, ["no data rows"])
-    units = tuple(Unit(id=uid, name=names[uid], citations=counts) for uid, counts in citations.items())
+    # every count passed _parse_count, so one exact uint64 array per unit
+    # skips Unit's per-value check of Python lists
+    units = tuple(
+        Unit(id=uid, name=names[uid], citations=np.array(counts, dtype=np.uint64))
+        for uid, counts in citations.items()
+    )
     return Dataset(name=Path(path).stem, units=units)
 
 
@@ -278,19 +283,6 @@ def load_bundled_summary(name: str) -> list[SummaryRow]:
         return read_summary(p)
 
 
-def _cell(value) -> str:
-    """Deterministic CSV cell text; None becomes the empty cell."""
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError("booleans have no CSV representation here")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 @contextmanager
 def _atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
     """A text file that replaces `path` only once it is fully written; on any
@@ -308,11 +300,8 @@ def _atomic_write(path: str | Path, newline: str | None = None) -> Iterator[Text
 
 
 def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[Sequence]) -> None:
-    _write_rows(path, header, ([_cell(v) for v in row] for row in rows))
-
-
-def _write_rows(path: str | Path, header: tuple[str, ...], rows: Iterable[Sequence]) -> None:
-    """Rows of text or Python ints, which the csv module writes by `str`."""
+    """Rows of text and Python numbers, which the csv module writes by `str`
+    (a float's shortest round-trip repr), and None, the empty cell."""
     with _atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -348,7 +337,7 @@ def write_samples_csv(result: ReshuffleResult, path: str | Path) -> None:
     from whole columns."""
     replicate = np.repeat(np.arange(result.replicates), len(result.unit_ids)).tolist()
     unit_ids = result.unit_ids * result.replicates
-    _write_rows(path, SAMPLES_HEADER, zip(replicate, unit_ids, result.h_samples.ravel().tolist()))
+    _write_csv(path, SAMPLES_HEADER, zip(replicate, unit_ids, result.h_samples.ravel().tolist()))
 
 
 def write_hindex_csv(rows: Sequence[tuple[str, int, int]], path: str | Path) -> None:
@@ -370,13 +359,12 @@ def write_json(payload: dict, path: str | Path) -> None:
 
 
 def fit_payload(fit: PowerLawFit) -> dict:
+    """The fitted curve: slope, intercept, r^2 and the count of points."""
     return {
         "beta": fit.beta,
-        "beta_stderr": fit.beta_stderr,
-        "p_value": fit.p_value,
+        "log10_prefactor": fit.log10_prefactor,
         "r_squared": fit.r_squared,
         "n_points": fit.n_points,
-        "log10_prefactor": fit.log10_prefactor,
     }
 
 

@@ -15,8 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import Dataset, Unit
-from .nullmodel import ReshuffleConfig, run_null_model
-from .scaling import build_benchmark
+from .scaling import exact_benchmark
 
 # Spawn key of the dataset-generation RNG stream.  Replicate streams use
 # keys 0..replicates-1, so the top 32-bit key can never collide.
@@ -167,18 +166,11 @@ def generation_stream(master_seed: int) -> np.random.Generator:
 
 
 def verify_beta_relation(
-    alpha: float,
-    size_model: SizeModel,
-    config: ReshuffleConfig,
-    units: int = 40,
-    workers: int | None = None,
+    alpha: float, size_model: SizeModel, seed: int, units: int = 40
 ) -> tuple[float, float]:
-    """Generate a dataset, run the null model, fit the pooled replicate
-    points, and return (fitted exponent, predicted exponent 1/(1+alpha))."""
-    citation_model = CitationModel(alpha=alpha)
-    rng = generation_stream(config.master_seed)
+    """Generate a dataset from `seed` and return (the slope of its exact
+    null benchmark curve, the predicted exponent 1/(1+alpha))."""
+    rng = generation_stream(seed)
     sizes = sample_sizes(size_model, units, rng)
-    dataset = build_synthetic_dataset(sizes, citation_model, rng)
-    result = run_null_model(dataset, config, workers=workers)
-    fitted = build_benchmark(result).fit.beta
-    return fitted, 1.0 / (1.0 + alpha)
+    dataset = build_synthetic_dataset(sizes, CitationModel(alpha=alpha), rng)
+    return exact_benchmark(dataset).fit.beta, 1.0 / (1.0 + alpha)

@@ -1,5 +1,6 @@
 """End-to-end command line tests: outputs, exit codes, determinism."""
 
+import argparse
 import csv
 import json
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import sizebias
-from sizebias.cli import main
+from sizebias.cli import build_parser, main
 from sizebias.io import (
     BENCHMARK_HEADER,
     read_publications,
@@ -75,6 +76,27 @@ class TestTopLevel:
     def test_missing_positional(self, capsys):
         assert main(["hindex"]) == 2
         capsys.readouterr()
+
+    def test_option_sets(self):
+        # every knob of every subcommand; a new one must show up here
+        expected = {
+            "hindex": {"input", "--format", "--out-dir"},
+            "null-model": {"input", "--replicates", "--seed", "--out-dir"},
+            "fit": {"input", "--source", "--alpha-level", "--format", "--out-dir"},
+            "benchmark": {"input", "--replicates", "--seed", "--rank-key", "--out-dir"},
+            "toy-balls": {"--pool-size", "--black", "--basket-sizes", "--out-dir"},
+            "synth": {
+                "--alpha", "--x-min", "--seed", "--units", "--size-model", "--size-exponent",
+                "--min-size", "--max-size", "--sizes", "--sizes-from-summary", "--out-dir",
+            },
+        }
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        options = {
+            name: {a.option_strings[-1] if a.option_strings else a.dest for a in sub._actions if a.dest != "help"}
+            for name, sub in commands.items()
+        }
+        assert options == expected
 
     def test_import_does_not_load_scipy(self):
         # scipy.stats takes about a second to import; commands that never
@@ -278,6 +300,10 @@ class TestFit:
         assert main(["fit", str(path), "--out-dir", str(out)]) == 0
         capsys.readouterr()
         payload = json.loads((out / "fit_report.json").read_text(encoding="utf-8"))
+        assert set(payload) == {
+            "beta", "log10_prefactor", "r_squared", "n_points", "beta_stderr", "p_value",
+            "alpha_level", "significant", "source", "n_excluded_zero_h",
+        }
         assert payload["beta"] == pytest.approx(0.5, abs=1e-12)
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["command"] == "fit"
@@ -394,10 +420,9 @@ class TestBenchmark:
         best = max(real_h, key=real_h.get)
         assert raw_ranks[best] == 1
         fit = json.loads((out / "benchmark_fit.json").read_text(encoding="utf-8"))
-        assert set(fit) >= {"beta", "p_value", "significant", "alpha_level"}
-        # the exact null curve has no sampling error
-        assert fit["beta_stderr"] == 0.0
-        assert fit["p_value"] == 0.0
+        # the exact null curve has no sampling error, so no t-test
+        assert set(fit) == {"beta", "log10_prefactor", "r_squared", "n_points"}
+        assert 0.0 < fit["beta"] < 1.0
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["command"] == "benchmark"
         assert manifest["seed"] is None
@@ -449,6 +474,12 @@ class TestBenchmark:
                 assert ("no effect" in err) == bool(flags)
                 blobs.add((out / "benchmark.csv").read_bytes() + (out / "benchmark_fit.json").read_bytes())
         assert len(blobs) == 1
+
+    def test_alpha_level_is_usage_error(self, synth_run, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["benchmark", str(synth_run), "--alpha-level", "0.05", "--out-dir", str(out)]) == 2
+        assert "--alpha-level" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pool_without_h_is_compute_error(self, tmp_path, capsys):
         path = tmp_path / "uncited.csv"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sizebias.io import load_bundled_summary
-from sizebias.nullmodel import ReshuffleConfig, replicate_stream
+from sizebias.nullmodel import replicate_stream
 from sizebias.synth import (
     CitationModel,
     SizeModel,
@@ -230,18 +230,11 @@ class TestStreamSeparation:
 class TestBetaRelation:
     def test_predicted_exponent_formula(self):
         model = SizeModel.uniform_floor(50, 400)
-        _, predicted = verify_beta_relation(
-            1.5, model, ReshuffleConfig(master_seed=1, replicates=2), units=5
-        )
+        _, predicted = verify_beta_relation(1.5, model, seed=1, units=5)
         assert predicted == pytest.approx(0.4, abs=1e-12)
 
     def test_alpha_1_5_recovers_exponent(self):
-        fitted, predicted = verify_beta_relation(
-            1.5,
-            SizeModel.uniform_floor(100, 10000),
-            ReshuffleConfig(master_seed=1, replicates=60),
-            units=40,
-        )
+        fitted, predicted = verify_beta_relation(1.5, SizeModel.uniform_floor(100, 10000), seed=1, units=40)
         assert predicted == 0.4
         assert fitted == pytest.approx(0.4, abs=0.05)
 
@@ -254,7 +247,7 @@ class TestBetaRelation:
             geom,
         ]
         fits = [
-            verify_beta_relation(1.5, m, ReshuffleConfig(master_seed=1, replicates=60), units=40)[0]
+            verify_beta_relation(1.5, m, seed=1, units=40)[0]
             for m in kinds
         ]
         assert max(fits) - min(fits) <= 0.05
@@ -262,12 +255,7 @@ class TestBetaRelation:
     def test_steep_tail_matches_finite_size_oracle(self):
         # alpha=4 at desk-scale sizes: the asymptotic exponent 0.2 is not
         # reached; the self-consistency oracle gives the attainable slope
-        fitted, predicted = verify_beta_relation(
-            4.0,
-            SizeModel.uniform_floor(100, 10000),
-            ReshuffleConfig(master_seed=1, replicates=60),
-            units=40,
-        )
+        fitted, predicted = verify_beta_relation(4.0, SizeModel.uniform_floor(100, 10000), seed=1, units=40)
         assert predicted == pytest.approx(0.2, abs=1e-12)
         oracle = finite_size_slope(4.0, 100, 10000)
         assert fitted == pytest.approx(oracle, abs=0.05)
