@@ -18,9 +18,6 @@ from numpy.typing import ArrayLike
 from .model import Dataset
 from .nullmodel import ReshuffleResult, null_h_tails, pool
 
-# scipy.special is imported inside _line_fit, the one function that
-# uses it, so that commands which never fit do not pay for loading it.
-
 
 class FitError(ValueError):
     """Raised when a power-law fit is impossible on the given points."""
@@ -99,9 +96,7 @@ def _line_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray, dof: int | None) -> P
     if stderr == 0.0:
         p_value = 1.0 if slope == 0.0 else 0.0
     else:
-        from scipy import special
-
-        p_value = 2.0 * float(special.stdtr(dof, -abs(slope / stderr)))
+        p_value = _t_tail(slope / stderr, dof)
     return PowerLawFit(
         beta=slope,
         log10_prefactor=float(y_mean - slope * x_mean),
@@ -110,6 +105,38 @@ def _line_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray, dof: int | None) -> P
         r_squared=1.0 - sse / syy if syy > 0 else 1.0,
         n_points=int(x.size),
     )
+
+
+def _t_tail(t: float, dof: int) -> float:
+    """Two-sided Student-t tail P(|T| >= |t|) on `dof` degrees of freedom.
+
+    That is the regularised incomplete beta I_x(a, b), a = dof/2, b = 1/2,
+    x = dof/(dof + t^2): its continued fraction (modified Lentz) where
+    x < (a + 1)/(a + b + 2), else 1 - I_{1-x}(b, a).  A small tail is summed
+    from small terms, never as 1 minus a sum, so it keeps its relative
+    precision down to tails of about 1e-300."""
+    u = t * t / dof
+    if u == 0.0 or u == math.inf:
+        return float(u == 0.0)
+    a, b, x = dof / 2.0, 0.5, 1.0 / (1.0 + u)
+    log_x, log_y = -math.log1p(u), math.log(u) - math.log1p(u)  # log x, log(1 - x)
+    swap = x > (a + 1.0) / (a + b + 2.0)
+    if swap:
+        a, b, x, log_x, log_y = b, a, u / (1.0 + u), log_y, log_x
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    frac = d
+    for m in range(1, 1000):  # under 60 steps for every dof tried
+        even = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        for num in (even, odd):
+            d = 1.0 / (1.0 + num * d)
+            c = 1.0 + num / c
+            frac *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            break
+    log_front = a * log_x + b * log_y + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    tail = math.exp(log_front) * frac / a
+    return 1.0 - tail if swap else tail
 
 
 def slope_significance(fit: PowerLawFit, alpha: float = 0.01) -> bool:

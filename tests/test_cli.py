@@ -55,6 +55,10 @@ def synth_run(tmp_path_factory):
     return out / "publications.csv"
 
 
+# PYTHONPATH for a fresh interpreter that imports this checkout's sizebias
+SRC_PATH = os.pathsep.join(filter(None, [str(Path(sizebias.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+
+
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -98,59 +102,41 @@ class TestTopLevel:
         }
         assert options == expected
 
-    def test_import_does_not_load_scipy(self):
-        # scipy.stats takes about a second to import; commands that never
-        # use it (hindex, toy-balls, --help, --version) must not pay for it.
-        src = str(Path(sizebias.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        probe = "import sys, sizebias.cli; print('scipy.stats' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
-
-    def test_null_model_fit_benchmark_do_not_load_scipy_stats(self, tmp_path):
-        # both rankings are computed in numpy, so the commands that rank
-        # never pay the scipy.stats import either
-        src = str(Path(sizebias.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: with scipy made unimportable
+        # every subcommand exits 0 and none even tries to import it, and
+        # benchmark, built on the exact null, never runs the Monte Carlo sampler
         probe = (
             "import sys\n"
-            "from sizebias.cli import main\n"
-            "d = sys.argv[1]\n"
-            "assert main(['synth', '--alpha', '1.5', '--seed', '5', '--sizes', '10,40,160', '--out-dir', d]) == 0\n"
-            "pubs = d + '/publications.csv'\n"
-            "assert main(['null-model', pubs, '--replicates', '5', '--seed', '1', '--out-dir', d + '/null']) == 0\n"
-            "assert main(['fit', d + '/null', '--source', 'null-model']) == 0\n"
-            "for key in ('ratio', 'z'):\n"
-            "    argv = ['benchmark', pubs, '--replicates', '5', '--seed', '1', '--rank-key', key]\n"
-            "    assert main(argv + ['--out-dir', d + '/bench-' + key]) == 0\n"
-            "print('scipy.stats' in sys.modules, file=sys.stderr)\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", probe, str(tmp_path)], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stderr.strip().splitlines()[-1] == "False"
-
-    def test_benchmark_loads_no_scipy_and_runs_no_replicates(self, tmp_path):
-        # the exact null needs neither scipy nor the Monte Carlo sampler
-        src = str(Path(sizebias.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        probe = (
-            "import sys\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, *args):\n"
+            "        if name.partition('.')[0] == 'scipy':\n"
+            "            print('tried to import', name, file=sys.stderr)\n"
+            "            raise ImportError(name)\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
             "from sizebias import cli, nullmodel\n"
+            "d, summary = sys.argv[1:]\n"
+            "pubs = d + '/publications.csv'\n"
+            "for argv in (\n"
+            "    ['--version'],\n"
+            "    ['synth', '--alpha', '1.5', '--seed', '5', '--sizes', '10,40,160', '--out-dir', d],\n"
+            "    ['hindex', pubs, '--out-dir', d + '/h'],\n"
+            "    ['toy-balls', '--pool-size', '40', '--black', '12', '--basket-sizes', '5', '--out-dir', d + '/toy'],\n"
+            "    ['null-model', pubs, '--replicates', '5', '--seed', '1', '--out-dir', d + '/null'],\n"
+            "    ['fit', summary, '--out-dir', d + '/fit-summary'],\n"
+            "    ['fit', 'bundled:uk_rae2008_physics', '--out-dir', d + '/fit-bundled'],\n"
+            "    ['fit', d + '/null', '--source', 'null-model', '--out-dir', d + '/fit-null'],\n"
+            "):\n"
+            "    assert cli.main(argv) == 0, argv\n"
             "def refuse(*args, **kwargs):\n"
             "    raise AssertionError('benchmark ran the Monte Carlo null model')\n"
             "cli.run_null_model = nullmodel.run_null_model = refuse\n"
-            "d = sys.argv[1]\n"
-            "assert cli.main(['synth', '--alpha', '1.5', '--seed', '5', '--sizes', '10,40,160', '--out-dir', d]) == 0\n"
             "for key in ('ratio', 'z'):\n"
-            "    argv = ['benchmark', d + '/publications.csv', '--rank-key', key, '--out-dir', d + '/b']\n"
-            "    assert cli.main(argv) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+            "    assert cli.main(['benchmark', pubs, '--rank-key', key, '--out-dir', d + '/b-' + key]) == 0, key\n"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe, str(tmp_path)], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stderr.strip() == "[]"
+        argv = [sys.executable, "-c", probe, str(tmp_path), str(TestFit.exact_summary(tmp_path))]
+        out = subprocess.run(argv, env={**os.environ, "PYTHONPATH": SRC_PATH}, capture_output=True, text=True)
+        assert out.returncode == 0 and "tried to import" not in out.stderr, out.stderr
 
 
 class TestHindex:
@@ -310,10 +296,14 @@ class TestFit:
         assert manifest["input_path"] == str(path)
 
     def test_bundled_input(self, capsys):
-        assert main(["fit", "bundled:ukraine_2019", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["n_points"] == 40
-        assert payload["significant"] is True
+        # p_value: mpmath's I_x(dof/2, 1/2) at 50 digits for the fit's t statistic
+        for name, n_points, p_value in (("ukraine_2019", 40, 2.3162286920160968e-10),
+                                        ("uk_rae2008_physics", 41, 2.717250785338885e-23)):
+            assert main(["fit", f"bundled:{name}", "--format", "json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["n_points"] == n_points
+            assert payload["significant"] is True
+            assert payload["p_value"] == pytest.approx(p_value, rel=1e-12, abs=0)
 
     def test_unknown_bundled_name(self, capsys):
         assert main(["fit", "bundled:atlantis"]) == 2
@@ -345,14 +335,9 @@ class TestFit:
         run.mkdir()
         write_samples_csv(result, run / "reshuffle_samples.csv")
         write_json(reshuffle_summary_payload(result, None), run / "reshuffle_summary.json")
-        src = str(Path(sizebias.__file__).resolve().parents[1])
         reports = []
         for threads in ("1", "2"):
-            env = {
-                **os.environ,
-                "OPENBLAS_NUM_THREADS": threads,
-                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-            }
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": SRC_PATH}
             out = tmp_path / f"fit{threads}"
             argv = ["fit", str(run), "--source", "null-model", "--out-dir", str(out)]
             probe = "import sys; from sizebias.cli import main; sys.exit(main(sys.argv[1:]))"

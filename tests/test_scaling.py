@@ -1,18 +1,14 @@
 """Power-law fits, benchmarks, normalized scores, rankings."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
-import sizebias
 from sizebias.model import Dataset, Unit, h_index
 from sizebias.nullmodel import ReshuffleConfig, ReshuffleResult, pool, run_null_model
 from sizebias.scaling import (
@@ -20,6 +16,7 @@ from sizebias.scaling import (
     Benchmark,
     FitError,
     PowerLawFit,
+    _t_tail,
     build_benchmark,
     competition_ranks,
     exact_benchmark,
@@ -106,21 +103,6 @@ class TestFitPowerLaw:
             assert fit.p_value == pytest.approx(ref.pvalue, abs=1e-12)
             assert fit.r_squared == pytest.approx(ref.rvalue**2, abs=1e-12)
 
-    def test_p_value_does_not_load_scipy_stats(self):
-        # the t tail comes from scipy.special; a `fit` process must not pay
-        # the extra import time of scipy.stats for it
-        src = str(Path(sizebias.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        probe = (
-            "import sys\n"
-            "from sizebias.scaling import fit_power_law\n"
-            "fit = fit_power_law([10, 100, 1000, 10000], [3, 8, 20, 70])\n"
-            "assert fit.beta_stderr > 0 and 0 < fit.p_value < 1\n"
-            "print('scipy.stats' in sys.modules)\n"
-        )
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
-
     def test_too_few_points_rejected(self):
         with pytest.raises(FitError, match="need at least 3 points, got 2"):
             fit_power_law([10, 100], [2, 5])
@@ -177,6 +159,38 @@ class TestFitPowerLaw:
         assert fit.predict_h(100) == pytest.approx(30.0, rel=1e-9)
         grid = fit.predict_h(np.array([4.0, 25.0]))
         assert np.allclose(grid, [6.0, 15.0])
+
+
+def exact_t_tail(t, dof):
+    """I_x(dof/2, 1/2), x = dof/(dof + t^2), at 40 digits; None below 1e-300
+    or where mpmath does not converge.  The bound I_x(a, 1/2) <= x^a /
+    (a B(a, 1/2) sqrt(1 - x)) skips deep tails, where betainc can take seconds."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(dof) / 2, mpmath.mpf(1) / 2
+        x = dof / (dof + mpmath.mpf(t) ** 2)
+        if x**a / (a * mpmath.beta(a, b) * mpmath.sqrt(1 - x)) < 1e-300:
+            return None
+        try:
+            p = mpmath.betainc(a, b, 0, x, regularized=True)
+        except (ValueError, mpmath.libmp.NoConvergence):
+            return None
+        return p if p >= 1e-300 else None
+
+
+def test_t_tail_relative_error_against_mpmath_and_stdtr():
+    assert _t_tail(0.0, 5) == 1.0 and _t_tail(1e200, 3) == 0.0 and _t_tail(-2.5, 7) == _t_tail(2.5, 7)
+    for dof in [*range(1, 121), 200, 500, 1000, 4000, 20_000, 80_000, 160_000]:
+        bound = 1e-11 if dof <= 1000 else 1e-9
+        for t in [m * 10.0**e for e in range(-6, 5) for m in (1, 3)] + [1e5]:
+            got, exact = _t_tail(t, dof), exact_t_tail(t, dof)
+            if exact is None:
+                assert 0.0 <= got <= 1e-300, (dof, t, got)
+                continue
+            assert abs(got - exact) <= bound * exact, (dof, t, got, exact)
+            # stdtr itself misses the Cauchy tail near t = 0, by 2.8e-11 at 1e-6
+            if dof <= 1000 and (dof > 1 or t > 1e-5):
+                ref = 2.0 * float(special.stdtr(dof, -t))
+                assert abs(got - ref) <= bound * ref, (dof, t, got, ref)
 
 
 class TestSlopeSignificance:
