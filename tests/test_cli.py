@@ -102,41 +102,56 @@ class TestTopLevel:
         }
         assert options == expected
 
-    def test_every_command_runs_without_scipy(self, tmp_path):
-        # numpy is the only runtime dependency: with scipy made unimportable
-        # every subcommand exits 0 and none even tries to import it, and
-        # benchmark, built on the exact null, never runs the Monte Carlo sampler
+    def test_import_does_not_load_scipy(self, tmp_path, run_without_scipy):
+        # numpy is the only runtime dependency: importing the CLI and the
+        # commands that never fit (--version, synth, hindex, toy-balls) run
+        # with scipy unimportable and never try to import it
         probe = (
-            "import sys\n"
-            "class NoScipy:\n"
-            "    def find_spec(self, name, *args):\n"
-            "        if name.partition('.')[0] == 'scipy':\n"
-            "            print('tried to import', name, file=sys.stderr)\n"
-            "            raise ImportError(name)\n"
-            "sys.meta_path.insert(0, NoScipy())\n"
-            "from sizebias import cli, nullmodel\n"
-            "d, summary = sys.argv[1:]\n"
-            "pubs = d + '/publications.csv'\n"
+            "from sizebias.cli import main\n"
+            "d = sys.argv[1]\n"
             "for argv in (\n"
             "    ['--version'],\n"
             "    ['synth', '--alpha', '1.5', '--seed', '5', '--sizes', '10,40,160', '--out-dir', d],\n"
-            "    ['hindex', pubs, '--out-dir', d + '/h'],\n"
+            "    ['hindex', d + '/publications.csv', '--out-dir', d + '/h'],\n"
             "    ['toy-balls', '--pool-size', '40', '--black', '12', '--basket-sizes', '5', '--out-dir', d + '/toy'],\n"
+            "):\n"
+            "    assert main(argv) == 0, argv\n"
+        )
+        run_without_scipy(probe, tmp_path)
+
+    def test_null_model_fit_benchmark_do_not_load_scipy_stats(self, tmp_path, run_without_scipy):
+        # ranks, the exact null and fit's t tail are all computed in the
+        # package, so the commands that rank and fit never need scipy either
+        probe = (
+            "from sizebias.cli import main\n"
+            "d, summary = sys.argv[1:]\n"
+            "pubs = d + '/publications.csv'\n"
+            "for argv in (\n"
+            "    ['synth', '--alpha', '1.5', '--seed', '5', '--sizes', '10,40,160', '--out-dir', d],\n"
             "    ['null-model', pubs, '--replicates', '5', '--seed', '1', '--out-dir', d + '/null'],\n"
             "    ['fit', summary, '--out-dir', d + '/fit-summary'],\n"
             "    ['fit', 'bundled:uk_rae2008_physics', '--out-dir', d + '/fit-bundled'],\n"
             "    ['fit', d + '/null', '--source', 'null-model', '--out-dir', d + '/fit-null'],\n"
+            "    ['benchmark', pubs, '--replicates', '5', '--seed', '1', '--out-dir', d + '/bench'],\n"
             "):\n"
-            "    assert cli.main(argv) == 0, argv\n"
+            "    assert main(argv) == 0, argv\n"
+        )
+        run_without_scipy(probe, tmp_path, TestFit.exact_summary(tmp_path))
+
+    def test_benchmark_loads_no_scipy_and_runs_no_replicates(self, tmp_path, run_without_scipy):
+        # the exact null needs neither scipy nor the Monte Carlo sampler
+        probe = (
+            "from sizebias import cli, nullmodel\n"
             "def refuse(*args, **kwargs):\n"
             "    raise AssertionError('benchmark ran the Monte Carlo null model')\n"
             "cli.run_null_model = nullmodel.run_null_model = refuse\n"
+            "d = sys.argv[1]\n"
+            "assert cli.main(['synth', '--alpha', '1.5', '--seed', '5', '--sizes', '10,40,160', '--out-dir', d]) == 0\n"
             "for key in ('ratio', 'z'):\n"
-            "    assert cli.main(['benchmark', pubs, '--rank-key', key, '--out-dir', d + '/b-' + key]) == 0, key\n"
+            "    argv = ['benchmark', d + '/publications.csv', '--rank-key', key, '--out-dir', d + '/b-' + key]\n"
+            "    assert cli.main(argv) == 0, key\n"
         )
-        argv = [sys.executable, "-c", probe, str(tmp_path), str(TestFit.exact_summary(tmp_path))]
-        out = subprocess.run(argv, env={**os.environ, "PYTHONPATH": SRC_PATH}, capture_output=True, text=True)
-        assert out.returncode == 0 and "tried to import" not in out.stderr, out.stderr
+        run_without_scipy(probe, tmp_path)
 
 
 class TestHindex:

@@ -103,6 +103,16 @@ class TestFitPowerLaw:
             assert fit.p_value == pytest.approx(ref.pvalue, abs=1e-12)
             assert fit.r_squared == pytest.approx(ref.rvalue**2, abs=1e-12)
 
+    def test_p_value_does_not_load_scipy_stats(self, run_without_scipy):
+        # the t tail comes from scaling._t_tail, so fit_power_law runs with
+        # scipy unimportable and never tries to import it
+        probe = (
+            "from sizebias.scaling import fit_power_law\n"
+            "fit = fit_power_law([10, 100, 1000, 10000], [3, 8, 20, 70])\n"
+            "assert fit.beta_stderr > 0 and 0 < fit.p_value < 1\n"
+        )
+        run_without_scipy(probe)
+
     def test_too_few_points_rejected(self):
         with pytest.raises(FitError, match="need at least 3 points, got 2"):
             fit_power_law([10, 100], [2, 5])
