@@ -139,13 +139,90 @@ def _parse_count(text: str, lineno: int, field: str, problems: list[str], cap: i
     return value
 
 
+def _plain_lines(data: bytes) -> tuple[np.ndarray, list[int], list[int], list[int]] | None:
+    """The counts of a plain publications file (see _read_plain_publications)
+    from its bytes, header checked, and its runs of lines with one "id,name,"
+    prefix: each run's first line (and the line count last), and where its
+    prefix starts and ends (at its second comma).  None if a line is not plain.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    commas = np.flatnonzero(buf == ord(","))[2:]  # the header holds the first two
+    starts, ends, second = newlines[:-1] + 1, newlines[1:], commas[1::2]
+    # with two commas per line in all, line i holds two iff it holds pair i
+    if not (starts.size and commas.size == 2 * starts.size and (commas[0::2] > starts).all() and (second < ends).all()):
+        return None
+    width = ends - second - 1
+    if not 1 <= width.min() <= width.max() <= 19:
+        return None
+    counts = np.zeros(starts.size, dtype=np.uint64)
+    for j in range(int(width.max())):
+        live = width > j
+        digit = buf[np.minimum(second + (1 + j), ends)] - ord("0")  # above 9 for any other byte
+        if (live & (digit > 9)).any():
+            return None
+        np.multiply(counts, 10, out=counts, where=live)
+        np.add(counts, digit, out=counts, where=live)
+    # read past its end, a prefix repeats its closing comma
+    length = second - starts
+    same = length[1:] == length[:-1]
+    for j in range(int(length.max())):
+        column = buf[np.minimum(starts + j, second)]
+        same &= column[1:] == column[:-1]
+    runs = np.flatnonzero(np.concatenate(([True], ~same)))
+    return counts, runs.tolist() + [starts.size], starts[runs].tolist(), second[runs].tolist()
+
+
+def _read_plain_publications(path: str | Path) -> Dataset | None:
+    """The Dataset of a publications file in the plain subset of the format,
+    read by whole columns; None for any other file.
+
+    Plain is: the exact header, after at most a byte-order mark, then lines
+    that each end in a newline and hold exactly two commas; no quote or
+    carriage return anywhere; valid UTF-8; ids that are nonempty and carry
+    no surrounding whitespace, with one name each; and counts of 1 to 19
+    ASCII digits, so below 2**64.  On such a file the line-by-line reader
+    finds no problem and builds the same Dataset.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        return None
+    header = ",".join(PUBLICATIONS_HEADER).encode() + b"\n"
+    plain = data.startswith(header, 3 if data.startswith(b"\xef\xbb\xbf") else 0) and data.endswith(b"\n")
+    lines = _plain_lines(data) if plain and b'"' not in data and b"\r" not in data else None
+    if lines is None:
+        return None
+    counts, bounds, prefix_starts, prefix_ends = lines
+    found: dict[str, tuple[str, list[np.ndarray]]] = {}
+    for first, last, start, end in zip(bounds, bounds[1:], prefix_starts, prefix_ends):
+        try:
+            unit_id, _, name = data[start:end].decode("utf-8").partition(",")
+        except UnicodeDecodeError:
+            return None
+        known, pieces = found.setdefault(unit_id, (name, []))
+        if not unit_id or unit_id != unit_id.strip() or known != name:
+            return None
+        pieces.append(counts[first:last])
+    units = tuple(Unit(id=uid, name=name, citations=np.concatenate(pieces)) for uid, (name, pieces) in found.items())
+    return Dataset(name=Path(path).stem, units=units)
+
+
 def read_publications(path: str | Path) -> Dataset:
     """Read a publication-level CSV into a Dataset.
 
     Rows with the same unit_id are collected into one unit, keeping the
     first occurrence order of ids.  All offending lines are reported at
-    once.
+    once.  A plain file (see _read_plain_publications) is read by whole
+    columns, every other file line by line, to the same Dataset.
     """
+    dataset = _read_plain_publications(path)
+    return _read_publication_lines(path) if dataset is None else dataset
+
+
+def _read_publication_lines(path: str | Path) -> Dataset:
+    """read_publications, one CSV row at a time: the reader of every file
+    and the source of every IngestError."""
     problems: list[str] = []
     names: dict[str, str] = {}
     citations: dict[str, list[int]] = {}

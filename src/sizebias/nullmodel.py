@@ -177,13 +177,16 @@ def run_null_model(
 
 def null_h_tails(pool_counts: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
     """Exact P(h >= k), k = 1..min(N, H), for each block size N in `sizes`;
-    H is the pool's h-index.
+    H is the pool's h-index.  A size below 0 or above the pool size raises
+    ValueError.
 
     N of the M pooled papers have h >= k exactly when k of them are cited
     k times or more, so P(h >= k) = P(X >= k) with X ~ Hypergeom(M, K_k, N),
     K_k counting the pooled papers cited k times or more.  Each pmf is built
     from log pmf ratios over mean +- (12 sd + 12), clipped to the support,
-    and normalised by its own sum, so a certain event gets exactly 1.0.
+    and normalised by its own sum.  Only the levels inside their window
+    (lo < k <= hi) need one: the others are certain, exactly 1.0, or
+    impossible, exactly 0.0.
     """
     cap = h_index(pool_counts)
     tally = np.bincount(np.minimum(pool_counts, cap).astype(np.int64), minlength=cap + 1)
@@ -191,21 +194,29 @@ def null_h_tails(pool_counts: np.ndarray, sizes: Sequence[int]) -> list[np.ndarr
     total = float(pool_counts.size)
     tails = []
     for size in sizes:
+        if not 0 <= size <= pool_counts.size:
+            raise ValueError(f"block size {size} is outside 0..{pool_counts.size}, the pool size")
         n = float(size)
         k = np.arange(1, min(int(size), cap) + 1)
-        K = marked[: k.size, None]
+        K = marked[: k.size]
         mean = n * K / total
         sd = np.sqrt(mean * (1.0 - K / total) * (total - n) / max(total - 1.0, 1.0))
         lo = np.maximum(np.maximum(0.0, n + K - total), np.floor(mean - 12.0 * sd - 12.0))
         hi = np.minimum(np.minimum(n, K), np.ceil(mean + 12.0 * sd + 12.0))
-        x = lo + np.arange(int((hi - lo).max(initial=0)) + 1)
-        step = x < hi
+        tail = (lo >= k).astype(float)
+        inside = np.flatnonzero((lo < k) & (k <= hi))
+        # as wide as the widest window of all the levels, inside or not: the
+        # width sets how the sums below pair their terms, hence their last bits
+        x = lo[inside, None] + np.arange(int((hi - lo).max(initial=0)) + 1)
+        K, top = K[inside, None], hi[inside, None]
+        step = x < top
         ratio = np.log(np.where(step, (K - x) * (n - x), 1.0)) - np.log(  # log pmf(x + 1) - log pmf(x)
             np.where(step, (x + 1.0) * (total - K - n + x + 1.0), 1.0)
         )
         log_pmf = np.cumsum(ratio, axis=1) - ratio  # log pmf(x) - log pmf(lo)
-        weight = np.where(x <= hi, np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True)), 0.0)
-        tails.append(np.where(x >= k[:, None], weight, 0.0).sum(axis=1) / weight.sum(axis=1))
+        weight = np.where(x <= top, np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True)), 0.0)
+        tail[inside] = np.where(x >= k[inside, None], weight, 0.0).sum(axis=1) / weight.sum(axis=1)
+        tails.append(tail)
     return tails
 
 

@@ -55,7 +55,7 @@ def fit_power_law(sizes: ArrayLike, h: ArrayLike) -> PowerLawFit:
     """Ordinary least squares of log10 h on log10 N over the points
     (sizes[i], h[i]).
 
-    Points must have N >= 1 and h > 0; zero-h points are the caller's job
+    Points need N >= 1 and h > 0, both finite; zero-h points are the caller's
     to exclude (and count).  Needs at least 3 points and 2 distinct sizes.
     """
     n_arr = np.asarray(sizes, dtype=float)
@@ -65,11 +65,13 @@ def fit_power_law(sizes: ArrayLike, h: ArrayLike) -> PowerLawFit:
     n_pts = n_arr.size
     if n_pts < 3:
         raise FitError(f"need at least 3 points, got {n_pts}")
-    bad = ~((n_arr >= 1) & (h_arr > 0))
+    bad = ~((n_arr >= 1) & (h_arr > 0) & np.isfinite(n_arr) & np.isfinite(h_arr))
     if bad.any():
-        first = n_arr[np.argmax(bad)]
-        if not first >= 1:
-            raise FitError(f"sizes must be >= 1, got {float(first)}")
+        first = np.argmax(bad)
+        if not n_arr[first] >= 1:
+            raise FitError(f"sizes must be >= 1, got {float(n_arr[first])}")
+        if not (np.isfinite(n_arr[first]) and np.isfinite(h_arr[first])):
+            raise FitError(f"sizes and h must be finite, got N = {float(n_arr[first])}, h = {float(h_arr[first])}")
         raise FitError("h = 0 points cannot be fitted on a log axis; exclude them upstream")
     x = np.log10(n_arr)
     y = np.log10(h_arr)

@@ -5,10 +5,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import sizebias
+import sizebias.io
 from sizebias.io import (
     BENCHMARK_HEADER,
     BUNDLED_SUMMARIES,
@@ -169,6 +170,115 @@ class TestReadPublications:
         path.write_text("unit_id,unit_name,citations\na,A,1,9\n", encoding="utf-8")
         with pytest.raises(IngestError, match="expected 3 fields"):
             read_publications(path)
+
+
+HEADER = b"unit_id,unit_name,citations\n"
+BOM = b"\xef\xbb\xbf"
+# Pieces of a publications file: plain ones, which the columnar reader
+# accepts, and odd ones, each of which sends a file to the line reader.
+PLAIN_IDS = [b"a", b"b", b"u1", "é".encode()]
+ODD_IDS = [b"", b" a", b"a ", "\xa0a".encode(), b"a,b", b'"a"']
+PLAIN_NAMES = [b"A", b"", "Ünï 中".encode(), b"x\x00y", b" B "]
+ODD_NAMES = [b'q"t', b"c,d", b"\xff", b"x\ry"]
+PLAIN_COUNTS = [b"0", b"3", b"007", b"9" * 19, str(2**63).encode()]
+ODD_COUNTS = [
+    b"+3", b" 3 ", b"1_000", b"-2", b"x", b"", "٣".encode(), b"3.0", b"3:",
+    str(2**64 - 1).encode(), str(2**64).encode(), b"0" * 19 + b"7", b"1" * 25,
+]  # fmt: skip
+ODD_HEADERS = [b"unit_id, unit_name,citations\n", b"\n" + HEADER, b"unit_id,unit_name,n_publications,h_index\n"]
+
+
+@st.composite
+def publication_files(draw, plain=False):
+    """Bytes of a publications file; with odd pieces unless `plain`."""
+
+    def piece(plain_choices, odd_choices):
+        odd = not plain and draw(st.integers(0, 14)) == 7  # not an end, which hypothesis favours
+        return draw(st.sampled_from(odd_choices if odd else plain_choices))
+
+    units = draw(st.lists(st.tuples(st.sampled_from(PLAIN_IDS), st.sampled_from(PLAIN_NAMES)), min_size=1, max_size=3))
+    units = list(dict(units).items())  # one name per id
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        unit_id, name = draw(st.sampled_from(units))
+        unit_id, name = piece([unit_id], ODD_IDS), piece([name], ODD_NAMES + [b"Renamed"])
+        count = piece(PLAIN_COUNTS + [str(draw(st.integers(0, 10**6))).encode()], ODD_COUNTS)
+        lines.append(unit_id + b"," + name + b"," + count + piece([b"\n"], [b"\r\n", b"\n\n", b",\n"]))
+    text = piece([b"", BOM], [BOM + BOM]) + piece([HEADER], ODD_HEADERS) + b"".join(lines)
+    return text[:-1] if piece([False], [True]) else text
+
+
+def outcome(read, path):
+    """What a reader makes of a file: the Dataset's contents, or the error."""
+    try:
+        dataset = read(path)
+    except IngestError as exc:
+        return type(exc), str(exc)
+    return dataset.name, [(u.id, u.name, u.citations.dtype, u.citations.tolist()) for u in dataset.units]
+
+
+class TestColumnarReader:
+    """read_publications reads a plain file by whole columns, and gives the
+    line reader's Dataset or IngestError on every file."""
+
+    @staticmethod
+    def check_readers_agree(path):
+        expected = outcome(sizebias.io._read_publication_lines, path)
+        assert outcome(read_publications, path) == expected
+        columnar = sizebias.io._read_plain_publications(path)
+        if columnar is not None:
+            assert outcome(lambda _: columnar, path) == expected
+        return columnar
+
+    @given(publication_files() | st.none())
+    @example(None)  # a missing file
+    @example(BOM + HEADER + b"a,A,1\n")
+    @example(HEADER)
+    @example(BOM + HEADER)
+    @example(HEADER + b"a,A,1\nb,B,2\na,A,3\n")  # one unit in two runs
+    @example(HEADER + b"a,A,1\na,B,2\n")  # a renamed unit
+    @example(HEADER + "é,Ünï,1\nb,x\x00y,2\n".encode())
+    @example(HEADER + b'a,"A",1\n')
+    @example(HEADER + b"a,A,1\r\n")
+    @example(HEADER + b"a,A,1:\n")  # the byte after "9"
+    @example(HEADER + b"a,A,1\n\nb,B,2\n")
+    @example(HEADER + b"a,A,1")
+    @example(HEADER + b"a,A,1\nx")  # text after the last newline
+    @example(HEADER + b"a,x\ry,1\n")  # csv ends a row at a carriage return
+    @example(HEADER + b"a,A,1,9\n")
+    @example(HEADER + b"a,1\n")
+    @example(HEADER + b",A,1\n")
+    @example(HEADER + "\xa0a,A,1\n".encode())
+    @example(HEADER + b"a,\xff,1\n")
+    @example(HEADER + b"a,A,+3\na,A, 3 \na,A,1_000\n")
+    @example(HEADER + b"a,A,18446744073709551615\na,A,00000000000000000007\n")
+    @example(HEADER + b"a,A,18446744073709551616\n")
+    @example(HEADER + b"a,A,9999999999999999999\n")
+    def test_both_readers_agree(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("pubs") / "pubs.csv"
+        if text is not None:
+            path.write_bytes(text)
+        self.check_readers_agree(path)
+
+    @given(publication_files(plain=True))
+    def test_plain_files_are_read_by_columns(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("pubs") / "pubs.csv"
+        path.write_bytes(text)
+        assert self.check_readers_agree(path) is not None
+
+    def test_plain_file_never_reaches_the_line_reader(self, tmp_path, monkeypatch):
+        def refuse(path):
+            raise AssertionError("the line reader ran on a plain file")
+
+        monkeypatch.setattr(sizebias.io, "_read_publication_lines", refuse)
+        path = tmp_path / "plain.csv"
+        path.write_bytes(HEADER + b"u1,Unit 1,12\nu1,Unit 1,0\nu2,Unit 2,3\nu1,Unit 1,7\n")
+        back = read_publications(path)
+        assert back.name == "plain"
+        assert [(u.id, u.name, u.citations.tolist()) for u in back.units] == [
+            ("u1", "Unit 1", [12, 0, 7]),
+            ("u2", "Unit 2", [3]),
+        ]
 
 
 class TestReadSummary:

@@ -59,6 +59,33 @@ def sorted_block_h(blocks):
     return np.count_nonzero(desc >= np.arange(1, blocks.shape[1] + 1), axis=1)
 
 
+def reference_null_h_tails(pool_counts, sizes):
+    """Oracle: null_h_tails as it was before it skipped the certain and the
+    impossible levels, which builds a pmf at every level k of every size."""
+    cap = h_index(pool_counts)
+    tally = np.bincount(np.minimum(pool_counts, cap).astype(np.int64), minlength=cap + 1)
+    marked = np.cumsum(tally[::-1])[::-1][1:].astype(float)  # K_k, k = 1..H
+    total = float(pool_counts.size)
+    tails = []
+    for size in sizes:
+        n = float(size)
+        k = np.arange(1, min(int(size), cap) + 1)
+        K = marked[: k.size, None]
+        mean = n * K / total
+        sd = np.sqrt(mean * (1.0 - K / total) * (total - n) / max(total - 1.0, 1.0))
+        lo = np.maximum(np.maximum(0.0, n + K - total), np.floor(mean - 12.0 * sd - 12.0))
+        hi = np.minimum(np.minimum(n, K), np.ceil(mean + 12.0 * sd + 12.0))
+        x = lo + np.arange(int((hi - lo).max(initial=0)) + 1)
+        step = x < hi
+        ratio = np.log(np.where(step, (K - x) * (n - x), 1.0)) - np.log(  # log pmf(x + 1) - log pmf(x)
+            np.where(step, (x + 1.0) * (total - K - n + x + 1.0), 1.0)
+        )
+        log_pmf = np.cumsum(ratio, axis=1) - ratio  # log pmf(x) - log pmf(lo)
+        weight = np.where(x <= hi, np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True)), 0.0)
+        tails.append(np.where(x >= k[:, None], weight, 0.0).sum(axis=1) / weight.sum(axis=1))
+    return tails
+
+
 class TestStreams:
     def test_same_key_same_stream(self):
         a = replicate_stream(42, 3).random(10)
@@ -254,6 +281,8 @@ class TestNullHTails:
         m, cap = len(counts), h_index(counts)
         tails = null_h_tails(np.array(counts, dtype=np.uint64), range(m + 1))
         assert len(tails) == m + 1
+        reference = reference_null_h_tails(np.array(counts, dtype=np.uint64), range(m + 1))
+        assert all(np.array_equal(a, b) for a, b in zip(tails, reference, strict=True))
         for n, tail in enumerate(tails):
             assert tail.shape == (min(n, cap),)
             if m <= 8:
@@ -286,6 +315,31 @@ class TestNullHTails:
             upto = min(n, cap)
             expected = stats.hypergeom.sf(k[:upto] - 1, counts.size, marked[:upto], n)
             assert np.max(np.abs(tail - expected)) < 1e-12
+
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            np.random.default_rng(40).integers(100, 10_001, size=40),  # 40 sizes uniform on 100..10000
+            # the 303 distinct sizes among 4000 quantiles of a power law on 20..2000
+            np.unique(np.rint((20**-1.5 - np.linspace(0, 1, 4000) * (20**-1.5 - 2000**-1.5)) ** (-1 / 1.5))),
+        ],
+        ids=["40-uniform", "power-law"],
+    )
+    def test_bit_identical_to_reference_on_a_large_pool(self, sizes):
+        # 200k Pareto (alpha = 1.5) citation counts, as the benchmark inputs draw them
+        rng = np.random.default_rng(12)
+        counts = np.floor((1.0 - rng.random(200_000)) ** (-1 / 1.5) - 1.0).astype(np.uint64)
+        sizes = sizes.astype(int).tolist()
+        tails = null_h_tails(counts, sizes)
+        assert all(np.array_equal(a, b) for a, b in zip(tails, reference_null_h_tails(counts, sizes), strict=True))
+
+    def test_size_outside_the_pool_rejected(self):
+        counts = np.array([5, 5], dtype=np.uint64)
+        for size in (-1, 3):
+            with pytest.raises(ValueError, match=f"block size {size} is outside 0..2"):
+                null_h_tails(counts, [size])
+        assert [t.tolist() for t in null_h_tails(counts, [0, 2])] == [[], [1.0, 1.0]]
 
 
 class TestResultValidation:

@@ -138,6 +138,15 @@ class TestFitPowerLaw:
         with pytest.raises(FitError, match="sizes must be >= 1, got nan"):
             fit_power_law([10, math.nan, 1000], [2, 5, 8])
 
+    def test_non_finite_points_rejected(self):
+        # an infinite h or size once gave beta nan with r^2 1.0
+        with pytest.raises(FitError, match=r"must be finite, got N = 1000\.0, h = inf"):
+            fit_power_law([10, 100, 1000], [1, 2, math.inf])
+        with pytest.raises(FitError, match=r"must be finite, got N = inf, h = 3\.0"):
+            fit_power_law([10, 100, math.inf], [1, 2, 3])
+        with pytest.raises(FitError, match=r"must be finite, got N = 100\.0, h = nan"):
+            fit_power_law([10, 100, 1000], [1, math.nan, 3])
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(FitError, match="equal length"):
             fit_power_law([10, 100, 1000], [2, 5, 8, 9])
