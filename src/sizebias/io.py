@@ -140,11 +140,10 @@ def _parse_count(text: str, lineno: int, field: str, problems: list[str], cap: i
 
 
 def _plain_lines(data: bytes) -> tuple[np.ndarray, list[int], list[int], list[int]] | None:
-    """The counts of a plain publications file (see _read_plain_publications)
-    from its bytes, header checked, and its runs of lines with one "id,name,"
-    prefix: each run's first line (and the line count last), and where its
-    prefix starts and ends (at its second comma).  None if a line is not plain.
-    """
+    """Counts of a header-checked plain publications file (see
+    _read_plain_publications), and its runs of lines with one "id,name,"
+    prefix: their first lines, then the line count, and where each run's
+    prefix starts and ends (its second comma); None if a line is not plain."""
     buf = np.frombuffer(data, dtype=np.uint8)
     newlines = np.flatnonzero(buf == ord("\n"))
     commas = np.flatnonzero(buf == ord(","))[2:]  # the header holds the first two
@@ -163,12 +162,15 @@ def _plain_lines(data: bytes) -> tuple[np.ndarray, list[int], list[int], list[in
             return None
         np.multiply(counts, 10, out=counts, where=live)
         np.add(counts, digit, out=counts, where=live)
-    # read past its end, a prefix repeats its closing comma
+    # read past its end, a prefix repeats its closing comma; past 32 bytes two
+    # prefixes are compared whole, so a long name costs its lines, not a pass
     length = second - starts
     same = length[1:] == length[:-1]
-    for j in range(int(length.max())):
+    for j in range(min(int(length.max()), 32)):
         column = buf[np.minimum(starts + j, second)]
         same &= column[1:] == column[:-1]
+    for i in np.flatnonzero(same & (length[1:] > 32)).tolist():
+        same[i] = data[starts[i + 1] : second[i + 1]] == data[starts[i] : second[i]]
     runs = np.flatnonzero(np.concatenate(([True], ~same)))
     return counts, runs.tolist() + [starts.size], starts[runs].tolist(), second[runs].tolist()
 
@@ -221,8 +223,7 @@ def read_publications(path: str | Path) -> Dataset:
 
 
 def _read_publication_lines(path: str | Path) -> Dataset:
-    """read_publications, one CSV row at a time: the reader of every file
-    and the source of every IngestError."""
+    """read_publications one CSV row at a time; the source of every IngestError."""
     problems: list[str] = []
     names: dict[str, str] = {}
     citations: dict[str, list[int]] = {}

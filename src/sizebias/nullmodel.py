@@ -205,8 +205,7 @@ def null_h_tails(pool_counts: np.ndarray, sizes: Sequence[int]) -> list[np.ndarr
         hi = np.minimum(np.minimum(n, K), np.ceil(mean + 12.0 * sd + 12.0))
         tail = (lo >= k).astype(float)
         inside = np.flatnonzero((lo < k) & (k <= hi))
-        # as wide as the widest window of all the levels, inside or not: the
-        # width sets how the sums below pair their terms, hence their last bits
+        # the widest window of all levels sets the width, and so the sums' last bits
         x = lo[inside, None] + np.arange(int((hi - lo).max(initial=0)) + 1)
         K, top = K[inside, None], hi[inside, None]
         step = x < top

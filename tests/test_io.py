@@ -176,7 +176,7 @@ HEADER = b"unit_id,unit_name,citations\n"
 BOM = b"\xef\xbb\xbf"
 # Pieces of a publications file: plain ones, which the columnar reader
 # accepts, and odd ones, each of which sends a file to the line reader.
-PLAIN_IDS = [b"a", b"b", b"u1", "é".encode()]
+PLAIN_IDS = [b"a", b"b", b"u1", "é".encode(), b"v" * 40 + b"1", b"v" * 40 + b"2"]  # long ids differ late
 ODD_IDS = [b"", b" a", b"a ", "\xa0a".encode(), b"a,b", b'"a"']
 PLAIN_NAMES = [b"A", b"", "Ünï 中".encode(), b"x\x00y", b" B "]
 ODD_NAMES = [b'q"t', b"c,d", b"\xff", b"x\ry"]
@@ -236,7 +236,9 @@ class TestColumnarReader:
     @example(HEADER)
     @example(BOM + HEADER)
     @example(HEADER + b"a,A,1\nb,B,2\na,A,3\n")  # one unit in two runs
+    @example(HEADER + b"%s1,L,1\n%s2,L,2\n%s2,L,3\n" % (b"v" * 40, b"v" * 40, b"v" * 40))  # prefixes past 32 bytes
     @example(HEADER + b"a,A,1\na,B,2\n")  # a renamed unit
+    @example(HEADER + b"a,%s1,1\na,%s2,2\n" % (b"N" * 29, b"N" * 29))  # renamed in a prefix's 32nd byte
     @example(HEADER + "é,Ünï,1\nb,x\x00y,2\n".encode())
     @example(HEADER + b'a,"A",1\n')
     @example(HEADER + b"a,A,1\r\n")

@@ -316,7 +316,6 @@ class TestNullHTails:
             expected = stats.hypergeom.sf(k[:upto] - 1, counts.size, marked[:upto], n)
             assert np.max(np.abs(tail - expected)) < 1e-12
 
-
     @pytest.mark.parametrize(
         "sizes",
         [
