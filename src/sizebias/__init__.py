@@ -1,17 +1,15 @@
 """Size bias of the group h-index: null models, scaling fits, and
 size-normalized rankings."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .combinatorics import (
-    BasketSpec,
     PoolSpec,
     count_distribution,
     hypergeom_pmf,
     most_likely_black_count,
-    share_distribution,
 )
-from .model import Dataset, Unit, group_h_index, group_h_indices, h_index
+from .model import Dataset, Unit, group_h_indices, h_index
 from .nullmodel import (
     ReshuffleConfig,
     ReshuffleResult,
@@ -27,7 +25,6 @@ from .scaling import (
     exact_benchmark,
     fit_power_law,
     normalized_scores,
-    slope_significance,
 )
 from .synth import (
     CitationModel,
@@ -41,7 +38,6 @@ from .synth import (
 
 __all__ = [
     "__version__",
-    "BasketSpec",
     "Benchmark",
     "CitationModel",
     "Dataset",
@@ -59,7 +55,6 @@ __all__ = [
     "exact_benchmark",
     "fit_power_law",
     "generation_stream",
-    "group_h_index",
     "group_h_indices",
     "h_index",
     "hypergeom_pmf",
@@ -69,7 +64,5 @@ __all__ = [
     "run_null_model",
     "sample_citations",
     "sample_sizes",
-    "share_distribution",
-    "slope_significance",
     "verify_beta_relation",
 ]

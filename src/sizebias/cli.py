@@ -39,7 +39,6 @@ from .scaling import (
     exact_benchmark,
     fit_power_law,
     normalized_scores,
-    slope_significance,
 )
 from .synth import CitationModel, SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
 
@@ -50,7 +49,6 @@ EXIT_COMPUTE = 4
 EXIT_IO = 5
 
 DEFAULT_REPLICATES = 200
-DEFAULT_ALPHA_LEVEL = 0.01
 DEFAULT_POOL_SIZE = 4000
 DEFAULT_BLACK = 2120
 DEFAULT_BASKET_SIZES = tuple(range(10, 101, 10))
@@ -86,9 +84,6 @@ def _checked(
 _positive_int = _checked(int, "an integer", lambda v: v >= 1, "must be >= 1, got {value}")
 _nonneg_int = _checked(int, "an integer", lambda v: v >= 0, "must be >= 0, got {value}")
 _seed = _checked(int, "an integer", lambda v: 0 <= v < 2**64, "seed must fit in an unsigned 64-bit integer")
-_alpha_level = _checked(
-    float, "a number", lambda v: 0.0 < v < 1.0, "significance level must be in (0, 1), got {value}"
-)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -144,17 +139,6 @@ def _print_table(header: tuple[str, ...], rows: list[tuple]) -> None:
         print("  ".join(v.rjust(widths[i]) if v.lstrip("-").isdigit() else v.ljust(widths[i]) for i, v in enumerate(row)).rstrip())
 
 
-def _fit_report(fit, alpha_level: float) -> dict:
-    """The curve keys plus the t-test of the slope, for `fit`, whose points
-    are samples; the exact benchmark curve carries no test."""
-    payload = io.fit_payload(fit)
-    payload["beta_stderr"] = fit.beta_stderr
-    payload["p_value"] = fit.p_value
-    payload["alpha_level"] = alpha_level
-    payload["significant"] = slope_significance(fit, alpha_level)
-    return payload
-
-
 def cmd_hindex(args: argparse.Namespace) -> int:
     dataset = io.read_publications(args.input)
     h = group_h_indices(dataset).tolist()
@@ -162,14 +146,13 @@ def cmd_hindex(args: argparse.Namespace) -> int:
     if args.out_dir:
         out = _ensure_out_dir(args.out_dir)
         io.write_hindex_csv(rows, out / "hindex.csv")
-        io.write_manifest(
-            io.build_manifest("hindex", args.argv, input_path=args.input),
-            out / "manifest.json",
-        )
+        io.write_json(io.build_manifest("hindex", args.argv, input_path=args.input), out / "manifest.json")
     if args.format == "csv":
-        print(",".join(io.HINDEX_HEADER))
-        for row in rows:
-            print(",".join(str(v) for v in row))
+        import csv
+
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(io.HINDEX_HEADER)
+        writer.writerows(rows)
     else:
         _print_table(io.HINDEX_HEADER, rows)
     return EXIT_OK
@@ -186,7 +169,7 @@ def cmd_null_model(args: argparse.Namespace) -> int:
     out = _ensure_out_dir(args.out_dir)
     io.write_samples_csv(result, out / "reshuffle_samples.csv")
     io.write_json(io.reshuffle_summary_payload(result, rho), out / "reshuffle_summary.json")
-    io.write_manifest(
+    io.write_json(
         io.build_manifest(
             "null-model", args.argv, input_path=args.input, seed=args.seed, replicates=args.replicates
         ),
@@ -210,13 +193,19 @@ def cmd_fit(args: argparse.Namespace) -> int:
         sizes, h, n_excluded, samples = io.read_samples(args.input)
         display, digest = str(samples), io.file_sha256(samples)
     fit = fit_power_law(sizes, h)
-    payload = _fit_report(fit, args.alpha_level)
-    payload["source"] = f"{args.source}:{display}"
-    payload["n_excluded_zero_h"] = n_excluded
+    # the curve keys plus the t-test of the slope, whose points are samples;
+    # the exact benchmark curve carries no test
+    payload = {
+        **io.fit_payload(fit),
+        "beta_stderr": fit.beta_stderr,
+        "p_value": fit.p_value,
+        "source": f"{args.source}:{display}",
+        "n_excluded_zero_h": n_excluded,
+    }
     if args.out_dir:
         out = _ensure_out_dir(args.out_dir)
         io.write_json(payload, out / "fit_report.json")
-        io.write_manifest(
+        io.write_json(
             io.build_manifest("fit", args.argv, input_path=display, input_sha256=digest),
             out / "manifest.json",
         )
@@ -229,7 +218,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         print(f"r_squared       {fit.r_squared:.6f}")
         print(f"n_points        {fit.n_points}")
         print(f"log10_prefactor {fit.log10_prefactor:.6f}")
-        print(f"significant at alpha={args.alpha_level:g}: {'yes' if payload['significant'] else 'no'}")
         if n_excluded:
             print(f"excluded {n_excluded} h=0 points")
     return EXIT_OK
@@ -254,7 +242,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     out = _ensure_out_dir(args.out_dir)
     io.write_benchmark_csv(rows, out / "benchmark.csv")
     io.write_json(io.fit_payload(benchmark.fit), out / "benchmark_fit.json")
-    io.write_manifest(io.build_manifest("benchmark", args.argv, input_path=args.input), out / "manifest.json")
+    io.write_json(io.build_manifest("benchmark", args.argv, input_path=args.input), out / "manifest.json")
     print(f"benchmark from the exact null model: beta={benchmark.fit.beta:.4f}, ranking key {args.rank_key}")
     print(f"wrote benchmark.csv and benchmark_fit.json to {out}")
     return EXIT_OK
@@ -276,7 +264,7 @@ def cmd_toy_balls(args: argparse.Namespace) -> int:
     for k in args.basket_sizes:
         rows = [(k1, k1 / k, prob) for k1, prob in count_distribution(pool, k)]
         io.write_distribution_csv(rows, out / f"toy_balls_k{k:03d}.csv")
-    io.write_manifest(io.build_manifest("toy-balls", args.argv), out / "manifest.json")
+    io.write_json(io.build_manifest("toy-balls", args.argv), out / "manifest.json")
     print(
         f"wrote {len(args.basket_sizes)} distribution tables "
         f"(pool {pool.total}, black {pool.black}) to {out}"
@@ -326,7 +314,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out = _ensure_out_dir(args.out_dir)
     path = out / "publications.csv"
     io.write_publications(dataset, path)
-    io.write_manifest(
+    io.write_json(
         io.build_manifest("synth", args.argv, input_path=input_display, input_sha256=digest, seed=args.seed),
         out / "manifest.json",
     )
@@ -358,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="power-law fit of h against N")
     p.add_argument("input", help="summary CSV, bundled:NAME, or a null-model output directory")
     p.add_argument("--source", choices=("summary", "null-model"), default="summary")
-    p.add_argument("--alpha-level", type=_alpha_level, default=DEFAULT_ALPHA_LEVEL)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--out-dir", help="also write fit_report.json and manifest.json here")
     p.set_defaults(func=cmd_fit)

@@ -34,15 +34,11 @@ class PoolSpec:
         return self.black / self.total
 
 
-@dataclass(frozen=True)
-class BasketSpec:
-    """Size of one draw (without replacement) from the pool."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError("basket size must be nonnegative")
+def _check_basket(pool: PoolSpec, k: int) -> None:
+    if k < 0:
+        raise ValueError(f"basket size must be nonnegative, got {k}")
+    if k > pool.total:
+        raise ValueError(f"basket size {k} exceeds pool size {pool.total}")
 
 
 def _check_draw(pool: PoolSpec, black_drawn: int, white_drawn: int) -> None:
@@ -58,16 +54,15 @@ def count_combinations(pool: PoolSpec, black_drawn: int, white_drawn: int) -> in
     return math.comb(pool.black, black_drawn) * math.comb(pool.white, white_drawn)
 
 
-def hypergeom_pmf(pool: PoolSpec, basket: BasketSpec, black_drawn: int) -> float:
-    """Probability that a basket of the given size holds exactly
+def hypergeom_pmf(pool: PoolSpec, basket_size: int, black_drawn: int) -> float:
+    """Probability that a basket of `basket_size` balls holds exactly
     `black_drawn` black balls.
 
     Splits that cannot occur (more black than the pool holds, or not
     enough white to fill the rest of the basket) get probability 0.
     """
-    k = basket.size
-    if k > pool.total:
-        raise ValueError(f"basket size {k} exceeds pool size {pool.total}")
+    k = basket_size
+    _check_basket(pool, k)
     if not 0 <= black_drawn <= k:
         raise ValueError(f"black draw {black_drawn} out of range [0, {k}]")
     white_drawn = k - black_drawn
@@ -79,9 +74,8 @@ def hypergeom_pmf(pool: PoolSpec, basket: BasketSpec, black_drawn: int) -> float
 def count_distribution(pool: PoolSpec, basket_size: int) -> list[tuple[int, float]]:
     """Full PMF over the number of black balls in one basket: hypergeom_pmf
     for every count, over one shared denominator."""
-    k = BasketSpec(basket_size).size
-    if k > pool.total:
-        raise ValueError(f"basket size {k} exceeds pool size {pool.total}")
+    k = basket_size
+    _check_basket(pool, k)
     lo, hi = max(0, k - pool.white), min(k, pool.black)
     total = math.comb(pool.total, k)
     return [
@@ -90,22 +84,14 @@ def count_distribution(pool: PoolSpec, basket_size: int) -> list[tuple[int, floa
     ]
 
 
-def share_distribution(pool: PoolSpec, basket_size: int) -> list[tuple[float, float]]:
-    """count_distribution with the abscissa rescaled to the black share."""
-    if basket_size < 1:
-        raise ValueError("share of an empty basket is undefined")
-    return [(k1 / basket_size, p) for k1, p in count_distribution(pool, basket_size)]
-
-
 def most_likely_black_count(pool: PoolSpec, basket_size: int) -> int:
     """Mode of the distribution; on a tie, the smallest count wins.
 
     Compared on exact counts, so two probabilities that round to the same
     float cannot tie by accident.
     """
-    k = BasketSpec(basket_size).size
-    if k > pool.total:
-        raise ValueError(f"basket size {k} exceeds pool size {pool.total}")
+    k = basket_size
+    _check_basket(pool, k)
     # max keeps the first of equal keys, so the smallest count wins a tie
     return max(
         range(max(0, k - pool.white), min(k, pool.black) + 1),

@@ -10,7 +10,6 @@ target and renamed over it, so a failed write never leaves a partial file.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import json
 import os
@@ -77,20 +76,6 @@ class SummaryRow:
     h_index: int
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written next to every report."""
-
-    command: str
-    argv: tuple[str, ...]
-    input_path: str | None
-    input_sha256: str | None
-    seed: int | None
-    replicates: int | None
-    tool_version: str
-    created_utc: str
-
-
 def _csv_rows(
     path: str | Path, expected: tuple[str, ...], other: tuple[str, ...] | None = None
 ) -> Iterator[tuple[int, list[str]]]:
@@ -122,6 +107,8 @@ def _csv_rows(
                     yield reader.line_num, row
     except UnicodeDecodeError as exc:
         raise IngestError(path, [f"not valid UTF-8: {exc}"]) from exc
+    except csv.Error as exc:  # such as a field past csv's size limit
+        raise IngestError(path, [f"line {reader.line_num}: {exc}"]) from exc
 
 
 def _parse_count(text: str, lineno: int, field: str, problems: list[str], cap: int = MAX_CITATIONS) -> int | None:
@@ -487,26 +474,21 @@ def build_manifest(
     seed: int | None = None,
     replicates: int | None = None,
     created_utc: str | None = None,
-) -> RunManifest:
+) -> dict:
+    """Reproducibility record written next to every report, as a JSON object."""
     if created_utc is None:
         from datetime import datetime, timezone
 
         created_utc = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     if input_sha256 is None and input_path is not None:
         input_sha256 = file_sha256(input_path)
-    return RunManifest(
-        command=command,
-        argv=tuple(str(a) for a in argv),
-        input_path=None if input_path is None else str(input_path),
-        input_sha256=input_sha256,
-        seed=seed,
-        replicates=replicates,
-        tool_version=__version__,
-        created_utc=created_utc,
-    )
-
-
-def write_manifest(manifest: RunManifest, path: str | Path) -> None:
-    payload = dataclasses.asdict(manifest)
-    payload["argv"] = list(manifest.argv)
-    write_json(payload, path)
+    return {
+        "command": command,
+        "argv": [str(a) for a in argv],
+        "input_path": None if input_path is None else str(input_path),
+        "input_sha256": input_sha256,
+        "seed": seed,
+        "replicates": replicates,
+        "tool_version": __version__,
+        "created_utc": created_utc,
+    }

@@ -119,11 +119,6 @@ def h_index(citations: Iterable[int] | np.ndarray) -> int:
     return int(h_from_tally(tally[np.newaxis])[0])
 
 
-def group_h_index(unit: Unit) -> int:
-    """h-index of the unit's pooled citation counts."""
-    return h_index(unit.citations)
-
-
 def _tally_keys(dataset: Dataset) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """Unit sizes, the pool's h, H, and for every pooled paper in unit
     order the start of its unit's row and its citation count capped at H,

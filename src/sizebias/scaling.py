@@ -141,26 +141,6 @@ def _t_tail(t: float, dof: int) -> float:
     return 1.0 - tail if swap else tail
 
 
-def slope_significance(fit: PowerLawFit, alpha: float = 0.01) -> bool:
-    """True iff the slope differs from zero at the given level."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"significance level must be in (0, 1), got {alpha}")
-    return fit.p_value < alpha
-
-
-def _flat_fit(log10_h_values: np.ndarray) -> PowerLawFit:
-    # All valid points share one size: the curve degenerates to the best
-    # constant, which still benchmarks every unit identically.
-    return PowerLawFit(
-        beta=0.0,
-        log10_prefactor=float(np.mean(log10_h_values)),
-        beta_stderr=0.0,
-        p_value=1.0,
-        r_squared=0.0,
-        n_points=int(log10_h_values.size),
-    )
-
-
 def build_benchmark(result: ReshuffleResult) -> Benchmark:
     """Per-unit null mean/sd plus a power-law fit through every replicate
     point, all replicates pooled together with equal weight."""
@@ -177,7 +157,10 @@ def build_benchmark(result: ReshuffleResult) -> Benchmark:
     if kept_h.size >= 3 and np.unique(kept_n).size >= 2:
         fit = fit_power_law(kept_n, kept_h)
     elif kept_h.size >= 1:
-        fit = _flat_fit(np.log10(kept_h.astype(float)))
+        # one size, or too few points for a slope: x = 0 fixes the slope at 0,
+        # so the curve is the best constant and benchmarks every unit alike
+        y = np.log10(kept_h.astype(float))
+        fit = _line_fit(np.zeros_like(y), y, np.ones_like(y), None)
     else:
         raise FitError("every replicate point has h = 0; nothing to benchmark")
 

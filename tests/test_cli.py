@@ -22,7 +22,7 @@ from sizebias.io import (
     write_json,
     write_samples_csv,
 )
-from sizebias.model import group_h_index
+from sizebias.model import h_index
 from sizebias.nullmodel import ReshuffleResult
 from sizebias.synth import CitationModel, SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
 
@@ -77,6 +77,18 @@ class TestTopLevel:
         assert main(["--version"]) == 0
         assert "sizebias" in capsys.readouterr().out
 
+    def test_project_version_is_the_package_version(self):
+        # pyproject.toml reads its version from sizebias.__version__, the one place it is written
+        import warnings
+
+        from setuptools.config.pyprojecttoml import read_configuration
+
+        pyproject = Path(sizebias.__file__).parents[2] / "pyproject.toml"
+        with warnings.catch_warnings():  # setuptools may call its [tool.setuptools] support beta
+            warnings.simplefilter("ignore")
+            config = read_configuration(pyproject, expand=True)
+        assert config["project"]["version"] == sizebias.__version__ == "0.7.0"
+
     def test_missing_positional(self, capsys):
         assert main(["hindex"]) == 2
         capsys.readouterr()
@@ -86,7 +98,7 @@ class TestTopLevel:
         expected = {
             "hindex": {"input", "--format", "--out-dir"},
             "null-model": {"input", "--replicates", "--seed", "--out-dir"},
-            "fit": {"input", "--source", "--alpha-level", "--format", "--out-dir"},
+            "fit": {"input", "--source", "--format", "--out-dir"},
             "benchmark": {"input", "--replicates", "--seed", "--rank-key", "--out-dir"},
             "toy-balls": {"--pool-size", "--black", "--basket-sizes", "--out-dir"},
             "synth": {
@@ -173,12 +185,29 @@ class TestHindex:
         rows = read_rows(out / "hindex.csv")
         dataset = read_publications(tiny_pubs)
         expected = [["unit_id", "N", "h"]] + [
-            [u.id, str(u.productivity), str(group_h_index(u))] for u in dataset.units
+            [u.id, str(u.productivity), str(h_index(u.citations))] for u in dataset.units
         ]
         assert rows == expected
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["command"] == "hindex"
         assert manifest["seed"] is None
+
+    def test_csv_stdout_quotes_like_the_report_file(self, tmp_path, capsys):
+        path = tmp_path / "quoted.csv"
+        path.write_text('unit_id,unit_name,citations\n"a,b",AB,5\n"a,b",AB,2\nc,"Gamma ""G""",1\n', encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["hindex", str(path), "--format", "csv", "--out-dir", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.encode("utf-8") == (out / "hindex.csv").read_bytes()
+        assert stdout.splitlines()[1] == '"a,b",2,2'
+
+    def test_field_past_csv_limit_is_ingest_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text(f'unit_id,unit_name,citations\na,A,3\nb,"{"x" * 200_000}",4\n', encoding="utf-8")
+        assert main(["hindex", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "line 3: field larger than field limit" in err
+        assert "Traceback" not in err
 
     def test_unwritable_out_dir_is_io_error(self, tiny_pubs, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -284,8 +313,7 @@ class TestFit:
         assert payload["r_squared"] == pytest.approx(1.0, abs=1e-12)
         assert payload["n_points"] == 8
         assert payload["n_excluded_zero_h"] == 0
-        assert payload["significant"] is True
-        assert payload["alpha_level"] == 0.01
+        assert payload["p_value"] < 0.01
         assert payload["source"] == f"summary:{path}"
 
     def test_table_output(self, tmp_path, capsys):
@@ -293,7 +321,8 @@ class TestFit:
         assert main(["fit", str(path)]) == 0
         out = capsys.readouterr().out
         assert "beta            0.500000" in out
-        assert "significant at alpha=0.01: yes" in out
+        assert "p_value" in out
+        assert "significant" not in out
 
     def test_report_files(self, tmp_path, capsys):
         path = self.exact_summary(tmp_path)
@@ -303,7 +332,7 @@ class TestFit:
         payload = json.loads((out / "fit_report.json").read_text(encoding="utf-8"))
         assert set(payload) == {
             "beta", "log10_prefactor", "r_squared", "n_points", "beta_stderr", "p_value",
-            "alpha_level", "significant", "source", "n_excluded_zero_h",
+            "source", "n_excluded_zero_h",
         }
         assert payload["beta"] == pytest.approx(0.5, abs=1e-12)
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
@@ -317,7 +346,6 @@ class TestFit:
             assert main(["fit", f"bundled:{name}", "--format", "json"]) == 0
             payload = json.loads(capsys.readouterr().out)
             assert payload["n_points"] == n_points
-            assert payload["significant"] is True
             assert payload["p_value"] == pytest.approx(p_value, rel=1e-12, abs=0)
 
     def test_unknown_bundled_name(self, capsys):
@@ -378,10 +406,12 @@ class TestFit:
         assert "error:" in capsys.readouterr().err
 
     def test_bad_alpha_level(self, tmp_path, capsys):
+        # fit has no --alpha-level since 0.7.0, so every value is a usage error
         path = self.exact_summary(tmp_path)
-        assert main(["fit", str(path), "--alpha-level", "1.5"]) == 2
-        assert main(["fit", str(path), "--alpha-level", "0"]) == 2
-        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(["fit", str(path), "--alpha-level", "0.05", "--out-dir", str(out)]) == 2
+        assert "--alpha-level" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # benchmark.csv of TestBenchmark.test_undefined_z_ranks_last's input as

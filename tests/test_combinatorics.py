@@ -7,13 +7,11 @@ from fractions import Fraction
 import pytest
 
 from sizebias.combinatorics import (
-    BasketSpec,
     PoolSpec,
     count_combinations,
     count_distribution,
     hypergeom_pmf,
     most_likely_black_count,
-    share_distribution,
 )
 
 
@@ -57,7 +55,7 @@ class TestHypergeomPmf:
                             1 for b in baskets if sum(1 for i in b if i < black) == k1
                         )
                         expected = Fraction(matching, len(baskets))
-                        got = hypergeom_pmf(pool, BasketSpec(draw), k1)
+                        got = hypergeom_pmf(pool, draw, k1)
                         assert got == float(expected)
 
     def test_rational_oracle_medium_pools(self):
@@ -65,56 +63,54 @@ class TestHypergeomPmf:
             pool = PoolSpec(black=black, white=white)
             for k1 in range(0, draw + 1):
                 expected = float(exact_pmf(black, white, draw, k1))
-                assert hypergeom_pmf(pool, BasketSpec(draw), k1) == expected
+                assert hypergeom_pmf(pool, draw, k1) == expected
 
     def test_large_pool_spot_values(self):
         pool = PoolSpec(black=2120, white=4000 - 2120)
-        basket = BasketSpec(100)
         for k1 in (0, 10, 53, 90, 100):
             expected = float(exact_pmf(2120, 1880, 100, k1))
-            assert hypergeom_pmf(pool, basket, k1) == expected
+            assert hypergeom_pmf(pool, 100, k1) == expected
 
     def test_thousand_ball_basket_spot_values(self):
         pool = PoolSpec(black=2120, white=1880)
-        basket = BasketSpec(1000)
         for k1 in (0, 120, 400, 530, 600, 800, 1000):
             expected = float(exact_pmf(2120, 1880, 1000, k1))
-            assert hypergeom_pmf(pool, basket, k1) == expected
+            assert hypergeom_pmf(pool, 1000, k1) == expected
 
     def test_subnormal_probability_is_kept(self):
         # 1 / C(1030, 515) is below the smallest normal float but representable
         pool = PoolSpec(black=515, white=515)
-        p = hypergeom_pmf(pool, BasketSpec(515), 515)
+        p = hypergeom_pmf(pool, 515, 515)
         assert p == 3.496941992245984e-309
         assert p == float(exact_pmf(515, 515, 515, 515))
 
     def test_sums_to_one(self):
         for black, white, draw in [(2120, 1880, 100), (5, 5, 5), (0, 9, 4), (7, 0, 3)]:
             pool = PoolSpec(black=black, white=white)
-            total = sum(hypergeom_pmf(pool, BasketSpec(draw), k1) for k1 in range(draw + 1))
+            total = sum(hypergeom_pmf(pool, draw, k1) for k1 in range(draw + 1))
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_impossible_splits_are_zero(self):
         pool = PoolSpec(black=2, white=3)
-        assert hypergeom_pmf(pool, BasketSpec(4), 3) == 0.0
-        assert hypergeom_pmf(pool, BasketSpec(4), 0) == 0.0
+        assert hypergeom_pmf(pool, 4, 3) == 0.0
+        assert hypergeom_pmf(pool, 4, 0) == 0.0
 
     def test_underflow_truncates_to_zero(self):
         # 1 / C(4000, 2000) is about 1e-1202, below every subnormal float
         pool = PoolSpec(black=2000, white=2000)
-        assert hypergeom_pmf(pool, BasketSpec(2000), 0) == 0.0
+        assert hypergeom_pmf(pool, 2000, 0) == 0.0
 
     def test_draw_larger_than_pool_rejected(self):
         pool = PoolSpec(black=2, white=3)
         with pytest.raises(ValueError):
-            hypergeom_pmf(pool, BasketSpec(6), 2)
+            hypergeom_pmf(pool, 6, 2)
 
     def test_black_drawn_out_of_basket_rejected(self):
         pool = PoolSpec(black=5, white=5)
         with pytest.raises(ValueError):
-            hypergeom_pmf(pool, BasketSpec(3), 4)
+            hypergeom_pmf(pool, 3, 4)
         with pytest.raises(ValueError):
-            hypergeom_pmf(pool, BasketSpec(3), -1)
+            hypergeom_pmf(pool, 3, -1)
 
 
 class TestDistributions:
@@ -124,15 +120,6 @@ class TestDistributions:
         dist = count_distribution(pool, 2)
         assert [k1 for k1, _ in dist] == [0, 1, 2]
         assert [p for _, p in dist] == [1 / 6, 2 / 3, 1 / 6]
-
-    def test_share_distribution_matches_counts(self):
-        pool = PoolSpec(black=21, white=19)
-        counts = count_distribution(pool, 10)
-        shares = share_distribution(pool, 10)
-        assert len(counts) == len(shares) == 11
-        for (k1, p_count), (share, p_share) in zip(counts, shares):
-            assert share == k1 / 10
-            assert p_share == p_count
 
     def test_default_tables_match_rational_oracle(self):
         pool = PoolSpec(black=2120, white=1880)
@@ -145,7 +132,7 @@ class TestDistributions:
         cases = [(2, 2, 2), (6, 0, 4), (0, 6, 4), (3, 5, 8), (50, 1, 20), (2120, 1880, 1000)]
         for black, white, k in cases:
             pool = PoolSpec(black=black, white=white)
-            expected = [(k1, hypergeom_pmf(pool, BasketSpec(k), k1)) for k1 in range(k + 1)]
+            expected = [(k1, hypergeom_pmf(pool, k, k1)) for k1 in range(k + 1)]
             assert count_distribution(pool, k) == expected
 
     def test_basket_larger_than_pool_rejected(self):
@@ -167,10 +154,6 @@ class TestDistributions:
         dist = count_distribution(PoolSpec(black=0, white=6), 4)
         assert dist[0][1] == 1.0
         assert sum(p for _, p in dist[1:]) == 0.0
-
-    def test_share_needs_positive_basket(self):
-        with pytest.raises(ValueError):
-            share_distribution(PoolSpec(black=2, white=2), 0)
 
 
 class TestMode:
@@ -208,6 +191,11 @@ class TestSpecs:
         assert PoolSpec(black=2120, white=1880).black_share == pytest.approx(0.53)
 
     def test_basket_nonnegative(self):
-        assert BasketSpec(0).size == 0
-        with pytest.raises(ValueError):
-            BasketSpec(-1)
+        pool = PoolSpec(black=2, white=2)
+        assert hypergeom_pmf(pool, 0, 0) == 1.0
+        assert count_distribution(pool, 0) == [(0, 1.0)]
+        assert most_likely_black_count(pool, 0) == 0
+        for call in (lambda: hypergeom_pmf(pool, -1, 0), lambda: count_distribution(pool, -1),
+                     lambda: most_likely_black_count(pool, -1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                call()

@@ -9,7 +9,6 @@ from sizebias.model import (
     MAX_CITATIONS,
     Dataset,
     Unit,
-    group_h_index,
     group_h_indices,
     h_index,
 )
@@ -161,12 +160,12 @@ class TestUnit:
 
     def test_group_h(self):
         unit = make_unit("a", [10, 8, 5, 4, 3])
-        assert group_h_index(unit) == 4
+        assert h_index(unit.citations) == 4
 
     def test_empty_unit(self):
         unit = make_unit("a", [])
         assert unit.productivity == 0
-        assert group_h_index(unit) == 0
+        assert h_index(unit.citations) == 0
 
     def test_citation_counts_dtype(self):
         unit = make_unit("a", [5, 1])
@@ -212,10 +211,10 @@ class TestGroupHIndices:
     def test_match_per_unit_group_h_index(self, per_unit):
         units = tuple(make_unit(f"u{i}", counts) for i, counts in enumerate(per_unit))
         h = group_h_indices(Dataset(name="d", units=units))
-        assert h.tolist() == [group_h_index(u) for u in units]
+        assert h.tolist() == [h_index(u.citations) for u in units]
         # one unit holding the whole pool has the pool's h
         whole = make_unit("all", [c for counts in per_unit for c in counts])
-        assert group_h_indices(Dataset(name="whole", units=(whole,))).tolist() == [group_h_index(whole)]
+        assert group_h_indices(Dataset(name="whole", units=(whole,))).tolist() == [h_index(whole.citations)]
 
     def test_empty_units_score_zero(self):
         units = (make_unit("a", []), make_unit("b", [4, 4, 4]), make_unit("c", []))
@@ -240,4 +239,4 @@ class TestDataset:
         # degenerate citation model: every paper cited exactly c times
         for n, c in [(5, 3), (3, 9), (4, 4), (10, 0)]:
             unit = make_unit("a", [c] * n)
-            assert group_h_index(unit) == min(n, c)
+            assert h_index(unit.citations) == min(n, c)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-from sizebias.combinatorics import BasketSpec, PoolSpec, hypergeom_pmf
-from sizebias.model import MAX_CITATIONS, Dataset, Unit, group_h_index, h_index
+from sizebias.combinatorics import PoolSpec, hypergeom_pmf
+from sizebias.model import MAX_CITATIONS, Dataset, Unit, h_index
 from sizebias.nullmodel import (
     ReshuffleConfig,
     ReshuffleResult,
@@ -144,7 +144,7 @@ class TestRunNullModel:
         result = run_null_model(ds, ReshuffleConfig(master_seed=5, replicates=17), workers=1)
         assert result.unit_ids == ("a", "b", "c")
         assert result.h_samples.shape == (17, 3)
-        assert result.real_h.tolist() == [group_h_index(u) for u in ds.units]
+        assert result.real_h.tolist() == [h_index(u.citations) for u in ds.units]
         assert result.productivities.tolist() == [4, 2, 6]
         assert result.replicates == 17
 
@@ -296,7 +296,7 @@ class TestNullHTails:
             for k in range(1, tail.size + 1):
                 marked = sum(c >= k for c in counts)
                 spec = PoolSpec(black=marked, white=m - marked)
-                exact = math.fsum(hypergeom_pmf(spec, BasketSpec(n), x) for x in range(k, n + 1))
+                exact = math.fsum(hypergeom_pmf(spec, n, x) for x in range(k, n + 1))
                 assert tail[k - 1] == pytest.approx(exact, abs=1e-12)
                 # certain and impossible events are exact
                 if max(0, n + marked - m) >= k:

@@ -22,7 +22,6 @@ from sizebias.scaling import (
     exact_benchmark,
     fit_power_law,
     normalized_scores,
-    slope_significance,
 )
 from sizebias.synth import CitationModel, SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
 
@@ -216,22 +215,12 @@ class TestSlopeSignificance:
     def test_exact_power_law_is_significant(self):
         ns = np.unique(np.geomspace(10, 10**4, 30).astype(int))
         fit = fit_power_law(ns, 2.0 * ns**0.4)
-        assert slope_significance(fit, 0.01) is True
+        assert fit.p_value < 0.01
 
     def test_constant_h_is_not_significant(self):
         fit = fit_power_law([10, 100, 1000], [5, 5, 5])
         assert fit.beta == pytest.approx(0.0, abs=1e-12)
-        assert slope_significance(fit, 0.01) is False
-
-    def test_alpha_out_of_range_rejected(self):
-        fit = fit_power_law(*exact_points())
-        for bad in (0.0, 1.0, -0.2, 1.7):
-            with pytest.raises(ValueError):
-                slope_significance(fit, bad)
-
-    def test_default_alpha(self):
-        fit = fit_power_law(*exact_points())
-        assert slope_significance(fit) is True
+        assert not fit.p_value < 0.01
 
 
 def make_unit(uid, citations):
@@ -288,6 +277,35 @@ class TestBuildBenchmark:
         assert bench.fit.beta == 0.0
         expected = bench.fit.predict_h(result.productivities)
         assert np.ptp(expected) == pytest.approx(0.0, abs=1e-12)
+
+    @staticmethod
+    def samples_result(sizes, h_samples):
+        h = np.array(h_samples)
+        ids = tuple(f"u{i}" for i in range(len(sizes)))
+        return ReshuffleResult(unit_ids=ids, h_samples=h, real_h=h[0].copy(), productivities=np.array(sizes))
+
+    def test_single_size_fit_is_the_mean_log_h(self):
+        h = np.array([[3, 5, 0], [4, 7, 2], [6, 1, 5]])
+        bench = build_benchmark(self.samples_result([30, 30, 30], h))
+        kept = h[h > 0]
+        fit = bench.fit
+        assert (fit.beta, fit.beta_stderr, fit.p_value, fit.n_points) == (0.0, 0.0, 1.0, kept.size)
+        assert fit.log10_prefactor == np.mean(np.log10(kept))
+        assert fit.r_squared == 0.0
+        assert bench.n_excluded_zero_h == 1
+
+    def test_single_size_equal_h_fits_exactly(self):
+        fit = build_benchmark(self.samples_result([30, 30], [[4, 4], [4, 4]])).fit
+        assert (fit.beta, fit.beta_stderr, fit.p_value, fit.n_points) == (0.0, 0.0, 1.0, 4)
+        assert fit.log10_prefactor == np.mean(np.log10([4, 4, 4, 4]))
+        assert fit.r_squared == 1.0
+
+    def test_two_points_over_two_sizes_fit_a_constant(self):
+        # two sizes but only two points with h > 0: too few for a slope
+        fit = build_benchmark(self.samples_result([10, 1000], [[2, 0], [0, 9]])).fit
+        assert (fit.beta, fit.beta_stderr, fit.p_value, fit.n_points) == (0.0, 0.0, 1.0, 2)
+        assert fit.log10_prefactor == np.mean(np.log10([2, 9]))
+        assert fit.r_squared == 0.0
 
     def test_needs_two_replicates(self):
         ds = spread_dataset()
