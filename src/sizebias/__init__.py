@@ -1,7 +1,7 @@
 """Size bias of the group h-index: null models, scaling fits, and
 size-normalized rankings."""
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .combinatorics import (
     PoolSpec,
@@ -10,12 +10,7 @@ from .combinatorics import (
     most_likely_black_count,
 )
 from .model import Dataset, Unit, group_h_indices, h_index
-from .nullmodel import (
-    ReshuffleConfig,
-    ReshuffleResult,
-    mean_spearman_vs_real,
-    run_null_model,
-)
+from .nullmodel import ReshuffleResult, mean_spearman_vs_real, run_null_model
 from .scaling import (
     Benchmark,
     FitError,
@@ -44,7 +39,6 @@ __all__ = [
     "FitError",
     "PoolSpec",
     "PowerLawFit",
-    "ReshuffleConfig",
     "ReshuffleResult",
     "SizeModel",
     "Unit",

@@ -27,12 +27,7 @@ import numpy as np
 from . import __version__, io
 from .combinatorics import PoolSpec, count_distribution
 from .model import group_h_indices
-from .nullmodel import (
-    ReshuffleConfig,
-    mean_spearman_vs_real,
-    resolve_workers,
-    run_null_model,
-)
+from .nullmodel import mean_spearman_vs_real, resolve_workers, run_null_model
 from .scaling import (
     RANKING_KEYS,
     competition_ranks,
@@ -98,15 +93,10 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _workers() -> int:
     raw = os.environ.get("SIZEBIAS_THREADS")
-    if raw is None:
-        return resolve_workers(None)
     try:
-        cap = int(raw)
+        return resolve_workers(None if raw is None else int(raw))
     except ValueError:
-        raise UsageError(f"SIZEBIAS_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise UsageError(f"SIZEBIAS_THREADS must be >= 1, got {cap}")
-    return cap
+        raise UsageError(f"SIZEBIAS_THREADS must be an integer >= 1, got {raw!r}")
 
 
 def _ensure_out_dir(path_text: str) -> Path:
@@ -160,8 +150,7 @@ def cmd_hindex(args: argparse.Namespace) -> int:
 
 def cmd_null_model(args: argparse.Namespace) -> int:
     dataset = io.read_publications(args.input)
-    config = ReshuffleConfig(master_seed=args.seed, replicates=args.replicates)
-    result = run_null_model(dataset, config, workers=_workers())
+    result = run_null_model(dataset, args.seed, args.replicates, workers=_workers())
     try:
         rho = mean_spearman_vs_real(result)
     except ValueError:

@@ -29,10 +29,6 @@ class PoolSpec:
     def total(self) -> int:
         return self.black + self.white
 
-    @property
-    def black_share(self) -> float:
-        return self.black / self.total
-
 
 def _check_basket(pool: PoolSpec, k: int) -> None:
     if k < 0:
@@ -41,17 +37,9 @@ def _check_basket(pool: PoolSpec, k: int) -> None:
         raise ValueError(f"basket size {k} exceeds pool size {pool.total}")
 
 
-def _check_draw(pool: PoolSpec, black_drawn: int, white_drawn: int) -> None:
-    if not 0 <= black_drawn <= pool.black:
-        raise ValueError(f"black draw {black_drawn} out of range [0, {pool.black}]")
-    if not 0 <= white_drawn <= pool.white:
-        raise ValueError(f"white draw {white_drawn} out of range [0, {pool.white}]")
-
-
-def count_combinations(pool: PoolSpec, black_drawn: int, white_drawn: int) -> int:
-    """Exact number of baskets containing exactly this color split."""
-    _check_draw(pool, black_drawn, white_drawn)
-    return math.comb(pool.black, black_drawn) * math.comb(pool.white, white_drawn)
+def _baskets(pool: PoolSpec, black: int, white: int) -> int:
+    """Exact number of baskets of this color split; callers keep it within the pool."""
+    return math.comb(pool.black, black) * math.comb(pool.white, white)
 
 
 def hypergeom_pmf(pool: PoolSpec, basket_size: int, black_drawn: int) -> float:
@@ -68,7 +56,7 @@ def hypergeom_pmf(pool: PoolSpec, basket_size: int, black_drawn: int) -> float:
     white_drawn = k - black_drawn
     if black_drawn > pool.black or white_drawn > pool.white:
         return 0.0
-    return count_combinations(pool, black_drawn, white_drawn) / math.comb(pool.total, k)
+    return _baskets(pool, black_drawn, white_drawn) / math.comb(pool.total, k)
 
 
 def count_distribution(pool: PoolSpec, basket_size: int) -> list[tuple[int, float]]:
@@ -79,7 +67,7 @@ def count_distribution(pool: PoolSpec, basket_size: int) -> list[tuple[int, floa
     lo, hi = max(0, k - pool.white), min(k, pool.black)
     total = math.comb(pool.total, k)
     return [
-        (k1, count_combinations(pool, k1, k - k1) / total if lo <= k1 <= hi else 0.0)
+        (k1, _baskets(pool, k1, k - k1) / total if lo <= k1 <= hi else 0.0)
         for k1 in range(k + 1)
     ]
 
@@ -95,5 +83,5 @@ def most_likely_black_count(pool: PoolSpec, basket_size: int) -> int:
     # max keeps the first of equal keys, so the smallest count wins a tie
     return max(
         range(max(0, k - pool.white), min(k, pool.black) + 1),
-        key=lambda k1: count_combinations(pool, k1, k - k1),
+        key=lambda k1: _baskets(pool, k1, k - k1),
     )

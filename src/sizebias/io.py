@@ -318,13 +318,8 @@ def read_samples(path: str | Path) -> tuple[np.ndarray, np.ndarray, int, Path]:
         if uid not in sizes:
             problems.append(f"line {lineno}: unit {uid!r} missing from the run summary")
             continue
-        try:
-            h = int(row[2])
-        except ValueError:
-            problems.append(f"line {lineno}: h {row[2]!r} is not an integer")
-            continue
-        if h < 0:
-            problems.append(f"line {lineno}: h {h} is negative")
+        h = _parse_count(row[2], lineno, "h", problems)
+        if h is None:
             continue
         if h > 0:
             kept_n.append(sizes[uid])
@@ -387,14 +382,6 @@ def write_publications(dataset: Dataset, path: str | Path) -> None:
                 yield unit.id, unit.name, count
 
     _write_csv(path, PUBLICATIONS_HEADER, rows())
-
-
-def write_summary(rows: Sequence[SummaryRow], path: str | Path) -> None:
-    _write_csv(
-        path,
-        SUMMARY_HEADER,
-        ((r.unit_id, r.unit_name, r.n_publications, r.h_index) for r in rows),
-    )
 
 
 def write_samples_csv(result: ReshuffleResult, path: str | Path) -> None:

@@ -23,20 +23,6 @@ _DEFAULT_WORKER_CAP = 8
 
 
 @dataclass(frozen=True)
-class ReshuffleConfig:
-    """Replicate count and master seed for one null-model run."""
-
-    master_seed: int
-    replicates: int = 200
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.master_seed <= _MAX_SEED:
-            raise ValueError("master_seed must fit in 64 unsigned bits")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-
-
-@dataclass(frozen=True)
 class ReshuffleResult:
     """Per-unit h-index samples across replicates of the null model.
 
@@ -129,10 +115,9 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def run_null_model(
-    dataset: Dataset, config: ReshuffleConfig, workers: int | None = None
-) -> ReshuffleResult:
-    """Run the full reshuffling experiment.
+def run_null_model(dataset: Dataset, seed: int, replicates: int, workers: int | None = None) -> ReshuffleResult:
+    """Run the full reshuffling experiment: `replicates` redistributions,
+    drawn from the master `seed`, an unsigned 64-bit integer.
 
     No block's h can exceed the pool's h, H, so counts are capped at H and
     tallied per unit and level in a (units, H + 1) matrix that gives every
@@ -143,10 +128,14 @@ def run_null_model(
     the pool sends them.  The uncited papers fill the other positions and
     are never tallied (no h reads the level-0 column), so a replicate costs
     the number of cited papers, not the pool size.
-    Replicate r uses the RNG stream keyed by (master_seed, r) and writes
-    exactly one row of the sample matrix, so the result is identical for
-    any worker count or scheduling order.
+    Replicate r uses the RNG stream keyed by (seed, r) and writes exactly
+    one row of the sample matrix, so the result is identical for any worker
+    count or scheduling order.
     """
+    if not 0 <= seed <= _MAX_SEED:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
     workers = resolve_workers(workers)
     prods, cap, slots, levels = _tally_keys(dataset)
     units = prods.size
@@ -158,14 +147,14 @@ def run_null_model(
         return h_from_tally(np.bincount(keys, minlength=units * (cap + 1)).reshape(units, cap + 1))
 
     real_h = h_of(slots[cited])
-    samples = np.empty((config.replicates, units), dtype=np.int64)
+    samples = np.empty((replicates, units), dtype=np.int64)
 
     def one(replicate: int) -> None:
-        rng = replicate_stream(config.master_seed, replicate)
+        rng = replicate_stream(seed, replicate)
         samples[replicate, :] = h_of(slots[rng.choice(levels.size, cited.size, replace=False)])
 
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        list(ex.map(one, range(config.replicates)))
+        list(ex.map(one, range(replicates)))
 
     return ReshuffleResult(
         unit_ids=tuple(u.id for u in dataset.units),

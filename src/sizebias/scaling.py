@@ -234,7 +234,8 @@ def normalized_scores(real_h: ArrayLike, benchmark: Benchmark) -> dict[str, np.n
     return {"h_hat": h_hat, "ratio": ratio, "z": z, "log_residual": log_residual}
 
 
-RANKING_KEYS = ("ratio", "z", "log_residual")
+# log_residual ranks as ratio does, log10 being increasing, so it is no key
+RANKING_KEYS = ("ratio", "z")
 
 
 def competition_ranks(values: ArrayLike) -> list[int]:

@@ -9,6 +9,7 @@ exercised without proprietary citation data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,7 +22,9 @@ from .scaling import exact_benchmark
 # keys 0..replicates-1, so the top 32-bit key can never collide.
 _GENERATION_STREAM = 2**32 - 1
 
-_INT64_MAX = np.iinfo(np.int64).max
+# The largest float below 2**63: float(2**63 - 1) rounds up to 2**63,
+# which wraps to -2**63 in the int64 cast.
+_INT64_CAP = np.nextafter(2.0**63, 0.0)
 
 
 @dataclass(frozen=True)
@@ -34,8 +37,8 @@ class CitationModel:
     def __post_init__(self) -> None:
         if not self.alpha > 0:
             raise ValueError(f"tail exponent must be > 0, got {self.alpha}")
-        if not self.x_min > 0:
-            raise ValueError(f"scale must be > 0, got {self.x_min}")
+        if not (self.x_min > 0 and math.isfinite(self.x_min)):
+            raise ValueError(f"scale must be finite and > 0, got {self.x_min}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ def sample_citations(model: CitationModel, n: int, rng: np.random.Generator) -> 
     values = np.floor(model.x_min * u ** (-1.0 / model.alpha) - model.x_min)
     # Very small alpha can push single draws past int64; the cap is purely
     # representational and unreachable for realistic citation tails.
-    return np.minimum(values, float(_INT64_MAX)).astype(np.int64)
+    return np.minimum(values, _INT64_CAP).astype(np.int64)
 
 
 def sample_sizes(model: SizeModel, units: int, rng: np.random.Generator) -> np.ndarray:

@@ -20,7 +20,6 @@ from sizebias.combinatorics import PoolSpec, count_distribution, most_likely_bla
 from sizebias.io import load_bundled_summary
 from sizebias.model import h_index
 from sizebias.nullmodel import (
-    ReshuffleConfig,
     mean_spearman_vs_real,
     pool,
     replicate_stream,
@@ -210,7 +209,7 @@ def test_criterion_5_null_model_slope_on_paretian_synthetic():
     rng = generation_stream(1)
     sizes = sample_sizes(SizeModel.uniform_floor(100, 10000), 40, rng)
     dataset = build_synthetic_dataset(sizes, CitationModel(alpha=1.5), rng)
-    result = run_null_model(dataset, ReshuffleConfig(master_seed=1, replicates=200))
+    result = run_null_model(dataset, 1, 200)
     benchmark = build_benchmark(result)
     beta = benchmark.fit.beta
     elapsed = time.perf_counter() - t0
@@ -286,7 +285,7 @@ def test_criterion_7_null_ranking_tracks_size_on_real_sizes():
     rng = generation_stream(11)
     sizes = sample_sizes(SizeModel.explicit(table2_sizes()), 40, rng)
     dataset = build_synthetic_dataset(sizes, CitationModel(alpha=1.5), rng)
-    result = run_null_model(dataset, ReshuffleConfig(master_seed=11, replicates=200))
+    result = run_null_model(dataset, 11, 200)
     rho = mean_spearman_vs_real(result)
     elapsed = time.perf_counter() - t0
     ok = rho > 0.6 and elapsed < budget
@@ -311,7 +310,7 @@ def test_criterion_8_normalized_scores_calibrated_on_null_data():
         drawn_sizes = sample_sizes(SizeModel.explicit(sizes), len(sizes), rng)
         base = build_synthetic_dataset(drawn_sizes, CitationModel(alpha=1.5), rng)
         null_draw = reshuffled_dataset(base, replicate_stream(master_seed, 2**32 - 2))
-        result = run_null_model(null_draw, ReshuffleConfig(master_seed=master_seed + 1000, replicates=200))
+        result = run_null_model(null_draw, master_seed + 1000, 200)
         benchmark = build_benchmark(result)
         scores = normalized_scores(result.real_h, benchmark)
         assert np.all(np.isfinite(scores["z"]))

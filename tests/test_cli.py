@@ -87,7 +87,7 @@ class TestTopLevel:
         with warnings.catch_warnings():  # setuptools may call its [tool.setuptools] support beta
             warnings.simplefilter("ignore")
             config = read_configuration(pyproject, expand=True)
-        assert config["project"]["version"] == sizebias.__version__ == "0.7.0"
+        assert config["project"]["version"] == sizebias.__version__ == "0.8.0"
 
     def test_missing_positional(self, capsys):
         assert main(["hindex"]) == 2
@@ -113,6 +113,29 @@ class TestTopLevel:
             for name, sub in commands.items()
         }
         assert options == expected
+        # and every fixed set of values, so a value that goes shows up too
+        choices = {
+            (name, a.option_strings[-1]): tuple(a.choices)
+            for name, sub in commands.items()
+            for a in sub._actions
+            if a.choices is not None
+        }
+        assert choices == {
+            ("hindex", "--format"): ("table", "csv"),
+            ("fit", "--source"): ("summary", "null-model"),
+            ("fit", "--format"): ("table", "json"),
+            ("benchmark", "--rank-key"): ("ratio", "z"),
+            ("synth", "--size-model"): ("powerlaw", "uniform_floor"),
+        }
+
+    def test_public_names(self):
+        assert sorted(sizebias.__all__) == sorted([
+            "__version__", "Benchmark", "CitationModel", "Dataset", "FitError", "PoolSpec", "PowerLawFit",
+            "ReshuffleResult", "SizeModel", "Unit", "build_benchmark", "build_synthetic_dataset",
+            "competition_ranks", "count_distribution", "exact_benchmark", "fit_power_law", "generation_stream",
+            "group_h_indices", "h_index", "hypergeom_pmf", "mean_spearman_vs_real", "most_likely_black_count",
+            "normalized_scores", "run_null_model", "sample_citations", "sample_sizes", "verify_beta_relation",
+        ])
 
     def test_import_does_not_load_scipy(self, tmp_path, run_without_scipy):
         # numpy is the only runtime dependency: importing the CLI and the
@@ -472,6 +495,9 @@ class TestBenchmark:
             ["benchmark", str(synth_run), "--seed", "13", "--rank-key", "bogus", "--out-dir", str(out)]
         ) == 2
         capsys.readouterr()
+        # log10 is increasing, so log_residual ranked as ratio does and is no key
+        assert main(["benchmark", str(synth_run), "--rank-key", "log_residual", "--out-dir", str(out)]) == 2
+        assert "invalid choice: 'log_residual' (choose from 'ratio', 'z')" in capsys.readouterr().err
 
     def test_undefined_z_ranks_last(self, tmp_path, capsys):
         # The pool's h is 2 and 26 of its 33 papers are cited twice, so any 9
@@ -483,7 +509,7 @@ class TestBenchmark:
         lines += [f"{uid},{uid.upper()},{c}" for uid, counts in units.items() for c in counts]
         path = tmp_path / "pubs.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        for key, ranks in (("ratio", "51134"), ("z", "41135"), ("log_residual", "51134")):
+        for key, ranks in (("ratio", "51134"), ("z", "41135")):
             out = tmp_path / key
             assert main(["benchmark", str(path), "--rank-key", key, "--out-dir", str(out)]) == 0
             capsys.readouterr()

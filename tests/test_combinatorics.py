@@ -8,7 +8,6 @@ import pytest
 
 from sizebias.combinatorics import (
     PoolSpec,
-    count_combinations,
     count_distribution,
     hypergeom_pmf,
     most_likely_black_count,
@@ -24,22 +23,6 @@ def exact_pmf(total_black, total_white, draw, black_drawn) -> Fraction:
         math.comb(total_black, black_drawn) * math.comb(total_white, white_drawn),
         math.comb(total_black + total_white, draw),
     )
-
-
-class TestCountCombinations:
-    def test_product_rule(self):
-        pool = PoolSpec(black=6, white=4)
-        for k1 in range(0, 7):
-            for k2 in range(0, 5):
-                expected = math.comb(6, k1) * math.comb(4, k2)
-                assert count_combinations(pool, k1, k2) == expected
-
-    def test_overdraw_rejected(self):
-        pool = PoolSpec(black=2, white=3)
-        with pytest.raises(ValueError):
-            count_combinations(pool, 3, 0)
-        with pytest.raises(ValueError):
-            count_combinations(pool, 0, 4)
 
 
 class TestHypergeomPmf:
@@ -186,9 +169,6 @@ class TestSpecs:
             PoolSpec(black=-1, white=5)
         with pytest.raises(ValueError):
             PoolSpec(black=1, white=-5)
-
-    def test_black_share(self):
-        assert PoolSpec(black=2120, white=1880).black_share == pytest.approx(0.53)
 
     def test_basket_nonnegative(self):
         pool = PoolSpec(black=2, white=2)

@@ -31,10 +31,9 @@ from sizebias.io import (
     write_json,
     write_publications,
     write_samples_csv,
-    write_summary,
 )
 from sizebias.model import MAX_CITATIONS, Dataset, Unit
-from sizebias.nullmodel import ReshuffleConfig, run_null_model
+from sizebias.nullmodel import run_null_model
 from sizebias.scaling import fit_power_law
 
 
@@ -334,7 +333,11 @@ class TestReadSummary:
     def test_round_trip(self, tmp_path):
         rows = [SummaryRow("a", "Alpha", 12, 4), SummaryRow("b", "Beta", 3, 3)]
         path = tmp_path / "s.csv"
-        write_summary(rows, path)
+        path.write_text(
+            "unit_id,unit_name,n_publications,h_index\n"
+            + "".join(f"{r.unit_id},{r.unit_name},{r.n_publications},{r.h_index}\n" for r in rows),
+            encoding="utf-8",
+        )
         assert read_summary(path) == rows
 
     def test_byte_order_mark_accepted(self, tmp_path):
@@ -346,7 +349,7 @@ class TestReadSummary:
 class TestReadSamples:
     @staticmethod
     def run_dir(tmp_path):
-        result = run_null_model(small_dataset(), ReshuffleConfig(master_seed=1, replicates=4), workers=1)
+        result = run_null_model(small_dataset(), 1, 4, workers=1)
         write_samples_csv(result, tmp_path / "reshuffle_samples.csv")
         write_json(reshuffle_summary_payload(result, None), tmp_path / "reshuffle_summary.json")
         return result
@@ -382,7 +385,7 @@ class TestReadSamples:
     def test_problems_list_line_numbers(self, tmp_path):
         self.run_dir(tmp_path)
         (tmp_path / "reshuffle_samples.csv").write_text(
-            "replicate,unit_id,h\n0,a,1\n\n0,zz,1\n0,a,x\n0,b,-1\n0,b\n", encoding="utf-8"
+            f"replicate,unit_id,h\n0,a,1\n\n0,zz,1\n0,a,x\n0,b,-1\n0,b\n0,a,{2**64}\n", encoding="utf-8"
         )
         with pytest.raises(IngestError) as err:
             read_samples(tmp_path)
@@ -391,6 +394,7 @@ class TestReadSamples:
             "line 5: h 'x' is not an integer",
             "line 6: h -1 is negative",
             "line 7: expected 3 fields, got 2",
+            f"line 8: h {2**64} exceeds the supported maximum {MAX_CITATIONS}",
         ]
 
     def test_bad_inputs(self, tmp_path):
@@ -438,7 +442,7 @@ class TestBundledData:
 class TestWriters:
     def test_samples_csv_layout(self, tmp_path):
         ds = small_dataset()
-        result = run_null_model(ds, ReshuffleConfig(master_seed=1, replicates=2), workers=1)
+        result = run_null_model(ds, 1, 2, workers=1)
         path = tmp_path / "samples.csv"
         write_samples_csv(result, path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -519,7 +523,7 @@ class TestPayloads:
 
     def test_reshuffle_summary_payload(self):
         ds = small_dataset()
-        result = run_null_model(ds, ReshuffleConfig(master_seed=1, replicates=5), workers=1)
+        result = run_null_model(ds, 1, 5, workers=1)
         payload = reshuffle_summary_payload(result, 0.5)
         assert payload["n_replicates"] == 5
         assert payload["n_units"] == 2
@@ -532,7 +536,7 @@ class TestPayloads:
 
     def test_reshuffle_summary_payload_undefined_spearman(self):
         ds = small_dataset()
-        result = run_null_model(ds, ReshuffleConfig(master_seed=1, replicates=2), workers=1)
+        result = run_null_model(ds, 1, 2, workers=1)
         payload = reshuffle_summary_payload(result, None)
         assert payload["mean_spearman_vs_real"] is None
 

@@ -14,7 +14,6 @@ from scipy import stats
 from sizebias.combinatorics import PoolSpec, hypergeom_pmf
 from sizebias.model import MAX_CITATIONS, Dataset, Unit, h_index
 from sizebias.nullmodel import (
-    ReshuffleConfig,
     ReshuffleResult,
     _row_average_ranks,
     mean_spearman_vs_real,
@@ -141,7 +140,7 @@ class TestPoolAndBlocks:
 class TestRunNullModel:
     def test_shapes_and_real_h(self):
         ds = toy_dataset()
-        result = run_null_model(ds, ReshuffleConfig(master_seed=5, replicates=17), workers=1)
+        result = run_null_model(ds, 5, 17, workers=1)
         assert result.unit_ids == ("a", "b", "c")
         assert result.h_samples.shape == (17, 3)
         assert result.real_h.tolist() == [h_index(u.citations) for u in ds.units]
@@ -165,7 +164,7 @@ class TestRunNullModel:
 
         ds = Dataset(name="tiny", units=tuple(make_unit(f"u{i}", c) for i, c in enumerate(units)))
         replicates = 20_000
-        samples = run_null_model(ds, ReshuffleConfig(master_seed=2024, replicates=replicates), workers=1).h_samples
+        samples = run_null_model(ds, 2024, replicates, workers=1).h_samples
         observed = np.array([np.all(samples == v, axis=1).sum() for v in vectors])
         assert observed.sum() == replicates  # no row outside the exact support
         expected = exact * replicates / exact.sum()
@@ -181,7 +180,7 @@ class TestRunNullModel:
         cuts = np.split(pooled, np.cumsum(sizes)[:-1])
         ds = Dataset(name="dealt", units=tuple(make_unit(f"u{i}", c) for i, c in enumerate(cuts)))
         replicates = 600
-        fast = run_null_model(ds, ReshuffleConfig(master_seed=5, replicates=replicates), workers=1).h_samples
+        fast = run_null_model(ds, 5, replicates, workers=1).h_samples
         oracle = np.array(
             [
                 [h_index(b) for b in reshuffle_blocks(pooled, sizes, replicate_stream(6, r))]
@@ -210,10 +209,9 @@ class TestRunNullModel:
         # Rows need not equal permute-and-cut on the same stream, only obey
         # what every permute-and-cut row obeys exactly.
         ds = Dataset(name="prop", units=tuple(make_unit(f"u{i}", c) for i, c in enumerate(units)))
-        config = ReshuffleConfig(master_seed=seed, replicates=replicates)
-        result = run_null_model(ds, config, workers=workers)
+        result = run_null_model(ds, seed, replicates, workers=workers)
         assert result.real_h.tolist() == [h_index(c) for c in units]
-        assert np.array_equal(run_null_model(ds, config, workers=1).h_samples, result.h_samples)
+        assert np.array_equal(run_null_model(ds, seed, replicates, workers=1).h_samples, result.h_samples)
         pool_h = h_index(pool(ds))
         assert np.all(result.h_samples >= 0)
         assert np.all(result.h_samples <= np.minimum([len(c) for c in units], pool_h))
@@ -232,29 +230,28 @@ class TestRunNullModel:
 
     def test_worker_count_does_not_change_results(self):
         ds = random_dataset(2)
-        config = ReshuffleConfig(master_seed=13, replicates=25)
-        reference = run_null_model(ds, config, workers=1).h_samples
+        reference = run_null_model(ds, 13, 25, workers=1).h_samples
         for workers in (2, 5, 8):
-            assert np.array_equal(run_null_model(ds, config, workers=workers).h_samples, reference)
+            assert np.array_equal(run_null_model(ds, 13, 25, workers=workers).h_samples, reference)
 
     def test_seed_changes_samples(self):
         ds = random_dataset(3, units=10, max_size=80)
-        a = run_null_model(ds, ReshuffleConfig(master_seed=1, replicates=5), workers=1)
-        b = run_null_model(ds, ReshuffleConfig(master_seed=2, replicates=5), workers=1)
+        a = run_null_model(ds, 1, 5, workers=1)
+        b = run_null_model(ds, 2, 5, workers=1)
         assert not np.array_equal(a.h_samples, b.h_samples)
 
     def test_samples_read_only(self):
-        result = run_null_model(toy_dataset(), ReshuffleConfig(master_seed=0, replicates=3), workers=1)
+        result = run_null_model(toy_dataset(), 0, 3, workers=1)
         with pytest.raises(ValueError):
             result.h_samples[0, 0] = 99
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ReshuffleConfig(master_seed=1, replicates=0)
-        with pytest.raises(ValueError):
-            ReshuffleConfig(master_seed=-1, replicates=5)
-        with pytest.raises(ValueError):
-            ReshuffleConfig(master_seed=2**64, replicates=5)
+        ds = toy_dataset()
+        with pytest.raises(ValueError, match="replicates must be >= 1"):
+            run_null_model(ds, 1, 0)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="64 unsigned bits"):
+                run_null_model(ds, seed, 5)
 
     def test_resolve_workers(self):
         assert resolve_workers(3) == 3
@@ -460,5 +457,5 @@ class TestRankAgreement:
             for i, size in enumerate([10, 40, 160, 640, 2560])
         )
         ds = Dataset(name="spread", units=units)
-        result = run_null_model(ds, ReshuffleConfig(master_seed=8, replicates=50), workers=2)
+        result = run_null_model(ds, 8, 50, workers=2)
         assert mean_spearman_vs_real(result) > 0.5

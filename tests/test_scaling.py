@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from sizebias.model import Dataset, Unit, h_index
-from sizebias.nullmodel import ReshuffleConfig, ReshuffleResult, pool, run_null_model
+from sizebias.nullmodel import ReshuffleResult, pool, run_null_model
 from sizebias.scaling import (
     RANKING_KEYS,
     Benchmark,
@@ -239,7 +239,7 @@ def spread_dataset(seed=4):
 class TestBuildBenchmark:
     def test_per_unit_moments(self):
         ds = spread_dataset()
-        result = run_null_model(ds, ReshuffleConfig(master_seed=6, replicates=40), workers=2)
+        result = run_null_model(ds, 6, 40, workers=2)
         bench = build_benchmark(result)
         assert np.allclose(bench.null_mean_h, result.h_samples.mean(axis=0))
         assert np.allclose(bench.null_sd_h, result.h_samples.std(axis=0, ddof=1))
@@ -247,7 +247,7 @@ class TestBuildBenchmark:
 
     def test_pooled_fit_equals_manual_pooling(self):
         ds = spread_dataset()
-        result = run_null_model(ds, ReshuffleConfig(master_seed=6, replicates=40), workers=2)
+        result = run_null_model(ds, 6, 40, workers=2)
         bench = build_benchmark(result)
         points = []
         for row in result.h_samples:
@@ -260,7 +260,7 @@ class TestBuildBenchmark:
 
     def test_curve_monotone_when_beta_positive(self):
         ds = spread_dataset()
-        result = run_null_model(ds, ReshuffleConfig(master_seed=6, replicates=40), workers=2)
+        result = run_null_model(ds, 6, 40, workers=2)
         bench = build_benchmark(result)
         assert bench.fit.beta > 0
         grid = np.linspace(result.productivities.min(), result.productivities.max(), 50)
@@ -272,7 +272,7 @@ class TestBuildBenchmark:
         counts = rng.integers(0, 30, size=25).tolist()
         units = tuple(make_unit(f"u{i}", counts) for i in range(5))
         ds = Dataset(name="same", units=units)
-        result = run_null_model(ds, ReshuffleConfig(master_seed=2, replicates=30), workers=1)
+        result = run_null_model(ds, 2, 30, workers=1)
         bench = build_benchmark(result)
         assert bench.fit.beta == 0.0
         expected = bench.fit.predict_h(result.productivities)
@@ -309,7 +309,7 @@ class TestBuildBenchmark:
 
     def test_needs_two_replicates(self):
         ds = spread_dataset()
-        result = run_null_model(ds, ReshuffleConfig(master_seed=1, replicates=1), workers=1)
+        result = run_null_model(ds, 1, 1, workers=1)
         with pytest.raises(ValueError):
             build_benchmark(result)
 
@@ -317,7 +317,7 @@ class TestBuildBenchmark:
         # two tiny units over a nearly uncited pool produce h=0 replicates
         units = (make_unit("a", [0, 0, 0, 1]), make_unit("b", [0, 0, 2, 1]), make_unit("c", [3, 0, 0, 0]))
         ds = Dataset(name="tiny", units=units)
-        result = run_null_model(ds, ReshuffleConfig(master_seed=3, replicates=25), workers=1)
+        result = run_null_model(ds, 3, 25, workers=1)
         bench = build_benchmark(result)
         zeros = int(np.count_nonzero(result.h_samples == 0))
         assert bench.n_excluded_zero_h == zeros
@@ -350,7 +350,7 @@ class TestExactBenchmark:
 
     def test_agrees_with_monte_carlo_within_its_error(self):
         ds = paretian_dataset(2, max_size=3000)
-        result = run_null_model(ds, ReshuffleConfig(master_seed=3, replicates=1000), workers=2)
+        result = run_null_model(ds, 3, 1000, workers=2)
         mc, exact = build_benchmark(result), exact_benchmark(ds)
         se = mc.null_sd_h / math.sqrt(result.replicates)
         assert np.all(np.abs(exact.null_mean_h - mc.null_mean_h) <= 4 * se + 1e-9)
@@ -481,7 +481,7 @@ class TestNormalizedScores:
         from sizebias.nullmodel import replicate_stream, reshuffled_dataset
 
         draw = reshuffled_dataset(ds, replicate_stream(90, 10**6))
-        result = run_null_model(draw, ReshuffleConfig(master_seed=91, replicates=200), workers=2)
+        result = run_null_model(draw, 91, 200, workers=2)
         bench = build_benchmark(result)
         log_residual = normalized_scores(result.real_h, bench)["log_residual"]
         assert abs(float(np.mean(log_residual))) < 0.05
@@ -530,11 +530,11 @@ class TestRanking:
         rng = np.random.default_rng(55)
         ratio = rng.uniform(0.2, 3, size=12)
         assert competition_ranks(ratio) == competition_ranks(np.exp(2.0 * ratio + 1.0))
-        assert set(RANKING_KEYS) == {"ratio", "z", "log_residual"}
+        assert set(RANKING_KEYS) == {"ratio", "z"}
 
     def test_normalization_changes_order_on_size_heterogeneous_data(self):
         ds = spread_dataset(seed=77)
-        result = run_null_model(ds, ReshuffleConfig(master_seed=5, replicates=60), workers=2)
+        result = run_null_model(ds, 5, 60, workers=2)
         bench = build_benchmark(result)
         scores = normalized_scores(result.real_h, bench)
         assert competition_ranks(result.real_h) != competition_ranks(scores["ratio"])
