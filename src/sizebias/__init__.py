@@ -1,35 +1,9 @@
 """Size bias of the group h-index: null models, scaling fits, and
 size-normalized rankings."""
 
-__version__ = "0.8.0"
+from importlib import import_module
 
-from .combinatorics import (
-    PoolSpec,
-    count_distribution,
-    hypergeom_pmf,
-    most_likely_black_count,
-)
-from .model import Dataset, Unit, group_h_indices, h_index
-from .nullmodel import ReshuffleResult, mean_spearman_vs_real, run_null_model
-from .scaling import (
-    Benchmark,
-    FitError,
-    PowerLawFit,
-    build_benchmark,
-    competition_ranks,
-    exact_benchmark,
-    fit_power_law,
-    normalized_scores,
-)
-from .synth import (
-    CitationModel,
-    SizeModel,
-    build_synthetic_dataset,
-    generation_stream,
-    sample_citations,
-    sample_sizes,
-    verify_beta_relation,
-)
+__version__ = "0.8.0"
 
 __all__ = [
     "__version__",
@@ -60,3 +34,32 @@ __all__ = [
     "sample_sizes",
     "verify_beta_relation",
 ]
+
+# The submodule that defines each public name.  Names resolve on first use
+# (PEP 562), so `import sizebias` loads neither numpy nor any submodule.
+_SOURCES = {
+    "combinatorics": ("PoolSpec", "count_distribution", "hypergeom_pmf", "most_likely_black_count"),
+    "model": ("Dataset", "Unit", "group_h_indices", "h_index"),
+    "nullmodel": ("ReshuffleResult", "mean_spearman_vs_real", "run_null_model"),
+    "scaling": (
+        "Benchmark", "FitError", "PowerLawFit", "build_benchmark", "competition_ranks",
+        "exact_benchmark", "fit_power_law", "normalized_scores",
+    ),
+    "synth": (
+        "CitationModel", "SizeModel", "build_synthetic_dataset", "generation_stream",
+        "sample_citations", "sample_sizes", "verify_beta_relation",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -22,10 +22,13 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable
 
+# Before numpy loads: an idle BLAS pool spins, and SIZEBIAS_THREADS is the CLI's only parallelism.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import numpy as np
 
 from . import __version__, io
-from .combinatorics import PoolSpec, count_distribution
 from .model import group_h_indices
 from .nullmodel import mean_spearman_vs_real, resolve_workers, run_null_model
 from .scaling import (
@@ -35,7 +38,6 @@ from .scaling import (
     fit_power_law,
     normalized_scores,
 )
-from .synth import CitationModel, SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -238,6 +240,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def cmd_toy_balls(args: argparse.Namespace) -> int:
+    from .combinatorics import PoolSpec, count_distribution
+
     if args.black > args.pool_size:
         raise UsageError(f"black count {args.black} exceeds pool size {args.pool_size}")
     try:
@@ -262,6 +266,8 @@ def cmd_toy_balls(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import CitationModel, SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
+
     try:
         citation_model = CitationModel(alpha=args.alpha, x_min=args.x_min)
     except ValueError as exc:

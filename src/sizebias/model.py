@@ -101,9 +101,22 @@ def _as_citation_array(citations: Iterable[int] | np.ndarray) -> np.ndarray:
 def h_from_tally(tally: np.ndarray) -> np.ndarray:
     """h of every row of a tally: tally[b, k] counts block b's papers with k
     citations, capped at the last level.  The k >= 1 with at least k papers
-    cited >= k times form a prefix, so counting them gives h."""
-    at_least = np.cumsum(tally[:, ::-1], axis=1)[:, ::-1]
-    return np.count_nonzero(at_least[:, 1:] >= np.arange(1, tally.shape[1]), axis=1)
+    cited >= k times form a prefix, so counting them gives h.  The levels
+    are swept upward 32 at a time, and the sweep stops after a block that
+    no row fills to its end: no row fills a level above it."""
+    rows, width = tally.shape
+    h = np.zeros(rows, dtype=np.intp)
+    at_least = tally.sum(axis=1)  # papers cited >= start - 1 times
+    for start in range(1, width, 32):
+        stop = min(start + 32, width)
+        # papers cited >= k times, k = start..stop - 1
+        at_least = at_least[:, None] - np.cumsum(tally[:, start - 1 : stop - 1], axis=1)
+        filled = np.count_nonzero(at_least >= np.arange(start, stop), axis=1)
+        h += filled
+        if not np.any(filled == stop - start):
+            break
+        at_least = at_least[:, -1]
+    return h
 
 
 def h_index(citations: Iterable[int] | np.ndarray) -> int:

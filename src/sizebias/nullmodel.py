@@ -10,7 +10,6 @@ benchmarked against.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -153,6 +152,8 @@ def run_null_model(dataset: Dataset, seed: int, replicates: int, workers: int | 
         rng = replicate_stream(seed, replicate)
         samples[replicate, :] = h_of(slots[rng.choice(levels.size, cited.size, replace=False)])
 
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as ex:
         list(ex.map(one, range(replicates)))
 
@@ -231,7 +232,9 @@ def mean_spearman_vs_real(result: ReshuffleResult) -> float:
 
     Each coefficient is Spearman's rho: the Pearson correlation of average
     ranks.  Raises ValueError where any coefficient is undefined: fewer
-    than 2 units, or a constant real vector or replicate row.
+    than 2 units, or a constant real vector or replicate row.  Centred
+    ranks are half-integers, so np.sum adds their products exactly, where
+    BLAS would make the sums depend on its thread count.
     """
     real, samples = result.real_h, result.h_samples
     if real.size < 2:
@@ -241,5 +244,5 @@ def mean_spearman_vs_real(result: ReshuffleResult) -> float:
     middle = (real.size + 1) / 2.0
     ranks = _row_average_ranks(np.vstack([real, samples])) - middle
     rx, ry = ranks[0], ranks[1:]
-    rho = (ry @ rx) / np.sqrt(np.dot(rx, rx) * np.sum(ry * ry, axis=1))
+    rho = np.sum(ry * rx, axis=1) / np.sqrt(np.sum(rx * rx) * np.sum(ry * ry, axis=1))
     return float(np.mean(np.clip(rho, -1.0, 1.0)))

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .model import Dataset
 from .nullmodel import ReshuffleResult, null_h_tails, pool
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 
 class FitError(ValueError):

@@ -189,6 +189,63 @@ class TestTopLevel:
         run_without_scipy(probe, tmp_path)
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_probe(probe, **env):
+    """Run `probe` in a fresh interpreter with none of the BLAS thread
+    variables set except those in `env`; returns its standard output."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    argv = [sys.executable, "-c", probe]
+    out = subprocess.run(argv, env={**base, **env, "PYTHONPATH": SRC_PATH}, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+class TestStartUp:
+    """What importing the package and the CLI costs a process."""
+
+    def test_cli_gives_blas_one_thread(self):
+        probe = "import os, sizebias.cli\nprint(*(os.environ[v] for v in %r))" % (BLAS_THREAD_VARS,)
+        assert run_probe(probe).split() == ["1", "1", "1"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_cli_import_leaves_one_thread(self):
+        # an OpenBLAS pool would add idle threads at numpy's import
+        probe = "import os, sizebias.cli\nprint(len(os.listdir('/proc/self/task')))"
+        assert run_probe(probe).strip() == "1"
+
+    def test_caller_blas_threads_win(self):
+        probe = "import os, sizebias.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert run_probe(probe, OPENBLAS_NUM_THREADS="2").strip() == "2"
+
+    def test_package_import_loads_no_numpy_and_leaves_environ(self):
+        probe = (
+            "import os, sys\n"
+            "before = dict(os.environ)\n"
+            "import sizebias\n"
+            "print('numpy' in sys.modules, dict(os.environ) == before)\n"
+        )
+        assert run_probe(probe).split() == ["False", "True"]
+
+    def test_star_import_binds_every_public_name(self):
+        probe = (
+            "import sizebias\n"
+            "names = {}\n"
+            "exec('from sizebias import *', names)\n"
+            "print(sorted(set(sizebias.__all__) - set(names)), sorted(set(sizebias.__all__) - set(dir(sizebias))))\n"
+            "print(names['h_index'] is sizebias.model.h_index, names['SizeModel'] is sizebias.synth.SizeModel)\n"
+        )
+        assert run_probe(probe).split() == ["[]", "[]", "True", "True"]
+
+    def test_cli_import_skips_what_only_some_commands_run(self):
+        # the thread pool, numpy.typing, and the modules of synth and toy-balls
+        # load where they are used, not at every start-up
+        lazy = ("concurrent.futures", "numpy.typing", "sizebias.synth", "sizebias.combinatorics")
+        probe = "import sys, sizebias.cli\nprint([m for m in %r if m in sys.modules])" % (lazy,)
+        assert run_probe(probe).strip() == "[]"
+
+
 class TestHindex:
     def test_csv_format_stdout(self, tiny_pubs, capsys):
         assert main(["hindex", str(tiny_pubs), "--format", "csv"]) == 0

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from sizebias.combinatorics import PoolSpec, hypergeom_pmf
-from sizebias.model import MAX_CITATIONS, Dataset, Unit, h_index
+from sizebias.model import MAX_CITATIONS, Dataset, Unit, h_from_tally, h_index
 from sizebias.nullmodel import (
     ReshuffleResult,
     _row_average_ranks,
@@ -135,6 +135,36 @@ class TestPoolAndBlocks:
         assert [u.id for u in shuffled.units] == [u.id for u in ds.units]
         assert [u.productivity for u in shuffled.units] == [u.productivity for u in ds.units]
         assert sorted(pool(shuffled).tolist()) == sorted(pool(ds).tolist())
+
+
+class TestHFromTally:
+    """`h_from_tally` sweeps the levels upward in blocks of 32; the oracle
+    sorts the papers each row tallies."""
+
+    @staticmethod
+    def check(tally):
+        # row b's papers: tally[b, k] of them cited k times, zero-padded to one width
+        papers = [np.repeat(np.arange(tally.shape[1]), row) for row in tally]
+        width = max(1, *(p.size for p in papers))
+        h = h_from_tally(tally)
+        assert h.tolist() == sorted_block_h(np.array([np.pad(p, (0, width - p.size)) for p in papers])).tolist()
+        return h
+
+    @pytest.mark.parametrize("levels", [1, 2, 31, 32, 33, 34, 64, 65, 66, 132])
+    def test_matches_sorted_block_h(self, levels):
+        rng = np.random.default_rng(levels)
+        # rows of every density, so that h ends in every block
+        tally = rng.integers(0, 4, size=(80, levels)) * (rng.random((80, levels)) < rng.random((80, 1)))
+        tally[0] = 0
+        tally[1, -1] = levels - 1  # enough papers at the last level to fill it
+        h = self.check(tally)
+        assert h[0] == 0 and h[1] == levels - 1
+
+    @given(hnp.arrays(np.int64, st.tuples(st.integers(1, 6), st.integers(1, 70)), elements=st.integers(0, 5)))
+    @example(np.zeros((3, 1), dtype=np.int64))
+    @example(np.zeros((3, 33), dtype=np.int64))
+    def test_property(self, tally):
+        self.check(tally)
 
 
 class TestRunNullModel:
