@@ -3,7 +3,7 @@ size-normalized rankings."""
 
 from importlib import import_module
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "__version__",
@@ -15,7 +15,6 @@ __all__ = [
     "PowerLawFit",
     "ReshuffleResult",
     "SizeModel",
-    "Unit",
     "build_benchmark",
     "build_synthetic_dataset",
     "competition_ranks",
@@ -39,7 +38,7 @@ __all__ = [
 # (PEP 562), so `import sizebias` loads neither numpy nor any submodule.
 _SOURCES = {
     "combinatorics": ("PoolSpec", "count_distribution", "hypergeom_pmf", "most_likely_black_count"),
-    "model": ("Dataset", "Unit", "group_h_indices", "h_index"),
+    "model": ("Dataset", "group_h_indices", "h_index"),
     "nullmodel": ("ReshuffleResult", "mean_spearman_vs_real", "run_null_model"),
     "scaling": (
         "Benchmark", "FitError", "PowerLawFit", "build_benchmark", "competition_ranks",

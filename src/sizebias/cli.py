@@ -134,7 +134,7 @@ def _print_table(header: tuple[str, ...], rows: list[tuple]) -> None:
 def cmd_hindex(args: argparse.Namespace) -> int:
     dataset = io.read_publications(args.input)
     h = group_h_indices(dataset).tolist()
-    rows = [(unit.id, unit.productivity, unit_h) for unit, unit_h in zip(dataset.units, h)]
+    rows = list(zip(dataset.unit_ids, dataset.sizes.tolist(), h))
     if args.out_dir:
         out = _ensure_out_dir(args.out_dir)
         io.write_hindex_csv(rows, out / "hindex.csv")
@@ -313,7 +313,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         io.build_manifest("synth", args.argv, input_path=input_display, input_sha256=digest, seed=args.seed),
         out / "manifest.json",
     )
-    print(f"wrote {dataset.pool_size} publications across {len(dataset.units)} units to {path}")
+    print(f"wrote {dataset.pool_size} publications across {len(dataset.unit_ids)} units to {path}")
     return EXIT_OK
 
 

@@ -1,5 +1,7 @@
 """File formats: ingestion, report writers, run manifests.
 
+A publications file is read straight into the columns of a model.Dataset;
+where one unit's lines come in several runs, a stable sort gathers them.
 All CSV files are UTF-8 with `\\n` line endings and a fixed header; a
 leading byte-order mark is accepted on input.  All JSON is written with
 sorted keys so repeated runs produce identical bytes (manifests carry the
@@ -22,7 +24,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .model import MAX_CITATIONS, Dataset, Unit
+from .model import MAX_CITATIONS, Dataset
 from .nullmodel import ReshuffleResult
 from .scaling import PowerLawFit
 
@@ -183,18 +185,25 @@ def _read_plain_publications(path: str | Path) -> Dataset | None:
     if lines is None:
         return None
     counts, bounds, prefix_starts, prefix_ends = lines
-    found: dict[str, tuple[str, list[np.ndarray]]] = {}
-    for first, last, start, end in zip(bounds, bounds[1:], prefix_starts, prefix_ends):
+    units: dict[str, int] = {}  # each id's unit index, in first occurrence order
+    names: list[str] = []
+    run_unit = []
+    for start, end in zip(prefix_starts, prefix_ends):
         try:
             unit_id, _, name = data[start:end].decode("utf-8").partition(",")
         except UnicodeDecodeError:
             return None
-        known, pieces = found.setdefault(unit_id, (name, []))
-        if not unit_id or unit_id != unit_id.strip() or known != name:
+        unit = units.setdefault(unit_id, len(names))
+        if unit == len(names):
+            names.append(name)
+        if not unit_id or unit_id != unit_id.strip() or names[unit] != name:
             return None
-        pieces.append(counts[first:last])
-    units = tuple(Unit(id=uid, name=name, citations=np.concatenate(pieces)) for uid, (name, pieces) in found.items())
-    return Dataset(name=Path(path).stem, units=units)
+        run_unit.append(unit)
+    sizes = np.diff(bounds)  # lines per run
+    if len(run_unit) > len(names):  # some id has several runs: gather each unit's lines in unit order
+        line_unit = np.repeat(run_unit, sizes)
+        sizes, counts = np.bincount(line_unit, minlength=len(names)), counts[np.argsort(line_unit, kind="stable")]
+    return Dataset(name=Path(path).stem, unit_ids=tuple(units), unit_names=tuple(names), sizes=sizes, citations=counts)
 
 
 def read_publications(path: str | Path) -> Dataset:
@@ -239,13 +248,14 @@ def _read_publication_lines(path: str | Path) -> Dataset:
         raise IngestError(path, problems)
     if not citations:
         raise IngestError(path, ["no data rows"])
-    # every count passed _parse_count, so one exact uint64 array per unit
-    # skips Unit's per-value check of Python lists
-    units = tuple(
-        Unit(id=uid, name=names[uid], citations=np.array(counts, dtype=np.uint64))
-        for uid, counts in citations.items()
+    # every count passed _parse_count: one exact uint64 array, no per-value check
+    return Dataset(
+        name=Path(path).stem,
+        unit_ids=tuple(citations),
+        unit_names=tuple(names.values()),
+        sizes=[len(counts) for counts in citations.values()],
+        citations=np.array([c for counts in citations.values() for c in counts], dtype=np.uint64),
     )
-    return Dataset(name=Path(path).stem, units=units)
 
 
 def read_summary(path: str | Path) -> list[SummaryRow]:
@@ -372,16 +382,12 @@ def write_publications(dataset: Dataset, path: str | Path) -> None:
     """One row per publication.  A unit with no publications would have no
     row and be lost on reading back, so such a dataset is rejected before
     the file is opened."""
-    empty = [u.id for u in dataset.units if u.productivity == 0]
+    empty = [dataset.unit_ids[i] for i in np.flatnonzero(dataset.sizes == 0)]
     if empty:
         raise ValueError(f"units with no publications cannot be written as publications: {', '.join(empty)}")
-
-    def rows():
-        for unit in dataset.units:
-            for count in unit.citations.tolist():
-                yield unit.id, unit.name, count
-
-    _write_csv(path, PUBLICATIONS_HEADER, rows())
+    ids = np.repeat(np.array(dataset.unit_ids, dtype=object), dataset.sizes).tolist()
+    names = np.repeat(np.array(dataset.unit_names, dtype=object), dataset.sizes).tolist()
+    _write_csv(path, PUBLICATIONS_HEADER, zip(ids, names, dataset.citations.tolist()))
 
 
 def write_samples_csv(result: ReshuffleResult, path: str | Path) -> None:

@@ -1,8 +1,10 @@
-"""Core domain types and the exact group h-index computation.
+"""The data model and the exact group h-index computation.
 
-A Unit owns a multiset of publications, stored as one array of their
-citation counts; a Dataset is an ordered collection of units.  All types are
-immutable after construction and safe to share across workers.
+A Dataset stores its units by columns: their ids, names and sizes, and one
+citation count per publication, all units' papers back to back in unit
+order.  That is the form the null model works on: one pool, cut into
+blocks of the units' sizes.  Datasets are immutable after construction
+and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -19,54 +21,54 @@ MAX_CITATIONS = 2**64 - 1
 
 
 @dataclass(frozen=True, eq=False)
-class Unit:
-    """A research group/institution owning a multiset of publications.
+class Dataset:
+    """A named, ordered collection of research units (groups, departments,
+    institutions) with distinct ids.
 
-    Each publication is reduced to its citation count; `citations` holds
-    them as a read-only uint64 array, validated once at construction.
-    Zero publications is legal; such a unit scores h = 0.  Units compare
-    by identity: an array field has no single truth value for `==`.
+    Unit i is `unit_ids[i]`, named `unit_names[i]`, with `sizes[i]`
+    publications.  `citations` holds every publication's citation count,
+    unit i's papers right after those of units 0..i-1, so unit i's block
+    starts at sizes[:i].sum().  Both arrays are private read-only copies,
+    `sizes` int64 and `citations` uint64, checked once at construction.  A
+    unit of size 0 is legal and scores h = 0.  Datasets compare by
+    identity: an array field has no single truth value for `==`.
     """
 
-    id: str
     name: str
+    unit_ids: tuple[str, ...]
+    unit_names: tuple[str, ...]
+    sizes: np.ndarray
     citations: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("unit id must be non-empty")
-        # A private copy, so freezing it never freezes the caller's array.
-        counts = np.array(_as_citation_array(self.citations), dtype=np.uint64)
-        counts.setflags(write=False)
-        object.__setattr__(self, "citations", counts)
-
-    @property
-    def productivity(self) -> int:
-        """Number of publications attributed to this unit (its size proxy)."""
-        return int(self.citations.size)
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """A named, ordered collection of units with distinct ids."""
-
-    name: str
-    units: tuple[Unit, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "units", tuple(self.units))
-        if not self.units:
+        ids, names, sizes = tuple(self.unit_ids), tuple(self.unit_names), np.asarray(self.sizes)
+        if not ids:
             raise ValueError("a dataset needs at least one unit")
+        if sizes.shape != (len(ids),) or len(names) != len(ids):
+            raise ValueError(f"need one name and one size for each of the {len(ids)} unit ids")
         seen: set[str] = set()
-        for unit in self.units:
-            if unit.id in seen:
-                raise ValueError(f"duplicate unit id {unit.id!r}")
-            seen.add(unit.id)
+        for unit_id in ids:
+            if not unit_id:
+                raise ValueError("unit id must be non-empty")
+            if unit_id in seen:
+                raise ValueError(f"duplicate unit id {unit_id!r}")
+            seen.add(unit_id)
+        if sizes.dtype.kind not in "iu" or sizes.min() < 0:
+            raise ValueError("unit sizes must be nonnegative integers")
+        # Private copies, so freezing them never freezes the caller's arrays.
+        sizes = sizes.astype(np.int64)
+        counts = np.array(_as_citation_array(self.citations), dtype=np.uint64)
+        if int(sizes.sum()) != counts.size:
+            raise ValueError(f"unit sizes sum to {int(sizes.sum())} but there are {counts.size} citation counts")
+        sizes.setflags(write=False)
+        counts.setflags(write=False)
+        for field, value in (("unit_ids", ids), ("unit_names", names), ("sizes", sizes), ("citations", counts)):
+            object.__setattr__(self, field, value)
 
     @property
     def pool_size(self) -> int:
         """Total number of publications across all units (duplicates kept)."""
-        return sum(u.productivity for u in self.units)
+        return int(self.citations.size)
 
 
 def _as_citation_array(citations: Iterable[int] | np.ndarray) -> np.ndarray:
@@ -132,22 +134,20 @@ def h_index(citations: Iterable[int] | np.ndarray) -> int:
     return int(h_from_tally(tally[np.newaxis])[0])
 
 
-def _tally_keys(dataset: Dataset) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-    """Unit sizes, the pool's h, H, and for every pooled paper in unit
-    order the start of its unit's row and its citation count capped at H,
-    both flat indices into a (units, H + 1) tally.  No unit's h can exceed
-    H, so tallying row + level gives every unit's h through h_from_tally."""
-    sizes = np.array([u.productivity for u in dataset.units], dtype=np.int64)
-    counts = np.concatenate([u.citations for u in dataset.units])
-    cap = h_index(counts)
-    rows = np.repeat(np.arange(sizes.size) * (cap + 1), sizes)
-    return sizes, cap, rows, np.minimum(counts, cap).astype(np.int64)
+def _tally_keys(dataset: Dataset) -> tuple[int, np.ndarray, np.ndarray]:
+    """The pool's h, H, and for every pooled paper in unit order the start
+    of its unit's row and its citation count capped at H, both flat indices
+    into a (units, H + 1) tally.  No unit's h can exceed H, so tallying
+    row + level gives every unit's h through h_from_tally."""
+    cap = h_index(dataset.citations)
+    rows = np.repeat(np.arange(dataset.sizes.size) * (cap + 1), dataset.sizes)
+    return cap, rows, np.minimum(dataset.citations, cap).astype(np.int64)
 
 
 def group_h_indices(dataset: Dataset) -> np.ndarray:
     """Every unit's group h-index, in unit order, from one tally."""
-    sizes, cap, keys, levels = _tally_keys(dataset)
+    cap, keys, levels = _tally_keys(dataset)
     keys += levels
-    tally = np.bincount(keys, minlength=sizes.size * (cap + 1)).reshape(sizes.size, cap + 1)
+    tally = np.bincount(keys, minlength=dataset.sizes.size * (cap + 1)).reshape(-1, cap + 1)
     del keys, levels  # freed before h_from_tally copies the tally: a lower peak memory
     return h_from_tally(tally)

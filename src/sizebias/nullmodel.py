@@ -10,12 +10,12 @@ benchmarked against.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .model import Dataset, Unit, _tally_keys, h_from_tally, h_index
+from .model import Dataset, _tally_keys, h_from_tally, h_index
 
 _MAX_SEED = 2**64 - 1
 _DEFAULT_WORKER_CAP = 8
@@ -69,11 +69,6 @@ def replicate_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
 
 
-def pool(dataset: Dataset) -> np.ndarray:
-    """All citation counts of the dataset in one array, duplicates kept."""
-    return np.concatenate([u.citations for u in dataset.units])
-
-
 def reshuffle_blocks(
     pool_counts: np.ndarray, productivities: Sequence[int] | np.ndarray, rng: np.random.Generator
 ) -> list[np.ndarray]:
@@ -94,11 +89,10 @@ def reshuffle_blocks(
 
 
 def reshuffled_dataset(dataset: Dataset, rng: np.random.Generator) -> Dataset:
-    """A concrete dataset drawn from the null model (one redistribution)."""
-    prods = np.array([u.productivity for u in dataset.units], dtype=np.int64)
-    blocks = reshuffle_blocks(pool(dataset), prods, rng)
-    units = tuple(Unit(id=u.id, name=u.name, citations=block) for u, block in zip(dataset.units, blocks))
-    return Dataset(name=f"{dataset.name}-reshuffled", units=units)
+    """A concrete dataset drawn from the null model (one redistribution):
+    the permuted pool, cut into the units' blocks, as reshuffle_blocks
+    draws it from the same rng."""
+    return replace(dataset, name=f"{dataset.name}-reshuffled", citations=rng.permutation(dataset.citations))
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -136,8 +130,8 @@ def run_null_model(dataset: Dataset, seed: int, replicates: int, workers: int | 
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     workers = resolve_workers(workers)
-    prods, cap, slots, levels = _tally_keys(dataset)
-    units = prods.size
+    cap, slots, levels = _tally_keys(dataset)
+    units = dataset.sizes.size
     cited = np.flatnonzero(levels)
     cited_levels = levels[cited]
 
@@ -158,10 +152,10 @@ def run_null_model(dataset: Dataset, seed: int, replicates: int, workers: int | 
         list(ex.map(one, range(replicates)))
 
     return ReshuffleResult(
-        unit_ids=tuple(u.id for u in dataset.units),
+        unit_ids=dataset.unit_ids,
         h_samples=samples,
         real_h=real_h,
-        productivities=prods,
+        productivities=dataset.sizes,
     )
 
 

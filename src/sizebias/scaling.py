@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .model import Dataset
-from .nullmodel import ReshuffleResult, null_h_tails, pool
+from .nullmodel import ReshuffleResult, null_h_tails
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -185,23 +185,25 @@ def exact_benchmark(dataset: Dataset) -> Benchmark:
     fit of (log10 N_i, log10 k), k >= 1, weighted by P(h_i = k), stderr 0.
     `n_points` counts the (unit, k) pairs of positive weight and
     `n_excluded_zero_h` the units whose null h can be 0, P(h >= 1) < 1."""
-    prods = np.array([u.productivity for u in dataset.units], dtype=np.int64)
-    sizes, inverse = np.unique(prods, return_inverse=True)
-    tails = null_h_tails(pool(dataset), sizes.tolist())
-    levels = [np.arange(1, t.size + 1) for t in tails]
+    sizes, inverse = np.unique(dataset.sizes, return_inverse=True)
+    tails = null_h_tails(dataset.citations, sizes.tolist())
     mean = np.array([t.sum() for t in tails])
-    second = np.array([np.sum((2 * k - 1) * t) for k, t in zip(levels, tails)])
-    pmf = [np.maximum(t - np.append(t[1:], 0.0), 0.0) for t in tails]  # P(h = k), k >= 1
-    w = np.concatenate([pmf[d] for d in inverse])
+    second = np.array([np.sum((2 * np.arange(1, t.size + 1) - 1) * t) for t in tails])
+    pmf = np.concatenate([np.maximum(t - np.append(t[1:], 0.0), 0.0) for t in tails])  # P(h = k), k >= 1
+    depth = np.array([t.size for t in tails])  # levels of each size, min(N, H)
+    width = depth[inverse]
+    # every unit's levels k = 1..min(N_i, H), unit after unit, and their pmf
+    k = np.arange(1, width.sum() + 1) - np.repeat(np.cumsum(width) - width, width)
+    w = pmf[np.repeat((np.cumsum(depth) - depth)[inverse], width) + k - 1]
     keep = w > 0
-    x = np.log10(np.repeat(prods, [levels[d].size for d in inverse]))[keep]
-    y = np.log10(np.concatenate([levels[d] for d in inverse]))[keep]
+    x = np.log10(np.repeat(dataset.sizes, width))[keep]
+    y = np.log10(k)[keep]
     if not x.size:
         raise FitError("every unit's null h is 0; nothing to benchmark")
     can_be_zero = np.array([t[:1].sum() < 1.0 for t in tails])
     return Benchmark(
-        unit_ids=tuple(u.id for u in dataset.units),
-        productivities=prods,
+        unit_ids=dataset.unit_ids,
+        productivities=dataset.sizes,
         null_mean_h=mean[inverse],
         null_sd_h=np.sqrt(np.maximum(second - mean**2, 0.0))[inverse],
         fit=_line_fit(x, y, w[keep], None),

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Dataset, Unit
+from .model import Dataset
 from .scaling import exact_benchmark
 
 # Spawn key of the dataset-generation RNG stream.  Replicate streams use
@@ -138,7 +138,8 @@ def build_synthetic_dataset(
     ids: Sequence[str] | None = None,
     names: Sequence[str] | None = None,
 ) -> Dataset:
-    """One unit per size, each with independently sampled citations.
+    """One unit per size, each with independently sampled citations, all
+    drawn in one call in unit order.
 
     Pass ids/names to mirror the units of a real dataset; the defaults
     invent sequential unit ids.
@@ -148,17 +149,13 @@ def build_synthetic_dataset(
         raise ValueError("need at least one unit size")
     if sizes.min() < 1:
         raise ValueError("all sizes must be >= 1")
-    for label, seq in (("ids", ids), ("names", names)):
-        if seq is not None and len(seq) != sizes.size:
-            raise ValueError(f"{label} has {len(seq)} entries for {sizes.size} sizes")
     width = max(3, len(str(sizes.size)))
-    units = []
-    for i, n in enumerate(sizes):
-        counts = sample_citations(model, int(n), rng)
-        uid = ids[i] if ids is not None else f"u{i + 1:0{width}d}"
-        uname = names[i] if names is not None else f"synthetic unit {i + 1}"
-        units.append(Unit(id=uid, name=uname, citations=counts))
-    return Dataset(name=name, units=tuple(units))
+    if ids is None:
+        ids = [f"u{i:0{width}d}" for i in range(1, sizes.size + 1)]
+    if names is None:
+        names = [f"synthetic unit {i}" for i in range(1, sizes.size + 1)]
+    counts = sample_citations(model, int(sizes.sum()), rng)
+    return Dataset(name=name, unit_ids=ids, unit_names=names, sizes=sizes, citations=counts)
 
 
 def generation_stream(master_seed: int) -> np.random.Generator:

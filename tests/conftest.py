@@ -3,10 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 import sizebias
+from sizebias.model import Dataset
 
 # Property tests draw the same examples on every run, so a failure always
 # reproduces.  No per-example deadline: the first examples pay for scipy's
@@ -41,3 +43,22 @@ def run_without_scipy():
         return out
 
     return run
+
+
+def make_dataset(units, name="d", names=None):
+    """A Dataset from {unit id: citation counts}, in insertion order, each
+    unit named by `names` or else by its id in upper case.  Arrays are
+    joined as an array and anything else as one list, so the Dataset checks
+    each kind as given."""
+    blocks = list(units.values())
+    if all(isinstance(b, np.ndarray) for b in blocks):
+        citations = np.concatenate(blocks)
+    else:
+        citations = [c for b in blocks for c in b]
+    names = [uid.upper() for uid in units] if names is None else names
+    return Dataset(name=name, unit_ids=tuple(units), unit_names=names, sizes=[len(b) for b in blocks], citations=citations)
+
+
+def unit_citations(dataset):
+    """Each unit's citation counts, in unit order."""
+    return np.split(dataset.citations, np.cumsum(dataset.sizes)[:-1])

@@ -21,7 +21,6 @@ from sizebias.io import load_bundled_summary
 from sizebias.model import h_index
 from sizebias.nullmodel import (
     mean_spearman_vs_real,
-    pool,
     replicate_stream,
     reshuffle_blocks,
     reshuffled_dataset,
@@ -230,10 +229,10 @@ def test_criterion_6_conservation_and_worker_determinism(tmp_path, monkeypatch):
     rng = generation_stream(6)
     sizes = sample_sizes(SizeModel.explicit(table2_sizes()), 40, rng)
     dataset = build_synthetic_dataset(sizes, CitationModel(alpha=1.5), rng)
-    pool_counts = pool(dataset)
+    pool_counts = dataset.citations
     pool_sorted = np.sort(pool_counts)
     checksum = int(pool_counts.sum())
-    prods = [u.productivity for u in dataset.units]
+    prods = dataset.sizes
 
     conserved = 0
     for r in range(200):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import sizebias
+from conftest import unit_citations
 from sizebias.cli import build_parser, main
 from sizebias.io import (
     BENCHMARK_HEADER,
@@ -87,7 +88,7 @@ class TestTopLevel:
         with warnings.catch_warnings():  # setuptools may call its [tool.setuptools] support beta
             warnings.simplefilter("ignore")
             config = read_configuration(pyproject, expand=True)
-        assert config["project"]["version"] == sizebias.__version__ == "0.8.0"
+        assert config["project"]["version"] == sizebias.__version__ == "0.9.0"
 
     def test_missing_positional(self, capsys):
         assert main(["hindex"]) == 2
@@ -131,7 +132,7 @@ class TestTopLevel:
     def test_public_names(self):
         assert sorted(sizebias.__all__) == sorted([
             "__version__", "Benchmark", "CitationModel", "Dataset", "FitError", "PoolSpec", "PowerLawFit",
-            "ReshuffleResult", "SizeModel", "Unit", "build_benchmark", "build_synthetic_dataset",
+            "ReshuffleResult", "SizeModel", "build_benchmark", "build_synthetic_dataset",
             "competition_ranks", "count_distribution", "exact_benchmark", "fit_power_law", "generation_stream",
             "group_h_indices", "h_index", "hypergeom_pmf", "mean_spearman_vs_real", "most_likely_black_count",
             "normalized_scores", "run_null_model", "sample_citations", "sample_sizes", "verify_beta_relation",
@@ -265,7 +266,7 @@ class TestHindex:
         rows = read_rows(out / "hindex.csv")
         dataset = read_publications(tiny_pubs)
         expected = [["unit_id", "N", "h"]] + [
-            [u.id, str(u.productivity), str(h_index(u.citations))] for u in dataset.units
+            [uid, str(c.size), str(h_index(c))] for uid, c in zip(dataset.unit_ids, unit_citations(dataset))
         ]
         assert rows == expected
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
@@ -660,8 +661,8 @@ class TestSynth:
         model = SizeModel.explicit([12, 30])
         sizes = sample_sizes(model, 2, rng)
         expected = build_synthetic_dataset(sizes, CitationModel(alpha=2.0), rng)
-        assert [u.id for u in back.units] == [u.id for u in expected.units]
-        assert [u.citations.tolist() for u in back.units] == [u.citations.tolist() for u in expected.units]
+        assert back.unit_ids == expected.unit_ids
+        assert (back.sizes.tolist(), back.citations.tolist()) == (expected.sizes.tolist(), expected.citations.tolist())
 
     def test_same_seed_same_bytes(self, tmp_path, capsys):
         blobs = []
@@ -691,9 +692,9 @@ class TestSynth:
         capsys.readouterr()
         back = read_publications(out / "publications.csv")
         rows = read_summary(summary)
-        assert [u.id for u in back.units] == [r.unit_id for r in rows]
-        assert [u.name for u in back.units] == [r.unit_name for r in rows]
-        assert [u.productivity for u in back.units] == [r.n_publications for r in rows]
+        assert list(back.unit_ids) == [r.unit_id for r in rows]
+        assert list(back.unit_names) == [r.unit_name for r in rows]
+        assert back.sizes.tolist() == [r.n_publications for r in rows]
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["input_path"] == str(summary)
 

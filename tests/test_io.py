@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import sizebias
 import sizebias.io
+from conftest import make_dataset, unit_citations
 from sizebias.io import (
     BENCHMARK_HEADER,
     BUNDLED_SUMMARIES,
@@ -32,19 +33,13 @@ from sizebias.io import (
     write_publications,
     write_samples_csv,
 )
-from sizebias.model import MAX_CITATIONS, Dataset, Unit
+from sizebias.model import MAX_CITATIONS
 from sizebias.nullmodel import run_null_model
 from sizebias.scaling import fit_power_law
 
 
 def small_dataset():
-    return Dataset(
-        name="d",
-        units=(
-            Unit(id="a", name="Alpha", citations=[3, 0]),
-            Unit(id="b", name="Beta, Inc.", citations=[7]),
-        ),
-    )
+    return make_dataset({"a": [3, 0], "b": [7]}, names=["Alpha", "Beta, Inc."])
 
 
 class TestPublicationsRoundTrip:
@@ -53,9 +48,9 @@ class TestPublicationsRoundTrip:
         path = tmp_path / "pubs.csv"
         write_publications(ds, path)
         back = read_publications(path)
-        assert [u.id for u in back.units] == ["a", "b"]
-        assert [u.name for u in back.units] == ["Alpha", "Beta, Inc."]
-        assert [u.citations.tolist() for u in back.units] == [[3, 0], [7]]
+        assert back.unit_ids == ("a", "b")
+        assert back.unit_names == ("Alpha", "Beta, Inc.")
+        assert [c.tolist() for c in unit_citations(back)] == [[3, 0], [7]]
 
     @given(
         st.lists(
@@ -70,14 +65,14 @@ class TestPublicationsRoundTrip:
         )
     )
     def test_round_trip_property(self, tmp_path_factory, units):
-        ds = Dataset(name="d", units=tuple(Unit(id=i, name=n, citations=c) for i, n, c in units))
+        ds = make_dataset({i: c for i, _, c in units}, names=[n for _, n, _ in units])
         path = tmp_path_factory.mktemp("rt") / "pubs.csv"
         write_publications(ds, path)
         back = read_publications(path)
-        assert [(u.id, u.name, u.citations.tolist()) for u in back.units] == units
+        assert list(zip(back.unit_ids, back.unit_names, [c.tolist() for c in unit_citations(back)])) == units
 
     def test_empty_unit_rejected_before_opening(self, tmp_path):
-        ds = Dataset(name="d", units=(Unit("a", "A", [3, 1]), Unit("b", "B", []), Unit("c", "C", [])))
+        ds = make_dataset({"a": [3, 1], "b": [], "c": []})
         path = tmp_path / "pubs.csv"
         with pytest.raises(ValueError, match="b, c"):
             write_publications(ds, path)
@@ -155,7 +150,7 @@ class TestReadPublications:
         path = tmp_path / "bom.csv"
         path.write_text("\ufeffunit_id,unit_name,citations\na,A,4\na,A,1\n", encoding="utf-8")
         back = read_publications(path)
-        assert [(u.id, u.citations.tolist()) for u in back.units] == [("a", [4, 1])]
+        assert (back.unit_ids, back.citations.tolist()) == (("a",), [4, 1])
 
     def test_invalid_utf8(self, tmp_path):
         path = tmp_path / "latin1.csv"
@@ -215,12 +210,12 @@ def publication_files(draw, plain=False):
 
 
 def outcome(read, path):
-    """What a reader makes of a file: the Dataset's contents, or the error."""
+    """What a reader makes of a file: the Dataset's columns, or the error."""
     try:
-        dataset = read(path)
+        ds = read(path)
     except IngestError as exc:
         return type(exc), str(exc)
-    return dataset.name, [(u.id, u.name, u.citations.dtype, u.citations.tolist()) for u in dataset.units]
+    return ds.name, ds.unit_ids, ds.unit_names, *((a.dtype, a.tolist()) for a in (ds.sizes, ds.citations))
 
 
 class TestColumnarReader:
@@ -283,10 +278,8 @@ class TestColumnarReader:
         path.write_bytes(HEADER + b"u1,Unit 1,12\nu1,Unit 1,0\nu2,Unit 2,3\nu1,Unit 1,7\n")
         back = read_publications(path)
         assert back.name == "plain"
-        assert [(u.id, u.name, u.citations.tolist()) for u in back.units] == [
-            ("u1", "Unit 1", [12, 0, 7]),
-            ("u2", "Unit 2", [3]),
-        ]
+        assert (back.unit_ids, back.unit_names) == (("u1", "u2"), ("Unit 1", "Unit 2"))
+        assert (back.sizes.tolist(), back.citations.tolist()) == ([3, 1], [12, 0, 7, 3])
 
 
 class TestReadSummary:

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import make_dataset
 from sizebias.model import (
     MAX_CITATIONS,
     Dataset,
-    Unit,
     group_h_indices,
     h_index,
 )
@@ -22,10 +22,6 @@ def naive_h(citations):
         if c >= i:
             best = i
     return best
-
-
-def make_unit(uid, citations, name=None):
-    return Unit(id=uid, name=name or uid, citations=citations)
 
 
 class TestHIndex:
@@ -121,82 +117,125 @@ class TestHIndex:
 
 
 class TestPublication:
-    """A publication is one entry of `Unit.citations`: each count is
-    validated when the unit is built."""
+    """A publication is one entry of `Dataset.citations`: each count is
+    validated when the dataset is built."""
 
     def test_valid(self):
-        assert make_unit("a", [0]).citations.tolist() == [0]
-        assert make_unit("a", [MAX_CITATIONS]).citations.tolist() == [MAX_CITATIONS]
+        assert make_dataset({"a": [0]}).citations.tolist() == [0]
+        assert make_dataset({"a": [MAX_CITATIONS]}).citations.tolist() == [MAX_CITATIONS]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            make_unit("a", [-1])
+            make_dataset({"a": [-1]})
         with pytest.raises(ValueError):
-            make_unit("a", np.array([3, -1], dtype=np.int64))
+            make_dataset({"a": np.array([3, -1], dtype=np.int64)})
 
     def test_non_integer_rejected(self):
         with pytest.raises((TypeError, ValueError)):
-            make_unit("a", [2.5])
+            make_dataset({"a": [2.5]})
         for bad in ([True], [1, False], np.array([1.0]), np.array([True])):
             with pytest.raises(ValueError):
-                make_unit("a", bad)
+                make_dataset({"a": bad})
 
     def test_over_cap_rejected(self):
         with pytest.raises(ValueError):
-            make_unit("a", [MAX_CITATIONS + 1])
+            make_dataset({"a": [MAX_CITATIONS + 1]})
 
     def test_frozen(self):
-        unit = make_unit("a", [3])
+        dataset = make_dataset({"a": [3]})
         with pytest.raises(ValueError):
-            unit.citations[0] = 4
+            dataset.citations[0] = 4
         with pytest.raises(AttributeError):
-            unit.citations = np.array([4], dtype=np.uint64)
+            dataset.citations = np.array([4], dtype=np.uint64)
+
+
+def two_units(sizes=(1, 1), citations=(1, 2), ids=("a", "b"), names=("A", "B")):
+    return Dataset(name="d", unit_ids=ids, unit_names=names, sizes=sizes, citations=citations)
 
 
 class TestUnit:
+    """Unit i of a Dataset is entry i of its columns: unit_ids[i],
+    unit_names[i], sizes[i], and the sizes[i] citation counts that follow
+    those of units 0..i-1."""
+
     def test_productivity(self):
-        unit = make_unit("a", [5, 1, 0])
-        assert unit.productivity == 3
+        dataset = two_units(sizes=[3, 1], citations=[5, 1, 0, 2], ids=["a", "b"], names=["A", "B"])
+        assert dataset.unit_ids == ("a", "b") and dataset.unit_names == ("A", "B")
+        assert dataset.sizes.dtype == np.int64 and dataset.sizes.tolist() == [3, 1]
+        with pytest.raises(ValueError):
+            dataset.sizes[0] = 4
 
     def test_group_h(self):
-        unit = make_unit("a", [10, 8, 5, 4, 3])
-        assert h_index(unit.citations) == 4
+        assert group_h_indices(make_dataset({"a": [10, 8, 5, 4, 3]})).tolist() == [4]
 
     def test_empty_unit(self):
-        unit = make_unit("a", [])
-        assert unit.productivity == 0
-        assert h_index(unit.citations) == 0
+        dataset = make_dataset({"a": [], "b": [2]})
+        assert dataset.sizes.tolist() == [0, 1]
+        assert group_h_indices(dataset).tolist() == [0, 1]
 
     def test_citation_counts_dtype(self):
-        unit = make_unit("a", [5, 1])
-        arr = unit.citations
-        assert arr.dtype == np.uint64
-        assert arr.tolist() == [5, 1]
+        dataset = make_dataset({"a": [5, 1], "b": [7]})
+        assert dataset.citations.dtype == np.uint64
+        assert dataset.citations.tolist() == [5, 1, 7]
 
     def test_empty_id_rejected(self):
-        with pytest.raises(ValueError):
-            make_unit("", [1])
+        with pytest.raises(ValueError, match="non-empty"):
+            make_dataset({"": [1]})
 
     def test_citations_become_private_read_only_array(self):
-        unit = Unit(id="a", name="a", citations=[1])
-        assert isinstance(unit.citations, np.ndarray)
-        assert not unit.citations.flags.writeable
-        given_counts = np.array([4, 2], dtype=np.uint64)
-        unit = Unit(id="b", name="b", citations=given_counts)
-        assert not unit.citations.flags.writeable
-        assert given_counts.flags.writeable
-        given_counts[0] = 9
-        assert unit.citations.tolist() == [4, 2]
+        assert not make_dataset({"a": [1]}).citations.flags.writeable
+        given_sizes, given_counts = np.array([1, 1]), np.array([4, 2], dtype=np.uint64)
+        dataset = two_units(sizes=given_sizes, citations=given_counts)
+        assert not dataset.citations.flags.writeable and not dataset.sizes.flags.writeable
+        # the caller's arrays are not frozen, and writing them leaves the dataset as it was
+        assert given_counts.flags.writeable and given_sizes.flags.writeable
+        given_counts[0], given_sizes[0] = 9, 2
+        assert dataset.citations.tolist() == [4, 2] and dataset.sizes.tolist() == [1, 1]
 
     def test_rejects_multidimensional_counts(self):
-        with pytest.raises(ValueError):
-            make_unit("a", np.ones((2, 2), dtype=np.uint64))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            two_units(sizes=[2, 2], citations=np.ones((2, 2), dtype=np.uint64))
 
-    def test_units_compare_by_identity(self):
-        a, b = make_unit("a", [1, 2]), make_unit("a", [1, 2])
+
+class TestDataset:
+    """The invariants over whole columns that building a Dataset checks or
+    establishes, one case each."""
+
+    def test_pool_size(self):
+        assert make_dataset({"a": [1, 2], "b": [3]}).pool_size == 3
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one unit"):
+            Dataset(name="d", unit_ids=(), unit_names=(), sizes=[], citations=[])
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(ValueError, match="duplicate unit id 'a'"):
+            two_units(ids=("a", "a"))
+
+    def test_column_lengths_must_match(self):
+        for names, sizes in [(("A",), [1, 1]), (("A", "B"), [2]), (("A", "B"), [[1, 1]])]:
+            with pytest.raises(ValueError, match="one name and one size for each of the 2 unit ids"):
+                two_units(sizes=sizes, names=names)
+
+    def test_sizes_must_be_nonnegative_integers(self):
+        for sizes in ([3, -1], [1.0, 1.0], [True, True]):
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                two_units(sizes=sizes)
+
+    def test_sizes_must_sum_to_the_citation_count(self):
+        for sizes in ([1, 0], [2, 1]):
+            with pytest.raises(ValueError, match=f"sum to {sum(sizes)} but there are 2 citation counts"):
+                two_units(sizes=sizes)
+
+    def test_datasets_compare_by_identity(self):
+        a, b = make_dataset({"a": [1, 2]}), make_dataset({"a": [1, 2]})
         assert a == a and a != b
         assert len({a, b}) == 2
-        hash(Dataset(name="d", units=(a,)))
+
+    def test_constant_citations_give_h_min_n_c(self):
+        # degenerate citation model: every paper cited exactly c times
+        for n, c in [(5, 3), (3, 9), (4, 4), (10, 0)]:
+            assert group_h_indices(make_dataset({"a": [c] * n})).tolist() == [min(n, c)]
 
 
 # Small counts, so h is not trivially the paper count, or counts at the
@@ -209,34 +248,12 @@ citation_counts = st.lists(
 class TestGroupHIndices:
     @given(st.lists(citation_counts, min_size=1, max_size=8))
     def test_match_per_unit_group_h_index(self, per_unit):
-        units = tuple(make_unit(f"u{i}", counts) for i, counts in enumerate(per_unit))
-        h = group_h_indices(Dataset(name="d", units=units))
-        assert h.tolist() == [h_index(u.citations) for u in units]
+        h = group_h_indices(make_dataset({f"u{i}": counts for i, counts in enumerate(per_unit)}))
+        assert h.tolist() == [h_index(counts) for counts in per_unit]
         # one unit holding the whole pool has the pool's h
-        whole = make_unit("all", [c for counts in per_unit for c in counts])
-        assert group_h_indices(Dataset(name="whole", units=(whole,))).tolist() == [h_index(whole.citations)]
+        whole = make_dataset({"all": [c for counts in per_unit for c in counts]})
+        assert group_h_indices(whole).tolist() == [h_index(whole.citations)]
 
     def test_empty_units_score_zero(self):
-        units = (make_unit("a", []), make_unit("b", [4, 4, 4]), make_unit("c", []))
-        assert group_h_indices(Dataset(name="d", units=units)).tolist() == [0, 3, 0]
-        assert group_h_indices(Dataset(name="none", units=units[:1])).tolist() == [0]
-
-
-class TestDataset:
-    def test_pool_size(self):
-        ds = Dataset(name="d", units=(make_unit("a", [1, 2]), make_unit("b", [3])))
-        assert ds.pool_size == 3
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            Dataset(name="d", units=(make_unit("a", [1]), make_unit("a", [2])))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Dataset(name="d", units=())
-
-    def test_constant_citations_give_h_min_n_c(self):
-        # degenerate citation model: every paper cited exactly c times
-        for n, c in [(5, 3), (3, 9), (4, 4), (10, 0)]:
-            unit = make_unit("a", [c] * n)
-            assert h_index(unit.citations) == min(n, c)
+        assert group_h_indices(make_dataset({"a": [], "b": [4, 4, 4], "c": []})).tolist() == [0, 3, 0]
+        assert group_h_indices(make_dataset({"a": []})).tolist() == [0]

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
+from conftest import make_dataset, unit_citations
 from sizebias.combinatorics import PoolSpec, hypergeom_pmf
-from sizebias.model import MAX_CITATIONS, Dataset, Unit, h_from_tally, h_index
+from sizebias.model import MAX_CITATIONS, h_from_tally, h_index
 from sizebias.nullmodel import (
     ReshuffleResult,
     _row_average_ranks,
     mean_spearman_vs_real,
     null_h_tails,
-    pool,
     replicate_stream,
     reshuffle_blocks,
     reshuffled_dataset,
@@ -28,28 +28,14 @@ from sizebias.nullmodel import (
 from sizebias.synth import CitationModel, SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
 
 
-def make_unit(uid, citations):
-    return Unit(id=uid, name=uid.upper(), citations=citations)
-
-
 def toy_dataset():
-    return Dataset(
-        name="toy",
-        units=(
-            make_unit("a", [12, 7, 3, 0]),
-            make_unit("b", [5, 5]),
-            make_unit("c", [30, 2, 2, 1, 0, 0]),
-        ),
-    )
+    return make_dataset({"a": [12, 7, 3, 0], "b": [5, 5], "c": [30, 2, 2, 1, 0, 0]}, name="toy")
 
 
 def random_dataset(seed, units=8, max_size=60):
     rng = np.random.default_rng(seed)
-    made = []
-    for i in range(units):
-        size = int(rng.integers(1, max_size))
-        made.append(make_unit(f"u{i}", rng.integers(0, 50, size=size).tolist()))
-    return Dataset(name=f"rand{seed}", units=tuple(made))
+    made = {f"u{i}": rng.integers(0, 50, size=int(rng.integers(1, max_size))) for i in range(units)}
+    return make_dataset(made, name=f"rand{seed}")
 
 
 def sorted_block_h(blocks):
@@ -104,15 +90,13 @@ class TestStreams:
 
 class TestPoolAndBlocks:
     def test_pool_is_ordered_concatenation(self):
-        ds = toy_dataset()
-        counts = pool(ds)
+        counts = toy_dataset().citations
         assert counts.dtype == np.uint64
         assert counts.tolist() == [12, 7, 3, 0, 5, 5, 30, 2, 2, 1, 0, 0]
 
     def test_blocks_preserve_multiset_and_sizes(self):
         ds = random_dataset(5)
-        counts = pool(ds)
-        prods = np.array([u.productivity for u in ds.units])
+        counts, prods = ds.citations, ds.sizes
         for r in range(20):
             blocks = reshuffle_blocks(counts, prods, replicate_stream(7, r))
             assert [len(b) for b in blocks] == prods.tolist()
@@ -132,9 +116,12 @@ class TestPoolAndBlocks:
         ds = toy_dataset()
         shuffled = reshuffled_dataset(ds, replicate_stream(3, 0))
         assert shuffled.name == "toy-reshuffled"
-        assert [u.id for u in shuffled.units] == [u.id for u in ds.units]
-        assert [u.productivity for u in shuffled.units] == [u.productivity for u in ds.units]
-        assert sorted(pool(shuffled).tolist()) == sorted(pool(ds).tolist())
+        assert (shuffled.unit_ids, shuffled.unit_names) == (ds.unit_ids, ds.unit_names)
+        assert shuffled.sizes.tolist() == ds.sizes.tolist()
+        assert sorted(shuffled.citations.tolist()) == sorted(ds.citations.tolist())
+        # the same draws as permute-and-cut, its oracle
+        blocks = reshuffle_blocks(ds.citations, ds.sizes, replicate_stream(3, 0))
+        assert shuffled.citations.tolist() == np.concatenate(blocks).tolist()
 
 
 class TestHFromTally:
@@ -173,7 +160,7 @@ class TestRunNullModel:
         result = run_null_model(ds, 5, 17, workers=1)
         assert result.unit_ids == ("a", "b", "c")
         assert result.h_samples.shape == (17, 3)
-        assert result.real_h.tolist() == [h_index(u.citations) for u in ds.units]
+        assert result.real_h.tolist() == [h_index(c) for c in unit_citations(ds)]
         assert result.productivities.tolist() == [4, 2, 6]
         assert result.replicates == 17
 
@@ -192,7 +179,7 @@ class TestRunNullModel:
         vectors, exact = np.unique(h, axis=0, return_counts=True)
         assert len(vectors) == 11
 
-        ds = Dataset(name="tiny", units=tuple(make_unit(f"u{i}", c) for i, c in enumerate(units)))
+        ds = make_dataset({f"u{i}": c for i, c in enumerate(units)})
         replicates = 20_000
         samples = run_null_model(ds, 2024, replicates, workers=1).h_samples
         observed = np.array([np.all(samples == v, axis=1).sum() for v in vectors])
@@ -206,9 +193,9 @@ class TestRunNullModel:
         # sampler that kept papers near their own unit would shift the means.
         rng = generation_stream(31)
         sizes = sample_sizes(SizeModel.uniform_floor(20, 400), 12, rng)
-        pooled = np.sort(pool(build_synthetic_dataset(sizes, CitationModel(alpha=1.5), rng)))[::-1]
+        pooled = np.sort(build_synthetic_dataset(sizes, CitationModel(alpha=1.5), rng).citations)[::-1]
         cuts = np.split(pooled, np.cumsum(sizes)[:-1])
-        ds = Dataset(name="dealt", units=tuple(make_unit(f"u{i}", c) for i, c in enumerate(cuts)))
+        ds = make_dataset({f"u{i}": c for i, c in enumerate(cuts)})
         replicates = 600
         fast = run_null_model(ds, 5, replicates, workers=1).h_samples
         oracle = np.array(
@@ -238,11 +225,11 @@ class TestRunNullModel:
     def test_matches_permute_and_cut_oracle(self, workers, units, seed, replicates):
         # Rows need not equal permute-and-cut on the same stream, only obey
         # what every permute-and-cut row obeys exactly.
-        ds = Dataset(name="prop", units=tuple(make_unit(f"u{i}", c) for i, c in enumerate(units)))
+        ds = make_dataset({f"u{i}": c for i, c in enumerate(units)})
         result = run_null_model(ds, seed, replicates, workers=workers)
         assert result.real_h.tolist() == [h_index(c) for c in units]
         assert np.array_equal(run_null_model(ds, seed, replicates, workers=1).h_samples, result.h_samples)
-        pool_h = h_index(pool(ds))
+        pool_h = h_index(ds.citations)
         assert np.all(result.h_samples >= 0)
         assert np.all(result.h_samples <= np.minimum([len(c) for c in units], pool_h))
         if len(units) == 1:  # the block is the whole pool
@@ -250,7 +237,7 @@ class TestRunNullModel:
         if pool_h == 0:  # all-zero or empty pool
             assert not result.h_samples.any()
         # Capped at the pool size, which no block's h can exceed, so the counts fit int64.
-        counts = np.minimum(pool(ds), pool(ds).size).astype(np.int64)
+        counts = np.minimum(ds.citations, ds.citations.size).astype(np.int64)
         if counts.size <= 7:  # small enough to enumerate every permute-and-cut order
             orders = np.array(list(itertools.permutations(range(counts.size))), dtype=np.int64)
             cuts = np.cumsum([len(c) for c in units])[:-1]
@@ -482,10 +469,6 @@ class TestRankAgreement:
     def test_null_model_pipeline_agreement_is_high_for_size_spread(self):
         # strongly size-heterogeneous units: size alone orders the null ranking
         rng = np.random.default_rng(3)
-        units = tuple(
-            make_unit(f"u{i}", rng.integers(0, 40, size=size).tolist())
-            for i, size in enumerate([10, 40, 160, 640, 2560])
-        )
-        ds = Dataset(name="spread", units=units)
+        ds = make_dataset({f"u{i}": rng.integers(0, 40, size=size) for i, size in enumerate([10, 40, 160, 640, 2560])})
         result = run_null_model(ds, 8, 50, workers=2)
         assert mean_spearman_vs_real(result) > 0.5

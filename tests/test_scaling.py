@@ -9,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from sizebias.model import Dataset, Unit, h_index
-from sizebias.nullmodel import ReshuffleResult, pool, run_null_model
+from conftest import make_dataset
+from sizebias.model import h_index
+from sizebias.nullmodel import ReshuffleResult, run_null_model
 from sizebias.scaling import (
     RANKING_KEYS,
     Benchmark,
@@ -223,17 +224,10 @@ class TestSlopeSignificance:
         assert not fit.p_value < 0.01
 
 
-def make_unit(uid, citations):
-    return Unit(id=uid, name=uid, citations=citations)
-
-
 def spread_dataset(seed=4):
     rng = np.random.default_rng(seed)
     sizes = [15, 40, 110, 300, 820, 2200]
-    units = tuple(
-        make_unit(f"u{i}", rng.integers(0, 60, size=s).tolist()) for i, s in enumerate(sizes)
-    )
-    return Dataset(name="spread", units=units)
+    return make_dataset({f"u{i}": rng.integers(0, 60, size=s) for i, s in enumerate(sizes)}, name="spread")
 
 
 class TestBuildBenchmark:
@@ -270,8 +264,7 @@ class TestBuildBenchmark:
     def test_identical_units_give_flat_benchmark(self):
         rng = np.random.default_rng(12)
         counts = rng.integers(0, 30, size=25).tolist()
-        units = tuple(make_unit(f"u{i}", counts) for i in range(5))
-        ds = Dataset(name="same", units=units)
+        ds = make_dataset({f"u{i}": counts for i in range(5)}, name="same")
         result = run_null_model(ds, 2, 30, workers=1)
         bench = build_benchmark(result)
         assert bench.fit.beta == 0.0
@@ -315,8 +308,7 @@ class TestBuildBenchmark:
 
     def test_zero_h_points_counted(self):
         # two tiny units over a nearly uncited pool produce h=0 replicates
-        units = (make_unit("a", [0, 0, 0, 1]), make_unit("b", [0, 0, 2, 1]), make_unit("c", [3, 0, 0, 0]))
-        ds = Dataset(name="tiny", units=units)
+        ds = make_dataset({"a": [0, 0, 0, 1], "b": [0, 0, 2, 1], "c": [3, 0, 0, 0]}, name="tiny")
         result = run_null_model(ds, 3, 25, workers=1)
         bench = build_benchmark(result)
         zeros = int(np.count_nonzero(result.h_samples == 0))
@@ -333,19 +325,18 @@ def paretian_dataset(seed, units=40, max_size=10000):
 class TestExactBenchmark:
     def test_moments_match_scipy_hypergeometric_tails(self):
         ds = paretian_dataset(1)
-        counts = pool(ds)
+        counts = ds.citations
         cap = h_index(counts)
         bench = exact_benchmark(ds)
         k = np.arange(1, cap + 1)
         marked = np.array([np.count_nonzero(counts >= level) for level in k])
-        for i, unit in enumerate(ds.units):
-            n = unit.productivity
+        for i, n in enumerate(ds.sizes.tolist()):
             tail = np.where(k <= n, stats.hypergeom.sf(k - 1, counts.size, marked, n), 0.0)
             mean = tail.sum()
             sd = math.sqrt(max(np.sum((2 * k - 1) * tail) - mean**2, 0.0))
             assert bench.null_mean_h[i] == pytest.approx(mean, abs=1e-9)
             assert bench.null_sd_h[i] == pytest.approx(sd, abs=1e-9)
-        assert bench.unit_ids == tuple(u.id for u in ds.units)
+        assert bench.unit_ids == ds.unit_ids
         assert bench.n_excluded_zero_h == 0
 
     def test_agrees_with_monte_carlo_within_its_error(self):
@@ -360,31 +351,27 @@ class TestExactBenchmark:
 
     def test_certain_null_h_has_zero_spread(self):
         # every paper is cited, so the one-paper unit always has h = 1
-        units = (make_unit("solo", [50]),) + tuple(
-            make_unit(uid, [1 + (7 * i) % 30 for i in range(size)]) for uid, size in (("a", 8), ("b", 20))
-        )
-        bench = exact_benchmark(Dataset(name="certain", units=units))
+        units = {"solo": [50]} | {uid: [1 + (7 * i) % 30 for i in range(size)] for uid, size in (("a", 8), ("b", 20))}
+        bench = exact_benchmark(make_dataset(units, name="certain"))
         assert bench.null_mean_h[0] == 1.0
         assert bench.null_sd_h[0] == 0.0
         assert np.all(bench.null_sd_h[1:] > 0)
         z = normalized_scores([1, 5, 9], bench)["z"]
         assert np.isnan(z[0]) and not np.isnan(z[1:]).any()
         # a unit holding the whole pool has the pool's h for certain
-        whole = exact_benchmark(Dataset(name="whole", units=(make_unit("all", [9, 4, 4, 2, 0]),)))
+        whole = exact_benchmark(make_dataset({"all": [9, 4, 4, 2, 0]}, name="whole"))
         assert (whole.null_mean_h[0], whole.null_sd_h[0]) == (3.0, 0.0)
         assert whole.fit.beta == 0.0 and whole.fit.log10_prefactor == math.log10(3)
 
     def test_fit_counts_positive_weight_points(self):
-        units = (make_unit("a", [0, 0, 0, 1]), make_unit("b", [0, 0, 2, 1]), make_unit("c", [3, 0, 0, 0, 5, 2]))
-        bench = exact_benchmark(Dataset(name="tiny", units=units))
+        bench = exact_benchmark(make_dataset({"a": [0, 0, 0, 1], "b": [0, 0, 2, 1], "c": [3, 0, 0, 0, 5, 2]}))
         # pool h is 2: each unit's null h can be 0, 1 or 2
         assert bench.fit.n_points == 6
         assert bench.n_excluded_zero_h == 3
 
     def test_pool_without_h_rejected(self):
-        units = (make_unit("a", [0, 0]), make_unit("b", [0]))
         with pytest.raises(FitError, match="null h is 0"):
-            exact_benchmark(Dataset(name="uncited", units=units))
+            exact_benchmark(make_dataset({"a": [0, 0], "b": [0]}))
 
 
 def manual_result_and_benchmark():
@@ -462,9 +449,7 @@ class TestNormalizedScores:
         assert scores["ratio"][0] == 0.0
 
     def test_unit_without_publications_rejected(self):
-        units = (make_unit("a", [3, 1, 2, 5]), make_unit("b", [0, 4, 1]), make_unit("e", []))
-        ds = Dataset(name="d", units=units)
-        bench = exact_benchmark(ds)
+        bench = exact_benchmark(make_dataset({"a": [3, 1, 2, 5], "b": [0, 4, 1], "e": []}))
         with pytest.raises(ValueError, match="without publications.*'e'"):
             normalized_scores([3, 1, 0], bench)
 

@@ -180,24 +180,34 @@ class TestSampleSizes:
 class TestBuildSyntheticDataset:
     def test_single_publication_unit(self):
         ds = build_synthetic_dataset([1], CitationModel(alpha=1.5), generation_stream(1))
-        assert len(ds.units) == 1
-        assert ds.units[0].productivity == 1
+        assert len(ds.unit_ids) == 1
+        assert ds.sizes.tolist() == [1]
 
     def test_pool_size_equals_size_sum(self):
         rows = load_bundled_summary("ukraine_2019")
         sizes = [r.n_publications for r in rows]
         ds = build_synthetic_dataset(sizes, CitationModel(alpha=1.5), generation_stream(2))
-        assert len(ds.units) == 40
+        assert len(ds.unit_ids) == 40
         assert ds.pool_size == sum(sizes) == 92833
         assert ds.pool_size > 90000
 
     def test_reproducible(self):
         a = build_synthetic_dataset([5, 9], CitationModel(alpha=1.5), generation_stream(3))
         b = build_synthetic_dataset([5, 9], CitationModel(alpha=1.5), generation_stream(3))
-        assert a.name == b.name
-        assert [(u.id, u.name, u.citations.tolist()) for u in a.units] == [
-            (u.id, u.name, u.citations.tolist()) for u in b.units
-        ]
+        assert (a.name, a.unit_ids, a.unit_names) == (b.name, b.unit_ids, b.unit_names)
+        assert (a.sizes.tolist(), a.citations.tolist()) == (b.sizes.tolist(), b.citations.tolist())
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.5, 3.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_draw_matches_the_per_unit_loop(self, seed, alpha):
+        # the oracle draws each unit's citations in turn from the same stream
+        model, rng, oracle_rng = CitationModel(alpha=alpha), generation_stream(seed), generation_stream(seed)
+        sizes = sample_sizes(SizeModel.uniform_floor(1, 300), 25, rng)
+        sample_sizes(SizeModel.uniform_floor(1, 300), 25, oracle_rng)
+        ds = build_synthetic_dataset(sizes, model, rng)
+        oracle = np.concatenate([sample_citations(model, int(n), oracle_rng) for n in sizes])
+        assert ds.citations.tolist() == oracle.tolist()
+        assert rng.random() == oracle_rng.random()  # both streams consumed the same draws
 
     def test_custom_ids_and_names(self):
         ds = build_synthetic_dataset(
@@ -207,8 +217,8 @@ class TestBuildSyntheticDataset:
             ids=["x", "y"],
             names=["X", "Y"],
         )
-        assert [u.id for u in ds.units] == ["x", "y"]
-        assert [u.name for u in ds.units] == ["X", "Y"]
+        assert ds.unit_ids == ("x", "y")
+        assert ds.unit_names == ("X", "Y")
 
     def test_id_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
