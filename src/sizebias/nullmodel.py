@@ -159,47 +159,48 @@ def run_null_model(dataset: Dataset, seed: int, replicates: int, workers: int | 
     )
 
 
-def null_h_tails(pool_counts: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
-    """Exact P(h >= k), k = 1..min(N, H), for each block size N in `sizes`;
-    H is the pool's h-index.  A size below 0 or above the pool size raises
-    ValueError.
+def null_h_tails(pool_counts: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Exact tails of the null h: tails[j, k - 1] = P(h >= k | N = sizes[j])
+    for k = 1..H, where H is the pool's h-index, in a (len(sizes), H) float
+    matrix.  A size below 0 or above the pool size raises ValueError.
 
     N of the M pooled papers have h >= k exactly when k of them are cited
     k times or more, so P(h >= k) = P(X >= k) with X ~ Hypergeom(M, K_k, N),
     K_k counting the pooled papers cited k times or more.  Each pmf is built
     from log pmf ratios over mean +- (12 sd + 12), clipped to the support,
-    and normalised by its own sum.  Only the levels inside their window
+    and normalised by its own sum.  Only the cells inside their window
     (lo < k <= hi) need one: the others are certain, exactly 1.0, or
-    impossible, exactly 0.0.
+    impossible, exactly 0.0, as is every k > N.  The cells are grouped by
+    window width rounded up to a power of two, one cumsum per group, so a
+    cell's value depends on its own window alone, not on the other sizes.
     """
     cap = h_index(pool_counts)
     tally = np.bincount(np.minimum(pool_counts, cap).astype(np.int64), minlength=cap + 1)
     marked = np.cumsum(tally[::-1])[::-1][1:].astype(float)  # K_k, k = 1..H
+    sizes = np.asarray(sizes, dtype=np.int64)
+    bad = (sizes < 0) | (sizes > pool_counts.size)
+    if bad.any():
+        raise ValueError(f"block size {sizes[bad][0]} is outside 0..{pool_counts.size}, the pool size")
     total = float(pool_counts.size)
-    tails = []
-    for size in sizes:
-        if not 0 <= size <= pool_counts.size:
-            raise ValueError(f"block size {size} is outside 0..{pool_counts.size}, the pool size")
-        n = float(size)
-        k = np.arange(1, min(int(size), cap) + 1)
-        K = marked[: k.size]
-        mean = n * K / total
-        sd = np.sqrt(mean * (1.0 - K / total) * (total - n) / max(total - 1.0, 1.0))
-        lo = np.maximum(np.maximum(0.0, n + K - total), np.floor(mean - 12.0 * sd - 12.0))
-        hi = np.minimum(np.minimum(n, K), np.ceil(mean + 12.0 * sd + 12.0))
-        tail = (lo >= k).astype(float)
-        inside = np.flatnonzero((lo < k) & (k <= hi))
-        # the widest window of all levels sets the width, and so the sums' last bits
-        x = lo[inside, None] + np.arange(int((hi - lo).max(initial=0)) + 1)
-        K, top = K[inside, None], hi[inside, None]
+    n, k = sizes[:, None].astype(float), np.arange(1, cap + 1)
+    mean = n * marked / total
+    sd = np.sqrt(mean * (1.0 - marked / total) * (total - n) / max(total - 1.0, 1.0))
+    lo = np.maximum(np.maximum(0.0, n + marked - total), np.floor(mean - 12.0 * sd - 12.0))
+    hi = np.minimum(np.minimum(n, marked), np.ceil(mean + 12.0 * sd + 12.0))
+    tails = (lo >= k).astype(float)
+    rows, cols = np.nonzero((lo < k) & (k <= hi))
+    group = np.frexp(hi[rows, cols] - lo[rows, cols])[1]  # 2**group >= the window's hi - lo + 1 points
+    for g in np.unique(group):
+        r, c = rows[group == g], cols[group == g]
+        n_g, K, top = n[r], marked[c, None], hi[r, c, None]
+        x = lo[r, c, None] + np.arange(2**g)
         step = x < top
-        ratio = np.log(np.where(step, (K - x) * (n - x), 1.0)) - np.log(  # log pmf(x + 1) - log pmf(x)
-            np.where(step, (x + 1.0) * (total - K - n + x + 1.0), 1.0)
+        ratio = np.log(np.where(step, (K - x) * (n_g - x), 1.0)) - np.log(  # log pmf(x + 1) - log pmf(x)
+            np.where(step, (x + 1.0) * (total - K - n_g + x + 1.0), 1.0)
         )
         log_pmf = np.cumsum(ratio, axis=1) - ratio  # log pmf(x) - log pmf(lo)
         weight = np.where(x <= top, np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True)), 0.0)
-        tail[inside] = np.where(x >= k[inside, None], weight, 0.0).sum(axis=1) / weight.sum(axis=1)
-        tails.append(tail)
+        tails[r, c] = np.where(x >= k[c, None], weight, 0.0).sum(axis=1) / weight.sum(axis=1)
     return tails
 
 

@@ -10,7 +10,7 @@ benchmark instead of against other units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -180,34 +180,29 @@ def build_benchmark(result: ReshuffleResult) -> Benchmark:
 def exact_benchmark(dataset: Dataset) -> Benchmark:
     """The limit of build_benchmark over infinitely many replicates.
 
-    From the exact tails P(h >= k) of `nullmodel.null_h_tails`, once per
-    size: E[h] = sum_k P(h >= k), E[h^2] = sum_k (2k - 1) P(h >= k), and a
-    fit of (log10 N_i, log10 k), k >= 1, weighted by P(h_i = k), stderr 0.
-    `n_points` counts the (unit, k) pairs of positive weight and
+    From the matrix of exact tails P(h >= k | N) of `nullmodel.null_h_tails`,
+    one row per distinct size: E[h] = sum_k P(h >= k),
+    E[h^2] = sum_k (2k - 1) P(h >= k), and a fit of (log10 N, log10 k),
+    k >= 1, weighted by P(h = k | N) times the number of units of size N,
+    stderr 0.  `n_points` counts the (unit, k) pairs of positive weight and
     `n_excluded_zero_h` the units whose null h can be 0, P(h >= 1) < 1."""
-    sizes, inverse = np.unique(dataset.sizes, return_inverse=True)
-    tails = null_h_tails(dataset.citations, sizes.tolist())
-    mean = np.array([t.sum() for t in tails])
-    second = np.array([np.sum((2 * np.arange(1, t.size + 1) - 1) * t) for t in tails])
-    pmf = np.concatenate([np.maximum(t - np.append(t[1:], 0.0), 0.0) for t in tails])  # P(h = k), k >= 1
-    depth = np.array([t.size for t in tails])  # levels of each size, min(N, H)
-    width = depth[inverse]
-    # every unit's levels k = 1..min(N_i, H), unit after unit, and their pmf
-    k = np.arange(1, width.sum() + 1) - np.repeat(np.cumsum(width) - width, width)
-    w = pmf[np.repeat((np.cumsum(depth) - depth)[inverse], width) + k - 1]
-    keep = w > 0
-    x = np.log10(np.repeat(dataset.sizes, width))[keep]
-    y = np.log10(k)[keep]
-    if not x.size:
+    sizes, inverse, units = np.unique(dataset.sizes, return_inverse=True, return_counts=True)
+    tails = null_h_tails(dataset.citations, sizes)
+    k = np.arange(1, tails.shape[1] + 1)
+    mean = tails.sum(axis=1)
+    second = np.sum((2 * k - 1) * tails, axis=1)
+    pmf = tails - np.pad(tails[:, 1:], ((0, 0), (0, 1)))  # P(h = k), k >= 1
+    rows, cols = np.nonzero(pmf > 0)
+    if not rows.size:
         raise FitError("every unit's null h is 0; nothing to benchmark")
-    can_be_zero = np.array([t[:1].sum() < 1.0 for t in tails])
+    fit = _line_fit(np.log10(sizes[rows]), np.log10(k[cols]), pmf[rows, cols] * units[rows], None)
     return Benchmark(
         unit_ids=dataset.unit_ids,
         productivities=dataset.sizes,
         null_mean_h=mean[inverse],
         null_sd_h=np.sqrt(np.maximum(second - mean**2, 0.0))[inverse],
-        fit=_line_fit(x, y, w[keep], None),
-        n_excluded_zero_h=int(np.count_nonzero(can_be_zero[inverse])),
+        fit=replace(fit, n_points=int(units[rows].sum())),
+        n_excluded_zero_h=int(units[tails[:, 0] < 1.0].sum()),
     )
 
 

@@ -46,7 +46,8 @@ def sorted_block_h(blocks):
 
 def reference_null_h_tails(pool_counts, sizes):
     """Oracle: null_h_tails as it was before it skipped the certain and the
-    impossible levels, which builds a pmf at every level k of every size."""
+    impossible levels, which builds a pmf at every level k = 1..min(N, H) of
+    every size, each padded to its size's widest window, as a list of rows."""
     cap = h_index(pool_counts)
     tally = np.bincount(np.minimum(pool_counts, cap).astype(np.int64), minlength=cap + 1)
     marked = np.cumsum(tally[::-1])[::-1][1:].astype(float)  # K_k, k = 1..H
@@ -293,30 +294,46 @@ class TestNullHTails:
     @example([6, 6, 6, 6, 6])  # every paper cited, h certain for every size
     def test_match_exact_urn_and_every_draw(self, counts):
         m, cap = len(counts), h_index(counts)
-        tails = null_h_tails(np.array(counts, dtype=np.uint64), range(m + 1))
-        assert len(tails) == m + 1
-        reference = reference_null_h_tails(np.array(counts, dtype=np.uint64), range(m + 1))
-        assert all(np.array_equal(a, b) for a, b in zip(tails, reference, strict=True))
-        for n, tail in enumerate(tails):
-            assert tail.shape == (min(n, cap),)
+        pool = np.array(counts, dtype=np.uint64)
+        tails = null_h_tails(pool, range(m + 1))
+        assert tails.shape == (m + 1, cap)
+        for n, (tail, reference) in enumerate(zip(tails, reference_null_h_tails(pool, range(m + 1)), strict=True)):
+            assert reference.shape == (min(n, cap),)
+            assert np.all(np.abs(tail[: reference.size] - reference) <= 1e-15)
+            assert np.all(tail[n:] == 0.0)  # h >= k > N is impossible
             if m <= 8:
                 # the claim itself: P(h >= k) over every equally likely block
                 drawn = [
                     sum(c >= r for r, c in enumerate(sorted((counts[i] for i in block), reverse=True), 1))
                     for block in itertools.combinations(range(m), n)
                 ]
-                for k in range(1, tail.size + 1):
+                for k in range(1, cap + 1):
                     assert tail[k - 1] == pytest.approx(sum(h >= k for h in drawn) / len(drawn), abs=1e-12)
-            for k in range(1, tail.size + 1):
+            for k in range(1, cap + 1):
                 marked = sum(c >= k for c in counts)
                 spec = PoolSpec(black=marked, white=m - marked)
                 exact = math.fsum(hypergeom_pmf(spec, n, x) for x in range(k, n + 1))
-                assert tail[k - 1] == pytest.approx(exact, abs=1e-12)
+                assert tail[k - 1] == pytest.approx(exact, abs=1e-14)
                 # certain and impossible events are exact
                 if max(0, n + marked - m) >= k:
                     assert tail[k - 1] == 1.0
                 if min(n, marked) < k:
                     assert tail[k - 1] == 0.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mid_size_pools_match_exact_urn(self, seed):
+        # 100-400 papers: windows of a few dozen points, against sums of
+        # correctly rounded exact pmfs
+        rng = np.random.default_rng(seed)
+        counts = np.floor(rng.pareto(1.2, size=int(rng.integers(100, 401))) * 3).astype(np.uint64)
+        m, cap = counts.size, h_index(counts)
+        sizes = sorted(rng.choice(m + 1, size=6, replace=False).tolist())
+        for n, tail in zip(sizes, null_h_tails(counts, sizes), strict=True):
+            for k in range(1, cap + 1):
+                marked = int(np.count_nonzero(counts >= k))
+                spec = PoolSpec(black=marked, white=m - marked)
+                exact = math.fsum(hypergeom_pmf(spec, n, x) for x in range(k, min(n, marked) + 1))
+                assert abs(tail[k - 1] - exact) <= 1e-14
 
     def test_large_pool_matches_scipy(self):
         rng = np.random.default_rng(8)
@@ -325,10 +342,12 @@ class TestNullHTails:
         cap = h_index(counts)
         k = np.arange(1, cap + 1)
         marked = np.array([np.count_nonzero(counts >= level) for level in k])
-        for n, tail in zip(sizes, null_h_tails(counts, sizes)):
-            upto = min(n, cap)
-            expected = stats.hypergeom.sf(k[:upto] - 1, counts.size, marked[:upto], n)
+        tails = null_h_tails(counts, sizes)
+        assert tails.shape == (len(sizes), cap)
+        for n, tail in zip(sizes, tails):
+            expected = stats.hypergeom.sf(k - 1, counts.size, marked, n)
             assert np.max(np.abs(tail - expected)) < 1e-12
+            assert np.all(tail[n:] == 0.0)
 
     @pytest.mark.parametrize(
         "sizes",
@@ -339,20 +358,26 @@ class TestNullHTails:
         ],
         ids=["40-uniform", "power-law"],
     )
-    def test_bit_identical_to_reference_on_a_large_pool(self, sizes):
+    def test_agrees_with_reference_on_a_large_pool(self, sizes):
         # 200k Pareto (alpha = 1.5) citation counts, as the benchmark inputs draw them
         rng = np.random.default_rng(12)
         counts = np.floor((1.0 - rng.random(200_000)) ** (-1 / 1.5) - 1.0).astype(np.uint64)
         sizes = sizes.astype(int).tolist()
         tails = null_h_tails(counts, sizes)
-        assert all(np.array_equal(a, b) for a, b in zip(tails, reference_null_h_tails(counts, sizes), strict=True))
+        for tail, reference in zip(tails, reference_null_h_tails(counts, sizes), strict=True):
+            assert np.max(np.abs(tail[: reference.size] - reference)) <= 1e-15
+            assert np.all(tail[reference.size :] == 0.0)
+        # each window is summed at its own width, so a size's row does not
+        # depend on which other sizes share the call
+        for j in range(0, len(sizes), 7):
+            assert np.array_equal(null_h_tails(counts, [sizes[j]])[0], tails[j])
 
     def test_size_outside_the_pool_rejected(self):
         counts = np.array([5, 5], dtype=np.uint64)
         for size in (-1, 3):
             with pytest.raises(ValueError, match=f"block size {size} is outside 0..2"):
                 null_h_tails(counts, [size])
-        assert [t.tolist() for t in null_h_tails(counts, [0, 2])] == [[], [1.0, 1.0]]
+        assert null_h_tails(counts, [0, 2]).tolist() == [[0.0, 0.0], [1.0, 1.0]]
 
 
 class TestResultValidation:

@@ -11,7 +11,7 @@ from scipy import special, stats
 
 from conftest import make_dataset
 from sizebias.model import h_index
-from sizebias.nullmodel import ReshuffleResult, run_null_model
+from sizebias.nullmodel import ReshuffleResult, null_h_tails, run_null_model
 from sizebias.scaling import (
     RANKING_KEYS,
     Benchmark,
@@ -372,6 +372,32 @@ class TestExactBenchmark:
     def test_pool_without_h_rejected(self):
         with pytest.raises(FitError, match="null h is 0"):
             exact_benchmark(make_dataset({"a": [0, 0], "b": [0]}))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_size_weights_match_one_point_per_unit_and_level(self, seed):
+        # Repeated sizes and an empty unit.  The oracle fits one point per
+        # (unit, k) of positive weight P(h = k | N), unit after unit, where
+        # exact_benchmark weights each (size, k) by the units of that size.
+        rng = np.random.default_rng(seed)
+        sizes = [0, *rng.choice([1, 2, 5, 9, 30], size=11).tolist()]
+        ds = make_dataset({f"u{i}": rng.integers(0, 12, size=n) for i, n in enumerate(sizes)})
+        tails = null_h_tails(ds.citations, sizes)
+        points = [
+            (math.log10(n), math.log10(k), p)
+            for n, tail in zip(sizes, tails.tolist())
+            for k, p in enumerate(np.subtract(tail, [*tail[1:], 0.0]).tolist(), 1)
+            if p > 0
+        ]
+        x, y, w = map(np.array, zip(*points))
+        x_mean, y_mean = np.sum(w * x) / np.sum(w), np.sum(w * y) / np.sum(w)
+        sxx, sxy = np.sum(w * (x - x_mean) ** 2), np.sum(w * (x - x_mean) * (y - y_mean))
+        syy = np.sum(w * (y - y_mean) ** 2)
+        bench = exact_benchmark(ds)
+        assert bench.fit.beta == pytest.approx(sxy / sxx, abs=1e-12)
+        assert bench.fit.log10_prefactor == pytest.approx(y_mean - sxy / sxx * x_mean, abs=1e-12)
+        assert bench.fit.r_squared == pytest.approx(sxy**2 / (sxx * syy), abs=1e-12)
+        assert bench.fit.n_points == len(points)
+        assert bench.n_excluded_zero_h == sum(tail[0] < 1.0 for tail in tails) >= 1
 
 
 def manual_result_and_benchmark():
