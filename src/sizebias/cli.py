@@ -159,7 +159,7 @@ def cmd_null_model(args: argparse.Namespace) -> int:
         rho = None
     out = _ensure_out_dir(args.out_dir)
     io.write_samples_csv(result, out / "reshuffle_samples.csv")
-    io.write_json(io.reshuffle_summary_payload(result, rho), out / "reshuffle_summary.json")
+    io._write_reshuffle_summary(result, rho, out / "reshuffle_summary.json")
     io.write_json(
         io.build_manifest(
             "null-model", args.argv, input_path=args.input, seed=args.seed, replicates=args.replicates

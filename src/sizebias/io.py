@@ -390,12 +390,28 @@ def write_publications(dataset: Dataset, path: str | Path) -> None:
     _write_csv(path, PUBLICATIONS_HEADER, zip(ids, names, dataset.citations.tolist()))
 
 
+class _Echo:
+    """A file whose `write` returns its text, so a csv writer's `writerow`
+    returns the row it formats."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
 def write_samples_csv(result: ReshuffleResult, path: str | Path) -> None:
-    """Replicate-major long format: one row per (replicate, unit), built
-    from whole columns."""
-    replicate = np.repeat(np.arange(result.replicates), len(result.unit_ids)).tolist()
-    unit_ids = result.unit_ids * result.replicates
-    _write_csv(path, SAMPLES_HEADER, zip(replicate, unit_ids, result.h_samples.ravel().tolist()))
+    """Replicate-major long format: one row per (replicate, unit), the
+    bytes of csv.writer.  Each unit id is quoted by the csv module once and
+    each h level formatted once; every replicate is one joined string."""
+    echo = csv.writer(_Echo(), lineterminator="\n")
+    # a second, empty cell: a lone empty field would be written as ""
+    id_cells = [echo.writerow((uid, ""))[:-1] for uid in result.unit_ids]  # "<id>,"
+    levels = [str(h) for h in range(int(result.h_samples.max(initial=0)) + 1)]
+    with _atomic_write(path, newline="") as fh:
+        fh.write(",".join(SAMPLES_HEADER) + "\n")
+        for r, row in enumerate(result.h_samples if id_cells else ()):
+            cells = map(str.__add__, id_cells, map(levels.__getitem__, row.tolist()))
+            fh.write(f"{r}," + f"\n{r},".join(cells) + "\n")
 
 
 def write_hindex_csv(rows: Sequence[tuple[str, int, int]], path: str | Path) -> None:
@@ -426,29 +442,71 @@ def fit_payload(fit: PowerLawFit) -> dict:
     }
 
 
+def _null_quantiles(h_samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's 2.5 and 97.5 percent quantiles, bit-equal to
+    np.quantile(h_samples, [0.025, 0.975], axis=0): its default linear rule
+    (Hyndman-Fan type 7) on one sort, without the numpy.ma import that
+    np.quantile pays on first use."""
+    ordered = np.sort(h_samples, axis=0)
+    last = ordered.shape[0] - 1
+    out = []
+    for q in (0.025, 0.975):
+        index = last * q  # numpy's virtual index, (R - 1) q, below R - 1
+        below = int(index)
+        a, b = ordered[below], ordered[min(below + 1, last)]
+        t = index - below
+        diff = b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return out[0], out[1]
+
+
+_UNIT_KEYS = ("unit_id", "n_publications", "real_h", "null_mean_h", "null_sd_h", "null_q025_h", "null_q975_h")
+
+
+def _unit_columns(result: ReshuffleResult) -> list[list]:
+    """The per-unit summary statistics as Python lists, in _UNIT_KEYS order."""
+    q025, q975 = _null_quantiles(result.h_samples)
+    arrays = (result.productivities, result.real_h, result.null_mean_h, result.null_sd_h, q025, q975)
+    return [list(result.unit_ids), *(a.tolist() for a in arrays)]
+
+
 def reshuffle_summary_payload(result: ReshuffleResult, mean_spearman: float | None) -> dict:
     """Per-unit null statistics plus the rank-agreement diagnostic."""
-    mean, sd = result.null_mean_h, result.null_sd_h
-    q025 = np.quantile(result.h_samples, 0.025, axis=0)
-    q975 = np.quantile(result.h_samples, 0.975, axis=0)
-    units = [
-        {
-            "unit_id": uid,
-            "n_publications": int(result.productivities[i]),
-            "real_h": int(result.real_h[i]),
-            "null_mean_h": float(mean[i]),
-            "null_sd_h": float(sd[i]),
-            "null_q025_h": float(q025[i]),
-            "null_q975_h": float(q975[i]),
-        }
-        for i, uid in enumerate(result.unit_ids)
-    ]
     return {
         "n_replicates": result.replicates,
         "n_units": len(result.unit_ids),
         "mean_spearman_vs_real": None if mean_spearman is None else float(mean_spearman),
-        "units": units,
+        "units": [dict(zip(_UNIT_KEYS, values)) for values in zip(*_unit_columns(result))],
     }
+
+
+# one unit of the summary as write_json lays it out: keys sorted, indent 2
+_UNIT_TEMPLATE = """    {
+      "n_publications": %d,
+      "null_mean_h": %r,
+      "null_q025_h": %r,
+      "null_q975_h": %r,
+      "null_sd_h": %r,
+      "real_h": %d,
+      "unit_id": %s
+    }"""
+
+
+def _write_reshuffle_summary(result: ReshuffleResult, mean_spearman: float | None, path: str | Path) -> None:
+    """write_json(reshuffle_summary_payload(result, mean_spearman), path),
+    byte for byte, filled in from whole columns.  json prints a str through
+    encode_basestring, an int through `str` and a finite float, which every
+    per-unit statistic is, through float.__repr__."""
+    ids, n, real_h, mean, sd, q025, q975 = _unit_columns(result)
+    spearman = json.dumps(None if mean_spearman is None else float(mean_spearman))
+    with _atomic_write(path) as fh:
+        fh.write(
+            f'{{\n  "mean_spearman_vs_real": {spearman},\n  "n_replicates": {result.replicates},\n'
+            f'  "n_units": {len(ids)},\n  "units": '
+        )
+        rows = zip(n, mean, q025, q975, sd, real_h, map(json.encoder.encode_basestring, ids))
+        units = ",\n".join(map(_UNIT_TEMPLATE.__mod__, rows))
+        fh.write(f"[\n{units}\n  ]\n}}\n" if units else "[]\n}\n")
 
 
 def file_sha256(path: str | Path) -> str:

@@ -190,7 +190,7 @@ def null_h_tails(pool_counts: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     tails = (lo >= k).astype(float)
     rows, cols = np.nonzero((lo < k) & (k <= hi))
     group = np.frexp(hi[rows, cols] - lo[rows, cols])[1]  # 2**group >= the window's hi - lo + 1 points
-    for g in np.unique(group):
+    for g in np.flatnonzero(np.bincount(group)):  # not np.unique, which imports numpy.ma
         r, c = rows[group == g], cols[group == g]
         n_g, K, top = n[r], marked[c, None], hi[r, c, None]
         x = lo[r, c, None] + np.arange(2**g)

@@ -246,6 +246,18 @@ class TestStartUp:
         probe = "import sys, sizebias.cli\nprint([m for m in %r if m in sys.modules])" % (lazy,)
         assert run_probe(probe).strip() == "[]"
 
+    def test_null_model_and_benchmark_do_not_load_numpy_ma(self, tiny_pubs, tmp_path):
+        # np.quantile and a bare np.unique import numpy.ma on first use
+        probe = (
+            "import sys\n"
+            "from sizebias.cli import main\n"
+            "pubs, out = %r, %r\n"
+            "assert main(['null-model', pubs, '--seed', '1', '--replicates', '3', '--out-dir', out + '/null']) == 0\n"
+            "assert main(['benchmark', pubs, '--out-dir', out + '/bench']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        ) % (str(tiny_pubs), str(tmp_path))
+        assert run_probe(probe).splitlines()[-1] == "False"
+
 
 class TestHindex:
     def test_csv_format_stdout(self, tiny_pubs, capsys):

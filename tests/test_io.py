@@ -1,5 +1,6 @@
 """File ingestion, report writers, manifests."""
 
+import csv
 import hashlib
 import json
 
@@ -34,12 +35,29 @@ from sizebias.io import (
     write_samples_csv,
 )
 from sizebias.model import MAX_CITATIONS
-from sizebias.nullmodel import run_null_model
+from sizebias.nullmodel import ReshuffleResult, run_null_model
 from sizebias.scaling import fit_power_law
 
 
 def small_dataset():
     return make_dataset({"a": [3, 0], "b": [7]}, names=["Alpha", "Beta, Inc."])
+
+
+# ids that need quoting or escaping in CSV or JSON, or are not ASCII
+AWKWARD_IDS = ("a,b", 'say "hi"', "two\nlines", "car\rret", "back\\slash", " leading", "Kyiv — Київ", "plain")
+
+
+def awkward_result(replicates, units=len(AWKWARD_IDS), seed=0):
+    """A null-model result over AWKWARD_IDS (cycled) with random h samples."""
+    rng = np.random.default_rng(seed)
+    ids = tuple(f"{AWKWARD_IDS[i % len(AWKWARD_IDS)]}{i // len(AWKWARD_IDS) or ''}" for i in range(units))
+    sizes = rng.integers(1, 300, size=units)
+    return ReshuffleResult(
+        unit_ids=ids,
+        h_samples=rng.integers(0, 25, size=(replicates, units)),
+        real_h=rng.integers(0, 25, size=units),
+        productivities=sizes,
+    )
 
 
 class TestPublicationsRoundTrip:
@@ -444,6 +462,43 @@ class TestWriters:
         assert lines[1].startswith("0,a,")
         assert lines[3].startswith("1,a,")
 
+    @pytest.mark.parametrize("replicates,units", [(1, 8), (3, 8), (40, 19), (2, 0)])
+    def test_samples_csv_matches_csv_writer(self, tmp_path, replicates, units):
+        result = awkward_result(replicates, units)
+        path, oracle = tmp_path / "samples.csv", tmp_path / "oracle.csv"
+        write_samples_csv(result, path)
+        with open(oracle, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("replicate", "unit_id", "h"))
+            for r, row in enumerate(result.h_samples.tolist()):
+                writer.writerows((r, uid, h) for uid, h in zip(result.unit_ids, row))
+        assert path.read_bytes() == oracle.read_bytes()
+
+    @pytest.mark.parametrize("mean_spearman", [None, 0.1 + 0.2, -1.0])
+    @pytest.mark.parametrize("replicates,units", [(1, 8), (2, 8), (7, 19), (3, 0)])
+    def test_summary_matches_write_json_of_payload(self, tmp_path, replicates, units, mean_spearman):
+        result = awkward_result(replicates, units, seed=replicates)
+        path, oracle = tmp_path / "summary.json", tmp_path / "oracle.json"
+        sizebias.io._write_reshuffle_summary(result, mean_spearman, path)
+        write_json(reshuffle_summary_payload(result, mean_spearman), oracle)
+        assert path.read_bytes() == oracle.read_bytes()
+
+    def test_summary_of_a_null_model_run_matches_write_json(self, tmp_path):
+        result = run_null_model(small_dataset(), 1, 5, workers=1)
+        path, oracle = tmp_path / "summary.json", tmp_path / "oracle.json"
+        sizebias.io._write_reshuffle_summary(result, 0.5, path)
+        write_json(reshuffle_summary_payload(result, 0.5), oracle)
+        assert path.read_bytes() == oracle.read_bytes()
+
+    @pytest.mark.parametrize("replicates", range(1, 65))
+    def test_quantiles_equal_np_quantile(self, replicates):
+        rng = np.random.default_rng(replicates)
+        h = rng.integers(0, 3 + replicates, size=(replicates, 30))
+        h[:, :3] = [0, 7, 1000]  # constant columns
+        expected = np.quantile(h, [0.025, 0.975], axis=0)
+        got = np.stack(sizebias.io._null_quantiles(h))
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
     def test_hindex_csv(self, tmp_path):
         path = tmp_path / "h.csv"
         write_hindex_csv([("a", 4, 2), ("b", 1, 1)], path)
@@ -505,6 +560,20 @@ class TestWriters:
         with pytest.raises(TypeError):
             write_json({"a": list(range(5000)), "b": object()}, tmp_path / "r.json")
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_summary_write_leaves_no_file(self, tmp_path):
+        # an id that is not text fails after the opening lines are written
+        good = awkward_result(3, 5000)
+        bad = ReshuffleResult(good.unit_ids[:-1] + (5,), good.h_samples, good.real_h, good.productivities)
+        with pytest.raises(TypeError):
+            sizebias.io._write_reshuffle_summary(bad, None, tmp_path / "s.json")
+        assert list(tmp_path.iterdir()) == []
+        path = tmp_path / "s.json"
+        sizebias.io._write_reshuffle_summary(good, None, path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            sizebias.io._write_reshuffle_summary(bad, None, path)
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
 
 
 class TestPayloads:
