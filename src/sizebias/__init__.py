@@ -3,36 +3,7 @@ size-normalized rankings."""
 
 from importlib import import_module
 
-__version__ = "0.10.0"
-
-__all__ = [
-    "__version__",
-    "Benchmark",
-    "CitationModel",
-    "Dataset",
-    "FitError",
-    "PoolSpec",
-    "PowerLawFit",
-    "ReshuffleResult",
-    "SizeModel",
-    "build_benchmark",
-    "build_synthetic_dataset",
-    "competition_ranks",
-    "count_distribution",
-    "exact_benchmark",
-    "fit_power_law",
-    "generation_stream",
-    "group_h_indices",
-    "h_index",
-    "hypergeom_pmf",
-    "mean_spearman_vs_real",
-    "most_likely_black_count",
-    "normalized_scores",
-    "run_null_model",
-    "sample_citations",
-    "sample_sizes",
-    "verify_beta_relation",
-]
+__version__ = "0.11.0"
 
 # The submodule that defines each public name.  Names resolve on first use
 # (PEP 562), so `import sizebias` loads neither numpy nor any submodule.
@@ -50,6 +21,7 @@ _SOURCES = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+__all__ = ["__version__", *sorted(_MODULE_OF)]
 
 
 def __getattr__(name):

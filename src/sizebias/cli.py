@@ -83,13 +83,16 @@ _nonneg_int = _checked(int, "an integer", lambda v: v >= 0, "must be >= 0, got {
 _seed = _checked(int, "an integer", lambda v: 0 <= v < 2**64, "seed must fit in an unsigned 64-bit integer")
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _size_list(text: str) -> tuple[int, ...]:
+    """An argparse type: comma-separated sizes, each >= 1."""
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated integer list")
     if not values:
         raise argparse.ArgumentTypeError("empty list")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"every size must be >= 1, got {min(values)}")
     return values
 
 
@@ -249,8 +252,6 @@ def cmd_toy_balls(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     for k in args.basket_sizes:
-        if k < 1:
-            raise UsageError(f"basket size must be >= 1, got {k}")
         if k > pool.total:
             raise UsageError(f"basket size {k} exceeds pool size {pool.total}")
     out = _ensure_out_dir(args.out_dir)
@@ -268,43 +269,28 @@ def cmd_toy_balls(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     from .synth import CitationModel, SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
 
+    # argparse lets at most one of --units, --sizes and --sizes-from-summary
+    # through; only --units (or none of them) leaves the sizes to a size model
     try:
         citation_model = CitationModel(alpha=args.alpha, x_min=args.x_min)
+        if args.sizes is not None or args.sizes_from_summary is not None:
+            size_model = None
+        elif args.size_model == "powerlaw":
+            size_model = SizeModel.power_law(args.size_exponent, args.min_size, args.max_size)
+        else:
+            size_model = SizeModel.uniform_floor(args.min_size, args.max_size)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.sizes and args.sizes_from_summary:
-        raise UsageError("pass either --sizes or --sizes-from-summary, not both")
-
-    ids = names = None
-    input_display = digest = None
-    if args.sizes_from_summary:
-        rows, input_display, digest = _load_summary_spec(args.sizes_from_summary)
-        if args.units is not None and args.units != len(rows):
-            raise UsageError(f"--units {args.units} conflicts with {len(rows)} summary rows")
-        size_model = SizeModel.explicit([r.n_publications for r in rows])
-        units = len(rows)
-        ids = [r.unit_id for r in rows]
-        names = [r.unit_name for r in rows]
-    elif args.sizes:
-        if args.units is not None and args.units != len(args.sizes):
-            raise UsageError(f"--units {args.units} conflicts with {len(args.sizes)} explicit sizes")
-        try:
-            size_model = SizeModel.explicit(args.sizes)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        units = len(args.sizes)
-    else:
-        units = 40 if args.units is None else args.units
-        try:
-            if args.size_model == "powerlaw":
-                size_model = SizeModel.power_law(args.size_exponent, args.min_size, args.max_size)
-            else:
-                size_model = SizeModel.uniform_floor(args.min_size, args.max_size)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
 
     rng = generation_stream(args.seed)
-    sizes = sample_sizes(size_model, units, rng)
+    sizes = args.sizes
+    ids = names = input_display = digest = None
+    if args.sizes_from_summary is not None:
+        rows, input_display, digest = _load_summary_spec(args.sizes_from_summary)
+        sizes = [r.n_publications for r in rows]
+        ids, names = [r.unit_id for r in rows], [r.unit_name for r in rows]
+    elif size_model is not None:
+        sizes = sample_sizes(size_model, 40 if args.units is None else args.units, rng)
     dataset = build_synthetic_dataset(sizes, citation_model, rng, ids=ids, names=names)
     out = _ensure_out_dir(args.out_dir)
     path = out / "publications.csv"
@@ -358,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--black", type=_nonneg_int, default=DEFAULT_BLACK)
     p.add_argument(
         "--basket-sizes",
-        type=_int_list,
+        type=_size_list,
         default=DEFAULT_BASKET_SIZES,
         help="comma-separated draw sizes (default 10,20,...,100)",
     )
@@ -369,13 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True, help="citation tail exponent (> 0)")
     p.add_argument("--x-min", type=float, default=1.0)
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--units", type=_positive_int, default=None, help="unit count (default 40)")
     p.add_argument("--size-model", choices=("powerlaw", "uniform_floor"), default="powerlaw")
     p.add_argument("--size-exponent", type=float, default=2.0)
     p.add_argument("--min-size", type=_positive_int, default=100)
     p.add_argument("--max-size", type=_positive_int, default=10000)
-    p.add_argument("--sizes", type=_int_list, default=None, help="explicit comma-separated unit sizes")
-    p.add_argument(
+    # a default of None: argparse counts an option as given when its value is not the default
+    sizes = p.add_mutually_exclusive_group()
+    sizes.add_argument("--units", type=_positive_int, default=None, help="unit count (default 40)")
+    sizes.add_argument("--sizes", type=_size_list, default=None, help="explicit comma-separated unit sizes")
+    sizes.add_argument(
         "--sizes-from-summary",
         default=None,
         help="summary CSV path or bundled:NAME; unit ids and names are mirrored",

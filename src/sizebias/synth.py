@@ -2,9 +2,10 @@
 
 Citation counts are drawn from a discretized Pareto law with tail
 exponent alpha, for which theory predicts group h-indices scaling with
-unit size N as N**(1/(1+alpha)).  Unit sizes come from a power law, a
-bounded uniform draw, or an explicit list, so the whole pipeline can be
-exercised without proprietary citation data.
+unit size N as N**(1/(1+alpha)).  Unit sizes are drawn from a power law
+or a bounded uniform law, or an explicit list goes straight to
+`build_synthetic_dataset`, so the whole pipeline can be exercised
+without proprietary citation data.
 """
 
 from __future__ import annotations
@@ -48,14 +49,12 @@ class SizeModel:
     kind "powerlaw": survival function of sizes falls off as
     N**(-exponent), truncated to [min_size, max_size].
     kind "uniform_floor": integer uniform on [min_size, max_size].
-    kind "explicit": the given size list, passed through.
     """
 
     kind: str
     exponent: float | None = None
     min_size: int | None = None
     max_size: int | None = None
-    sizes: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind == "powerlaw":
@@ -64,12 +63,6 @@ class SizeModel:
             self._check_bounds()
         elif self.kind == "uniform_floor":
             self._check_bounds()
-        elif self.kind == "explicit":
-            if not self.sizes:
-                raise ValueError("explicit sizes need a non-empty list")
-            object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-            if any(n < 1 for n in self.sizes):
-                raise ValueError("all sizes must be >= 1")
         else:
             raise ValueError(f"unknown size model kind {self.kind!r}")
 
@@ -88,10 +81,6 @@ class SizeModel:
     @classmethod
     def uniform_floor(cls, min_size: int, max_size: int) -> "SizeModel":
         return cls(kind="uniform_floor", min_size=min_size, max_size=max_size)
-
-    @classmethod
-    def explicit(cls, sizes: Sequence[int]) -> "SizeModel":
-        return cls(kind="explicit", sizes=tuple(sizes))
 
 
 def sample_citations(model: CitationModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -115,10 +104,6 @@ def sample_sizes(model: SizeModel, units: int, rng: np.random.Generator) -> np.n
     """Draw `units` unit sizes according to the size model."""
     if units < 1:
         raise ValueError("need at least one unit")
-    if model.kind == "explicit":
-        if units != len(model.sizes):
-            raise ValueError(f"asked for {units} units but the explicit list has {len(model.sizes)}")
-        return np.asarray(model.sizes, dtype=np.int64)
     a, b = float(model.min_size), float(model.max_size)
     if model.kind == "uniform_floor":
         return rng.integers(model.min_size, model.max_size, size=units, endpoint=True, dtype=np.int64)

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from sizebias.io import (
 )
 from sizebias.model import h_index
 from sizebias.nullmodel import ReshuffleResult
-from sizebias.synth import CitationModel, SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
+from sizebias.synth import CitationModel, build_synthetic_dataset, generation_stream
 
 
 @pytest.fixture(autouse=True)
@@ -88,7 +89,7 @@ class TestTopLevel:
         with warnings.catch_warnings():  # setuptools may call its [tool.setuptools] support beta
             warnings.simplefilter("ignore")
             config = read_configuration(pyproject, expand=True)
-        assert config["project"]["version"] == sizebias.__version__ == "0.10.0"
+        assert config["project"]["version"] == sizebias.__version__ == "0.11.0"
 
     def test_missing_positional(self, capsys):
         assert main(["hindex"]) == 2
@@ -672,10 +673,7 @@ class TestSynth:
         capsys.readouterr()
         back = read_publications(out / "publications.csv")
 
-        rng = generation_stream(9)
-        model = SizeModel.explicit([12, 30])
-        sizes = sample_sizes(model, 2, rng)
-        expected = build_synthetic_dataset(sizes, CitationModel(alpha=2.0), rng)
+        expected = build_synthetic_dataset([12, 30], CitationModel(alpha=2.0), generation_stream(9))
         assert back.unit_ids == expected.unit_ids
         assert (back.sizes.tolist(), back.citations.tolist()) == (expected.sizes.tolist(), expected.citations.tolist())
 
@@ -732,6 +730,59 @@ class TestSynth:
         ) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            # 40 is --units' default count, and ukraine_2019 has 40 rows
+            ["--units", "40", "--sizes", "5,6"],
+            ["--units", "1", "--sizes-from-summary", "bundled:ukraine_2019"],
+            # a count that matches the list is refused too
+            ["--units", "2", "--sizes", "5,6"],
+            ["--units", "40", "--sizes-from-summary", "bundled:ukraine_2019"],
+        ],
+    )
+    def test_one_size_source(self, tmp_path, capsys, sizes):
+        out = tmp_path / "o"
+        assert main(["synth", "--alpha", "1.5", "--seed", "2", *sizes, "--out-dir", str(out)]) == 2
+        assert "not allowed with argument --units" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_summary_path_is_not_ignored(self, tmp_path, capsys):
+        # an empty path is a size source given, not one left out
+        out = tmp_path / "o"
+        assert main(["synth", "--alpha", "1.5", "--seed", "2", "--sizes-from-summary", "", "--out-dir", str(out)]) == 3
+        assert "file not found" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (
+                ["--alpha", "1.5", "--seed", "7"],
+                "0fe12317eeba44eb23aa779629a2ffd09312fa4db76f0c9c0fb700fa4a87be7c",
+            ),
+            (
+                ["--alpha", "1.5", "--seed", "7", "--sizes", "100,400,1600"],
+                "6d4d3850232d31dd8e586a86b57d49579468e797e5ade764e74213bd26c3c303",
+            ),
+            (
+                ["--alpha", "1.5", "--seed", "7", "--sizes-from-summary", "bundled:ukraine_2019"],
+                "bcc4234ce9c673cc279025fc04cbc327d8234a7c77dd77f9d603b0de27b86cee",
+            ),
+            (
+                ["--alpha", "2.0", "--seed", "4", "--units", "5", "--size-model", "uniform_floor",
+                 "--min-size", "10", "--max-size", "50"],
+                "c0e2589fc4df3bc96056c1f7c5a5d9f610e9a89fc6c57f6793c17eb427da593c",
+            ),
+        ],
+    )
+    def test_publications_bytes_pinned(self, tmp_path, capsys, flags, digest):
+        # the sha256 of publications.csv as written by sizebias 0.10.0
+        out = tmp_path / "s"
+        assert main(["synth", *flags, "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256((out / "publications.csv").read_bytes()).hexdigest() == digest
+
     def test_invalid_alpha(self, tmp_path, capsys):
         assert main(
             ["synth", "--alpha", "0", "--seed", "2", "--sizes", "5,6", "--out-dir", str(tmp_path / "o")]
@@ -745,3 +796,18 @@ class TestSynth:
             ["synth", "--alpha", "1.5", "--seed", "2", "--sizes", "5,6", "--out-dir", str(target)]
         ) == 2
         assert "not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["toy-balls", "--basket-sizes", "0"],
+        ["synth", "--alpha", "1.5", "--seed", "2", "--sizes", "0,5"],
+    ],
+)
+def test_size_list_below_one_is_usage_error(tmp_path, capsys, argv):
+    # --basket-sizes and --sizes share one argparse type
+    out = tmp_path / "o"
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    assert "every size must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()

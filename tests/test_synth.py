@@ -7,6 +7,7 @@ import pytest
 
 from sizebias.io import load_bundled_summary
 from sizebias.nullmodel import replicate_stream
+from sizebias.scaling import exact_benchmark
 from sizebias.synth import (
     CitationModel,
     SizeModel,
@@ -81,14 +82,6 @@ class TestSizeModel:
         with pytest.raises(ValueError):
             SizeModel(kind="uniform_floor", min_size=5, max_size=None)
 
-    def test_explicit_validation(self):
-        model = SizeModel.explicit([3, 1, 7])
-        assert model.sizes == (3, 1, 7)
-        with pytest.raises(ValueError):
-            SizeModel.explicit([])
-        with pytest.raises(ValueError):
-            SizeModel.explicit([3, 0])
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             SizeModel(kind="lognormal", min_size=1, max_size=2)
@@ -134,19 +127,12 @@ class TestSampleCitations:
 
 
 class TestSampleSizes:
-    def test_explicit_passthrough(self):
-        model = SizeModel.explicit([5, 9, 2])
-        out = sample_sizes(model, 3, generation_stream(1))
-        assert out.tolist() == [5, 9, 2]
-
-    def test_explicit_count_mismatch(self):
-        with pytest.raises(ValueError):
-            sample_sizes(SizeModel.explicit([5, 9]), 3, generation_stream(1))
-
     def test_explicit_real_size_column(self):
+        # an explicit size list draws nothing: it goes straight to the dataset, in order
         rows = load_bundled_summary("uk_rae2008_physics")
-        model = SizeModel.explicit([r.n_publications for r in rows])
-        out = sample_sizes(model, len(rows), generation_stream(1))
+        sizes = [r.n_publications for r in rows]
+        out = build_synthetic_dataset(sizes, CitationModel(alpha=1.5), generation_stream(1)).sizes
+        assert out.tolist() == sizes
         assert out[0] == 9602
         assert out[1] == 8129
         assert out[-1] == 117
@@ -182,6 +168,11 @@ class TestBuildSyntheticDataset:
         ds = build_synthetic_dataset([1], CitationModel(alpha=1.5), generation_stream(1))
         assert len(ds.unit_ids) == 1
         assert ds.sizes.tolist() == [1]
+
+    @pytest.mark.parametrize("sizes", [[], [3, 0], [5, -2, 7]])
+    def test_rejects_an_empty_or_below_one_size_list(self, sizes):
+        with pytest.raises(ValueError, match="at least one unit size|sizes must be >= 1"):
+            build_synthetic_dataset(sizes, CitationModel(alpha=1.5), generation_stream(1))
 
     def test_pool_size_equals_size_sum(self):
         rows = load_bundled_summary("ukraine_2019")
@@ -253,17 +244,19 @@ class TestBetaRelation:
         assert fitted == pytest.approx(0.4, abs=0.05)
 
     def test_fit_insensitive_to_size_model_kind(self):
-        # matched size range, same seed: the three kinds agree at fit level
-        geom = SizeModel.explicit([int(round(x)) for x in np.geomspace(100, 10000, 40)])
+        # matched size range, same seed: the two size models and a fixed
+        # geometric size list agree at fit level
         kinds = [
             SizeModel.power_law(1.0, 100, 10000),
             SizeModel.uniform_floor(100, 10000),
-            geom,
         ]
         fits = [
             verify_beta_relation(1.5, m, seed=1, units=40)[0]
             for m in kinds
         ]
+        geom = [int(round(x)) for x in np.geomspace(100, 10000, 40)]
+        dataset = build_synthetic_dataset(geom, CitationModel(alpha=1.5), generation_stream(1))
+        fits.append(exact_benchmark(dataset).fit.beta)
         assert max(fits) - min(fits) <= 0.05
 
     def test_steep_tail_matches_finite_size_oracle(self):
