@@ -15,10 +15,8 @@ Exit codes: 0 success, 2 usage error, 3 ingestion error, 4 computation error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable
 
@@ -55,6 +53,15 @@ BUNDLED_PREFIX = "bundled:"
 
 class UsageError(Exception):
     """Bad flag combination or parameter value; exits with code 2."""
+
+
+# A failure exits with the code of the first row it matches: WrongFormatError before IngestError, its base.
+_EXIT_CODES = (
+    ((UsageError, io.WrongFormatError), EXIT_USAGE),
+    ((io.IngestError,), EXIT_INGEST),
+    ((OSError,), EXIT_IO),
+    ((MemoryError, ValueError, ArithmeticError), EXIT_COMPUTE),
+)
 
 
 def _checked(
@@ -114,16 +121,13 @@ def _ensure_out_dir(path_text: str) -> Path:
 
 def _load_summary_spec(spec: str) -> tuple[list[io.SummaryRow], str, str]:
     """Read a summary from a path or `bundled:NAME`; returns (rows, display, sha256)."""
+    path = spec
     if spec.startswith(BUNDLED_PREFIX):
-        name = spec[len(BUNDLED_PREFIX):]
         try:
-            trav = io.bundled_summary_path(name)
+            path = io.bundled_summary_path(spec[len(BUNDLED_PREFIX):])
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        with resources.as_file(trav) as path:
-            return io.read_summary(path), spec, io.file_sha256(path)
-    rows = io.read_summary(spec)
-    return rows, spec, io.file_sha256(spec)
+    return io.read_summary(path), spec, io.file_sha256(path)
 
 
 def _print_table(header: tuple[str, ...], rows: list[tuple]) -> None:
@@ -143,11 +147,7 @@ def cmd_hindex(args: argparse.Namespace) -> int:
         io.write_hindex_csv(rows, out / "hindex.csv")
         io.write_json(io.build_manifest("hindex", args.argv, input_path=args.input), out / "manifest.json")
     if args.format == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(io.HINDEX_HEADER)
-        writer.writerows(rows)
+        io.dump_csv(sys.stdout, io.HINDEX_HEADER, rows)
     else:
         _print_table(io.HINDEX_HEADER, rows)
     return EXIT_OK
@@ -162,17 +162,15 @@ def cmd_null_model(args: argparse.Namespace) -> int:
         rho = None
     out = _ensure_out_dir(args.out_dir)
     io.write_samples_csv(result, out / "reshuffle_samples.csv")
-    io._write_reshuffle_summary(result, rho, out / "reshuffle_summary.json")
+    io.write_reshuffle_summary(result, rho, out / "reshuffle_summary.json")
     io.write_json(
         io.build_manifest(
             "null-model", args.argv, input_path=args.input, seed=args.seed, replicates=args.replicates
         ),
         out / "manifest.json",
     )
-    if rho is None:
-        print(f"mean Spearman vs real ranking over {result.replicates} replicates: undefined (constant ranking)")
-    else:
-        print(f"mean Spearman vs real ranking over {result.replicates} replicates: {rho:.4f}")
+    shown = "undefined (constant ranking)" if rho is None else f"{rho:.4f}"
+    print(f"mean Spearman vs real ranking over {result.replicates} replicates: {shown}")
     print(f"wrote reshuffle_samples.csv and reshuffle_summary.json to {out}")
     return EXIT_OK
 
@@ -204,7 +202,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             out / "manifest.json",
         )
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        sys.stdout.write(io.json_text(payload))
     else:
         print(f"beta            {fit.beta:.6f}")
         print(f"beta_stderr     {fit.beta_stderr:.6f}")
@@ -247,10 +245,7 @@ def cmd_toy_balls(args: argparse.Namespace) -> int:
 
     if args.black > args.pool_size:
         raise UsageError(f"black count {args.black} exceeds pool size {args.pool_size}")
-    try:
-        pool = PoolSpec(black=args.black, white=args.pool_size - args.black)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    pool = PoolSpec(black=args.black, white=args.pool_size - args.black)
     for k in args.basket_sizes:
         if k > pool.total:
             raise UsageError(f"basket size {k} exceeds pool size {pool.total}")
@@ -386,21 +381,9 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except UsageError as exc:
+    except tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except io.WrongFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except io.IngestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INGEST
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

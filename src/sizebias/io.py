@@ -17,7 +17,6 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -341,16 +340,15 @@ def read_samples(path: str | Path) -> tuple[np.ndarray, np.ndarray, int, Path]:
     return np.array(kept_n, dtype=float), np.array(kept_h, dtype=float), n_excluded, samples
 
 
-def bundled_summary_path(name: str):
-    """Traversable for a bundled summary; see BUNDLED_SUMMARIES."""
+def bundled_summary_path(name: str) -> Path:
+    """Path of a bundled summary, installed as a plain file; see BUNDLED_SUMMARIES."""
     if name not in BUNDLED_SUMMARIES:
         raise ValueError(f"unknown bundled summary {name!r}; have {', '.join(BUNDLED_SUMMARIES)}")
-    return resources.files("sizebias").joinpath("data", f"{name}.summary.csv")
+    return Path(__file__).with_name("data") / f"{name}.summary.csv"
 
 
 def load_bundled_summary(name: str) -> list[SummaryRow]:
-    with resources.as_file(bundled_summary_path(name)) as p:
-        return read_summary(p)
+    return read_summary(bundled_summary_path(name))
 
 
 @contextmanager
@@ -369,13 +367,17 @@ def _atomic_write(path: str | Path, newline: str | None = None) -> Iterator[Text
         raise
 
 
+def dump_csv(fh: TextIO, header: tuple[str, ...], rows: Iterable[Sequence]) -> None:
+    """Every CSV report's bytes, to an open text file: text and Python numbers
+    by `str` (a float's shortest round-trip repr), and None as an empty cell."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[Sequence]) -> None:
-    """Rows of text and Python numbers, which the csv module writes by `str`
-    (a float's shortest round-trip repr), and None, the empty cell."""
     with _atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        dump_csv(fh, header, rows)
 
 
 def write_publications(dataset: Dataset, path: str | Path) -> None:
@@ -426,10 +428,14 @@ def write_distribution_csv(rows: Sequence[tuple[int, float, float]], path: str |
     _write_csv(path, DISTRIBUTION_HEADER, rows)
 
 
+def json_text(payload: dict) -> str:
+    """The text of every JSON report: sorted keys, indent 2, non-ASCII kept."""
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
 def write_json(payload: dict, path: str | Path) -> None:
     with _atomic_write(path) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, ensure_ascii=False)
-        fh.write("\n")
+        fh.write(json_text(payload))
 
 
 def fit_payload(fit: PowerLawFit) -> dict:
@@ -492,7 +498,7 @@ _UNIT_TEMPLATE = """    {
     }"""
 
 
-def _write_reshuffle_summary(result: ReshuffleResult, mean_spearman: float | None, path: str | Path) -> None:
+def write_reshuffle_summary(result: ReshuffleResult, mean_spearman: float | None, path: str | Path) -> None:
     """write_json(reshuffle_summary_payload(result, mean_spearman), path),
     byte for byte, filled in from whole columns.  json prints a str through
     encode_basestring, an int through `str` and a finite float, which every

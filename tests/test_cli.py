@@ -22,11 +22,12 @@ from sizebias.io import (
     read_summary,
     reshuffle_summary_payload,
     write_json,
+    write_publications,
     write_samples_csv,
 )
 from sizebias.model import h_index
 from sizebias.nullmodel import ReshuffleResult
-from sizebias.synth import CitationModel, build_synthetic_dataset, generation_stream
+from sizebias.synth import CitationModel, SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
 
 
 @pytest.fixture(autouse=True)
@@ -89,7 +90,7 @@ class TestTopLevel:
         with warnings.catch_warnings():  # setuptools may call its [tool.setuptools] support beta
             warnings.simplefilter("ignore")
             config = read_configuration(pyproject, expand=True)
-        assert config["project"]["version"] == sizebias.__version__ == "0.11.0"
+        assert config["project"]["version"] == sizebias.__version__ == "0.11.1"
 
     def test_missing_positional(self, capsys):
         assert main(["hindex"]) == 2
@@ -386,6 +387,20 @@ class TestNullModel:
         assert code == 2
         capsys.readouterr()
 
+    def test_out_of_memory_is_compute_error(self, tmp_path, capsys):
+        # 1e13 replicates x 2 units of int64 is 146 TiB, past the address
+        # space: the sample matrix fails to allocate before any worker starts
+        path = tmp_path / "two.csv"
+        path.write_text("unit_id,unit_name,citations\na,A,3\nb,B,1\n", encoding="utf-8")
+        out = tmp_path / "o"
+        argv = ["null-model", str(path), "--seed", "1", "--replicates", "10000000000000", "--out-dir", str(out)]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Unable to allocate ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestFit:
     @staticmethod
@@ -441,6 +456,17 @@ class TestFit:
             payload = json.loads(capsys.readouterr().out)
             assert payload["n_points"] == n_points
             assert payload["p_value"] == pytest.approx(p_value, rel=1e-12, abs=0)
+
+    def test_json_stdout_is_the_report_bytes(self, tmp_path, capsysbinary):
+        # the source path holds a non-ASCII directory name
+        path = tmp_path / "\u00e9" / "s.csv"
+        path.parent.mkdir()
+        path.write_bytes(self.exact_summary(tmp_path).read_bytes())
+        out = tmp_path / "report"
+        assert main(["fit", str(path), "--format", "json", "--out-dir", str(out)]) == 0
+        report = (out / "fit_report.json").read_bytes()
+        assert f"summary:{path}".encode() in report
+        assert capsysbinary.readouterr().out == report
 
     def test_unknown_bundled_name(self, capsys):
         assert main(["fit", "bundled:atlantis"]) == 2
@@ -554,6 +580,21 @@ class TestBenchmark:
         assert manifest["command"] == "benchmark"
         assert manifest["seed"] is None
         assert manifest["replicates"] is None
+
+    def test_reports_ignore_blas_threads(self, tmp_path):
+        rng = generation_stream(4)
+        sizes = sample_sizes(SizeModel.power_law(1.5, 20, 2000), 4000, rng)
+        pubs = tmp_path / "units.csv"
+        write_publications(build_synthetic_dataset(sizes, CitationModel(alpha=1.5), rng), pubs)
+        reports = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": SRC_PATH}
+            out = tmp_path / f"bench{threads}"
+            probe = "import sys; from sizebias.cli import main; sys.exit(main(sys.argv[1:]))"
+            argv = ["benchmark", str(pubs), "--out-dir", str(out)]
+            subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, check=True)
+            reports.append([(out / name).read_bytes() for name in ("benchmark.csv", "benchmark_fit.json")])
+        assert reports[0] == reports[1]
 
     def test_rank_key_choices(self, synth_run, tmp_path, capsys):
         out = tmp_path / "z"

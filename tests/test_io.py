@@ -479,14 +479,14 @@ class TestWriters:
     def test_summary_matches_write_json_of_payload(self, tmp_path, replicates, units, mean_spearman):
         result = awkward_result(replicates, units, seed=replicates)
         path, oracle = tmp_path / "summary.json", tmp_path / "oracle.json"
-        sizebias.io._write_reshuffle_summary(result, mean_spearman, path)
+        sizebias.io.write_reshuffle_summary(result, mean_spearman, path)
         write_json(reshuffle_summary_payload(result, mean_spearman), oracle)
         assert path.read_bytes() == oracle.read_bytes()
 
     def test_summary_of_a_null_model_run_matches_write_json(self, tmp_path):
         result = run_null_model(small_dataset(), 1, 5, workers=1)
         path, oracle = tmp_path / "summary.json", tmp_path / "oracle.json"
-        sizebias.io._write_reshuffle_summary(result, 0.5, path)
+        sizebias.io.write_reshuffle_summary(result, 0.5, path)
         write_json(reshuffle_summary_payload(result, 0.5), oracle)
         assert path.read_bytes() == oracle.read_bytes()
 
@@ -566,13 +566,13 @@ class TestWriters:
         good = awkward_result(3, 5000)
         bad = ReshuffleResult(good.unit_ids[:-1] + (5,), good.h_samples, good.real_h, good.productivities)
         with pytest.raises(TypeError):
-            sizebias.io._write_reshuffle_summary(bad, None, tmp_path / "s.json")
+            sizebias.io.write_reshuffle_summary(bad, None, tmp_path / "s.json")
         assert list(tmp_path.iterdir()) == []
         path = tmp_path / "s.json"
-        sizebias.io._write_reshuffle_summary(good, None, path)
+        sizebias.io.write_reshuffle_summary(good, None, path)
         before = path.read_bytes()
         with pytest.raises(TypeError):
-            sizebias.io._write_reshuffle_summary(bad, None, path)
+            sizebias.io.write_reshuffle_summary(bad, None, path)
         assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
 
 
