@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, io
 from .model import group_h_indices
-from .nullmodel import mean_spearman_vs_real, resolve_workers, run_null_model
+from .nullmodel import mean_spearman_se, mean_spearman_vs_real, null_marginals, resolve_workers, run_null_model
 from .scaling import (
     RANKING_KEYS,
     competition_ranks,
@@ -55,11 +55,12 @@ class UsageError(Exception):
     """Bad flag combination or parameter value; exits with code 2."""
 
 
-# A failure exits with the code of the first row it matches: WrongFormatError before IngestError, its base.
+# A failure exits with the code of the first row it matches, so a row precedes that of any base class:
+# WrongFormatError's that of IngestError, and UnicodeEncodeError's (stdout refused a character) ValueError's.
 _EXIT_CODES = (
     ((UsageError, io.WrongFormatError), EXIT_USAGE),
     ((io.IngestError,), EXIT_INGEST),
-    ((OSError,), EXIT_IO),
+    ((OSError, UnicodeEncodeError), EXIT_IO),
     ((MemoryError, ValueError, ArithmeticError), EXIT_COMPUTE),
 )
 
@@ -130,12 +131,23 @@ def _load_summary_spec(spec: str) -> tuple[list[io.SummaryRow], str, str]:
     return io.read_summary(path), spec, io.file_sha256(path)
 
 
-def _print_table(header: tuple[str, ...], rows: list[tuple]) -> None:
+def _write_stdout(text: str) -> None:
+    """Print a report, encoded whole first so that an unencodable character prints none of it, then
+    a line at a time: on unbuffered output (python -u) a large write cut short by a closed pipe
+    drops the rest without an error."""
+    text.encode(sys.stdout.encoding or "utf-8", sys.stdout.errors or "strict")
+    for line in text.splitlines(keepends=True):
+        sys.stdout.write(line)
+
+
+def _table_text(header: tuple[str, ...], rows: list[tuple]) -> str:
     cells = [[str(v) for v in row] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h) for i, h in enumerate(header)]
-    print("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip())
+    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
     for row in cells:
-        print("  ".join(v.rjust(widths[i]) if v.lstrip("-").isdigit() else v.ljust(widths[i]) for i, v in enumerate(row)).rstrip())
+        padded = (v.rjust(widths[i]) if v.lstrip("-").isdigit() else v.ljust(widths[i]) for i, v in enumerate(row))
+        lines.append("  ".join(padded).rstrip())
+    return "".join(f"{line}\n" for line in lines)
 
 
 def cmd_hindex(args: argparse.Namespace) -> int:
@@ -146,10 +158,8 @@ def cmd_hindex(args: argparse.Namespace) -> int:
         out = _ensure_out_dir(args.out_dir)
         io.write_hindex_csv(rows, out / "hindex.csv")
         io.write_json(io.build_manifest("hindex", args.argv, input_path=args.input), out / "manifest.json")
-    if args.format == "csv":
-        io.dump_csv(sys.stdout, io.HINDEX_HEADER, rows)
-    else:
-        _print_table(io.HINDEX_HEADER, rows)
+    text = io.csv_text(io.HINDEX_HEADER, rows) if args.format == "csv" else _table_text(io.HINDEX_HEADER, rows)
+    _write_stdout(text)
     return EXIT_OK
 
 
@@ -157,21 +167,24 @@ def cmd_null_model(args: argparse.Namespace) -> int:
     dataset = io.read_publications(args.input)
     result = run_null_model(dataset, args.seed, args.replicates, workers=_workers())
     try:
-        rho = mean_spearman_vs_real(result)
+        rho, rho_se = mean_spearman_vs_real(result), mean_spearman_se(result)
     except ValueError:
-        rho = None
+        rho = rho_se = None
     out = _ensure_out_dir(args.out_dir)
     io.write_samples_csv(result, out / "reshuffle_samples.csv")
-    io.write_reshuffle_summary(result, rho, out / "reshuffle_summary.json")
+    io.write_reshuffle_summary(result, null_marginals(dataset), rho, rho_se, out / "reshuffle_summary.json")
     io.write_json(
         io.build_manifest(
             "null-model", args.argv, input_path=args.input, seed=args.seed, replicates=args.replicates
         ),
         out / "manifest.json",
     )
-    shown = "undefined (constant ranking)" if rho is None else f"{rho:.4f}"
-    print(f"mean Spearman vs real ranking over {result.replicates} replicates: {shown}")
-    print(f"wrote reshuffle_samples.csv and reshuffle_summary.json to {out}")
+    se = "" if rho_se is None else f", standard error {rho_se:.4f}"
+    shown = "undefined (constant ranking)" if rho is None else f"{rho:.4f}{se}"
+    _write_stdout(
+        f"mean Spearman vs real ranking over {result.replicates} replicates: {shown}\n"
+        f"wrote reshuffle_samples.csv and reshuffle_summary.json to {out}\n"
+    )
     return EXIT_OK
 
 
@@ -202,16 +215,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
             out / "manifest.json",
         )
     if args.format == "json":
-        sys.stdout.write(io.json_text(payload))
+        _write_stdout(io.json_text(payload))
     else:
-        print(f"beta            {fit.beta:.6f}")
-        print(f"beta_stderr     {fit.beta_stderr:.6f}")
-        print(f"p_value         {fit.p_value:.3e}")
-        print(f"r_squared       {fit.r_squared:.6f}")
-        print(f"n_points        {fit.n_points}")
-        print(f"log10_prefactor {fit.log10_prefactor:.6f}")
-        if n_excluded:
-            print(f"excluded {n_excluded} h=0 points")
+        excluded = f"excluded {n_excluded} h=0 points\n" if n_excluded else ""
+        _write_stdout(
+            f"beta            {fit.beta:.6f}\n"
+            f"beta_stderr     {fit.beta_stderr:.6f}\n"
+            f"p_value         {fit.p_value:.3e}\n"
+            f"r_squared       {fit.r_squared:.6f}\n"
+            f"n_points        {fit.n_points}\n"
+            f"log10_prefactor {fit.log10_prefactor:.6f}\n{excluded}"
+        )
     return EXIT_OK
 
 
@@ -235,8 +249,10 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     io.write_benchmark_csv(rows, out / "benchmark.csv")
     io.write_json(io.fit_payload(benchmark.fit), out / "benchmark_fit.json")
     io.write_json(io.build_manifest("benchmark", args.argv, input_path=args.input), out / "manifest.json")
-    print(f"benchmark from the exact null model: beta={benchmark.fit.beta:.4f}, ranking key {args.rank_key}")
-    print(f"wrote benchmark.csv and benchmark_fit.json to {out}")
+    _write_stdout(
+        f"benchmark from the exact null model: beta={benchmark.fit.beta:.4f}, ranking key {args.rank_key}\n"
+        f"wrote benchmark.csv and benchmark_fit.json to {out}\n"
+    )
     return EXIT_OK
 
 

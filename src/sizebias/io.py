@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .model import MAX_CITATIONS, Dataset
-from .nullmodel import ReshuffleResult
+from .nullmodel import NullMarginals, ReshuffleResult
 from .scaling import PowerLawFit
 
 PUBLICATIONS_HEADER = ("unit_id", "unit_name", "citations")
@@ -367,17 +367,19 @@ def _atomic_write(path: str | Path, newline: str | None = None) -> Iterator[Text
         raise
 
 
-def dump_csv(fh: TextIO, header: tuple[str, ...], rows: Iterable[Sequence]) -> None:
-    """Every CSV report's bytes, to an open text file: text and Python numbers
-    by `str` (a float's shortest round-trip repr), and None as an empty cell."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[Sequence]) -> None:
+    """Every CSV report's bytes: text and Python numbers by `str` (a float's
+    shortest round-trip repr), and None as an empty cell."""
     with _atomic_write(path, newline="") as fh:
-        dump_csv(fh, header, rows)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def csv_text(header: tuple[str, ...], rows: Iterable[Sequence]) -> str:
+    """What _write_csv writes, as one string."""
+    echo = csv.writer(_Echo(), lineterminator="\n")
+    return "".join(map(echo.writerow, [header, *rows]))
 
 
 def write_publications(dataset: Dataset, path: str | Path) -> None:
@@ -448,70 +450,57 @@ def fit_payload(fit: PowerLawFit) -> dict:
     }
 
 
-def _null_quantiles(h_samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's 2.5 and 97.5 percent quantiles, bit-equal to
-    np.quantile(h_samples, [0.025, 0.975], axis=0): its default linear rule
-    (Hyndman-Fan type 7) on one sort, without the numpy.ma import that
-    np.quantile pays on first use."""
-    ordered = np.sort(h_samples, axis=0)
-    last = ordered.shape[0] - 1
-    out = []
-    for q in (0.025, 0.975):
-        index = last * q  # numpy's virtual index, (R - 1) q, below R - 1
-        below = int(index)
-        a, b = ordered[below], ordered[min(below + 1, last)]
-        t = index - below
-        diff = b - a
-        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
-    return out[0], out[1]
-
-
 _UNIT_KEYS = ("unit_id", "n_publications", "real_h", "null_mean_h", "null_sd_h", "null_q025_h", "null_q975_h")
 
 
-def _unit_columns(result: ReshuffleResult) -> list[list]:
-    """The per-unit summary statistics as Python lists, in _UNIT_KEYS order."""
-    q025, q975 = _null_quantiles(result.h_samples)
-    arrays = (result.productivities, result.real_h, result.null_mean_h, result.null_sd_h, q025, q975)
+def _unit_columns(result: ReshuffleResult, null: NullMarginals) -> list[list]:
+    """The per-unit summary statistics as Python lists, in _UNIT_KEYS order:
+    the run's sizes and real h, then the exact null marginals."""
+    if null.inverse.size != len(result.unit_ids):
+        raise ValueError(f"need the null marginals of each of the {len(result.unit_ids)} units")
+    arrays = (
+        result.productivities, result.real_h, null.mean_h, null.sd_h, null.quantile_h(0.025), null.quantile_h(0.975)
+    )
     return [list(result.unit_ids), *(a.tolist() for a in arrays)]
 
 
-def reshuffle_summary_payload(result: ReshuffleResult, mean_spearman: float | None) -> dict:
-    """Per-unit null statistics plus the rank-agreement diagnostic."""
+def _summary_head(result: ReshuffleResult, mean_spearman: float | None, mean_spearman_se: float | None) -> dict:
+    """The summary's keys besides `units`: the run and its Monte Carlo rank
+    agreement with the real ranking, with that estimate's standard error."""
     return {
         "n_replicates": result.replicates,
         "n_units": len(result.unit_ids),
         "mean_spearman_vs_real": None if mean_spearman is None else float(mean_spearman),
-        "units": [dict(zip(_UNIT_KEYS, values)) for values in zip(*_unit_columns(result))],
+        "mean_spearman_se": None if mean_spearman_se is None else float(mean_spearman_se),
     }
 
 
-# one unit of the summary as write_json lays it out: keys sorted, indent 2
-_UNIT_TEMPLATE = """    {
-      "n_publications": %d,
-      "null_mean_h": %r,
-      "null_q025_h": %r,
-      "null_q975_h": %r,
-      "null_sd_h": %r,
-      "real_h": %d,
-      "unit_id": %s
-    }"""
+def reshuffle_summary_payload(
+    result: ReshuffleResult, null: NullMarginals, mean_spearman: float | None, mean_spearman_se: float | None
+) -> dict:
+    """Per-unit exact null statistics plus the rank-agreement diagnostic."""
+    units = [dict(zip(_UNIT_KEYS, values)) for values in zip(*_unit_columns(result, null))]
+    return {**_summary_head(result, mean_spearman, mean_spearman_se), "units": units}
 
 
-def write_reshuffle_summary(result: ReshuffleResult, mean_spearman: float | None, path: str | Path) -> None:
-    """write_json(reshuffle_summary_payload(result, mean_spearman), path),
-    byte for byte, filled in from whole columns.  json prints a str through
-    encode_basestring, an int through `str` and a finite float, which every
-    per-unit statistic is, through float.__repr__."""
-    ids, n, real_h, mean, sd, q025, q975 = _unit_columns(result)
-    spearman = json.dumps(None if mean_spearman is None else float(mean_spearman))
+# one unit of the summary as write_json lays it out, keys sorted, indent 2; `str`
+# prints an int as json does, and a finite float, which every statistic is, too
+_UNIT_TEMPLATE = "    {\n" + ",\n".join(f'      "{key}": %s' for key in sorted(_UNIT_KEYS)) + "\n    }"
+
+
+def write_reshuffle_summary(
+    result: ReshuffleResult, null: NullMarginals, mean_spearman: float | None, mean_spearman_se: float | None,
+    path: str | Path,
+) -> None:
+    """write_json(reshuffle_summary_payload(...), path) for the same
+    arguments, byte for byte, filled in from whole columns.  `units` sorts
+    last, so the rest is json_text's up to its null `units`."""
+    columns = dict(zip(_UNIT_KEYS, _unit_columns(result, null)))
+    columns["unit_id"] = map(json.encoder.encode_basestring, columns["unit_id"])
+    head = json_text({**_summary_head(result, mean_spearman, mean_spearman_se), "units": None})
     with _atomic_write(path) as fh:
-        fh.write(
-            f'{{\n  "mean_spearman_vs_real": {spearman},\n  "n_replicates": {result.replicates},\n'
-            f'  "n_units": {len(ids)},\n  "units": '
-        )
-        rows = zip(n, mean, q025, q975, sd, real_h, map(json.encoder.encode_basestring, ids))
-        units = ",\n".join(map(_UNIT_TEMPLATE.__mod__, rows))
+        fh.write(head.removesuffix("null\n}\n"))
+        units = ",\n".join(map(_UNIT_TEMPLATE.__mod__, zip(*(columns[key] for key in sorted(columns)))))
         fh.write(f"[\n{units}\n  ]\n}}\n" if units else "[]\n}\n")
 
 

@@ -47,18 +47,6 @@ class ReshuffleResult:
     def replicates(self) -> int:
         return int(self.h_samples.shape[0])
 
-    @property
-    def null_mean_h(self) -> np.ndarray:
-        """Each unit's mean h over the replicates."""
-        return self.h_samples.mean(axis=0)
-
-    @property
-    def null_sd_h(self) -> np.ndarray:
-        """Each unit's sample standard deviation of h (ddof 1); 0 for one replicate."""
-        if self.replicates < 2:
-            return np.zeros(len(self.unit_ids))
-        return self.h_samples.std(axis=0, ddof=1)
-
 
 def replicate_stream(master_seed: int, index: int) -> np.random.Generator:
     """Independent RNG stream for one replicate.
@@ -204,6 +192,43 @@ def null_h_tails(pool_counts: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     return tails
 
 
+@dataclass(frozen=True)
+class NullMarginals:
+    """The exact null distribution of every unit's h, one row per distinct
+    size: tails[j, k - 1] = P(h >= k | N = sizes[j]), k = 1..H (see
+    null_h_tails); units[j] units have size sizes[j], and unit i has size
+    sizes[inverse[i]].  Its statistics are per unit, in unit order."""
+
+    sizes: np.ndarray
+    tails: np.ndarray
+    inverse: np.ndarray
+    units: np.ndarray
+
+    @property
+    def mean_h(self) -> np.ndarray:
+        """E[h] = sum_k P(h >= k)."""
+        return self.tails.sum(axis=1)[self.inverse]
+
+    @property
+    def sd_h(self) -> np.ndarray:
+        """The standard deviation of h, from E[h^2] = sum_k (2k - 1) P(h >= k)."""
+        k = np.arange(1, self.tails.shape[1] + 1)
+        mean, second = self.tails.sum(axis=1), np.sum((2 * k - 1) * self.tails, axis=1)
+        return np.sqrt(np.maximum(second - mean**2, 0.0))[self.inverse]
+
+    def quantile_h(self, q: float) -> np.ndarray:
+        """The smallest k with P(h <= k) >= q, 0 < q < 1: the count of the
+        k >= 1 with P(h >= k) > 1 - q."""
+        return (self.tails > 1.0 - q).sum(axis=1)[self.inverse]
+
+
+def null_marginals(dataset: Dataset) -> NullMarginals:
+    """The exact null distribution of every unit's h; h = 0 for certain
+    where no paper is cited."""
+    sizes, inverse, units = np.unique(dataset.sizes, return_inverse=True, return_counts=True)
+    return NullMarginals(sizes, null_h_tails(dataset.citations, sizes), inverse, units)
+
+
 def _row_average_ranks(a: np.ndarray) -> np.ndarray:
     """Average ranks within each row of a nonempty integer matrix: 1 for
     the smallest value, and tied values share the mean of their ranks.
@@ -222,14 +247,13 @@ def _row_average_ranks(a: np.ndarray) -> np.ndarray:
     return ranks - (np.arange(rows) * width)[:, None]
 
 
-def mean_spearman_vs_real(result: ReshuffleResult) -> float:
-    """Mean over replicates of the rank correlation with the real h vector.
-
-    Each coefficient is Spearman's rho: the Pearson correlation of average
-    ranks.  Raises ValueError where any coefficient is undefined: fewer
-    than 2 units, or a constant real vector or replicate row.  Centred
-    ranks are half-integers, so np.sum adds their products exactly, where
-    BLAS would make the sums depend on its thread count.
+def _spearman_coefficients(result: ReshuffleResult) -> np.ndarray:
+    """Spearman's rho of every replicate row against the real h vector: the
+    Pearson correlation of average ranks.  Raises ValueError where any
+    coefficient is undefined: fewer than 2 units, or a constant real vector
+    or replicate row.  Centred ranks are half-integers, so np.sum adds their
+    products exactly, where BLAS would make the sums depend on its thread
+    count.
     """
     real, samples = result.real_h, result.h_samples
     if real.size < 2:
@@ -240,4 +264,18 @@ def mean_spearman_vs_real(result: ReshuffleResult) -> float:
     ranks = _row_average_ranks(np.vstack([real, samples])) - middle
     rx, ry = ranks[0], ranks[1:]
     rho = np.sum(ry * rx, axis=1) / np.sqrt(np.sum(rx * rx) * np.sum(ry * ry, axis=1))
-    return float(np.mean(np.clip(rho, -1.0, 1.0)))
+    return np.clip(rho, -1.0, 1.0)
+
+
+def mean_spearman_vs_real(result: ReshuffleResult) -> float:
+    """Mean over replicates of Spearman's rho against the real h vector;
+    ValueError where a coefficient is undefined."""
+    return float(np.mean(_spearman_coefficients(result)))
+
+
+def mean_spearman_se(result: ReshuffleResult) -> float | None:
+    """Monte Carlo standard error of mean_spearman_vs_real: the standard
+    deviation (ddof 1) of the coefficients over sqrt(R); None for R = 1,
+    ValueError where a coefficient is undefined."""
+    rho = _spearman_coefficients(result)
+    return None if rho.size < 2 else float(rho.std(ddof=1) / np.sqrt(rho.size))

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .model import Dataset
-from .nullmodel import ReshuffleResult, null_h_tails
+from .nullmodel import ReshuffleResult, null_marginals
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -170,8 +170,8 @@ def build_benchmark(result: ReshuffleResult) -> Benchmark:
     return Benchmark(
         unit_ids=result.unit_ids,
         productivities=result.productivities,
-        null_mean_h=result.null_mean_h,
-        null_sd_h=result.null_sd_h,
+        null_mean_h=result.h_samples.mean(axis=0),
+        null_sd_h=result.h_samples.std(axis=0, ddof=1),
         fit=fit,
         n_excluded_zero_h=n_excluded,
     )
@@ -180,27 +180,24 @@ def build_benchmark(result: ReshuffleResult) -> Benchmark:
 def exact_benchmark(dataset: Dataset) -> Benchmark:
     """The limit of build_benchmark over infinitely many replicates.
 
-    From the matrix of exact tails P(h >= k | N) of `nullmodel.null_h_tails`,
-    one row per distinct size: E[h] = sum_k P(h >= k),
-    E[h^2] = sum_k (2k - 1) P(h >= k), and a fit of (log10 N, log10 k),
-    k >= 1, weighted by P(h = k | N) times the number of units of size N,
-    stderr 0.  `n_points` counts the (unit, k) pairs of positive weight and
-    `n_excluded_zero_h` the units whose null h can be 0, P(h >= 1) < 1."""
-    sizes, inverse, units = np.unique(dataset.sizes, return_inverse=True, return_counts=True)
-    tails = null_h_tails(dataset.citations, sizes)
+    The null mean and sd are those of `nullmodel.null_marginals`, and the
+    curve a fit of (log10 N, log10 k), k >= 1, weighted by P(h = k | N)
+    times the number of units of size N, stderr 0.  `n_points` counts the
+    (unit, k) pairs of positive weight and `n_excluded_zero_h` the units
+    whose null h can be 0, P(h >= 1) < 1."""
+    null = null_marginals(dataset)
+    tails, units = null.tails, null.units
     k = np.arange(1, tails.shape[1] + 1)
-    mean = tails.sum(axis=1)
-    second = np.sum((2 * k - 1) * tails, axis=1)
     pmf = tails - np.pad(tails[:, 1:], ((0, 0), (0, 1)))  # P(h = k), k >= 1
     rows, cols = np.nonzero(pmf > 0)
     if not rows.size:
         raise FitError("every unit's null h is 0; nothing to benchmark")
-    fit = _line_fit(np.log10(sizes[rows]), np.log10(k[cols]), pmf[rows, cols] * units[rows], None)
+    fit = _line_fit(np.log10(null.sizes[rows]), np.log10(k[cols]), pmf[rows, cols] * units[rows], None)
     return Benchmark(
         unit_ids=dataset.unit_ids,
         productivities=dataset.sizes,
-        null_mean_h=mean[inverse],
-        null_sd_h=np.sqrt(np.maximum(second - mean**2, 0.0))[inverse],
+        null_mean_h=null.mean_h,
+        null_sd_h=null.sd_h,
         fit=replace(fit, n_points=int(units[rows].sum())),
         n_excluded_zero_h=int(units[tails[:, 0] < 1.0].sum()),
     )

@@ -26,7 +26,7 @@ from sizebias.io import (
     write_samples_csv,
 )
 from sizebias.model import h_index
-from sizebias.nullmodel import ReshuffleResult
+from sizebias.nullmodel import NullMarginals, ReshuffleResult
 from sizebias.synth import CitationModel, SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
 
 
@@ -90,7 +90,7 @@ class TestTopLevel:
         with warnings.catch_warnings():  # setuptools may call its [tool.setuptools] support beta
             warnings.simplefilter("ignore")
             config = read_configuration(pyproject, expand=True)
-        assert config["project"]["version"] == sizebias.__version__ == "0.11.1"
+        assert config["project"]["version"] == sizebias.__version__ == "0.12.0"
 
     def test_missing_positional(self, capsys):
         assert main(["hindex"]) == 2
@@ -402,6 +402,89 @@ class TestNullModel:
         assert not out.exists()
 
 
+    def test_summary_marginals_are_the_benchmark_cells(self, synth_run, tmp_path, capsys):
+        null, bench = tmp_path / "nm", tmp_path / "bench"
+        assert main(["null-model", str(synth_run), "--seed", "2", "--replicates", "3", "--out-dir", str(null)]) == 0
+        assert main(["benchmark", str(synth_run), "--out-dir", str(bench)]) == 0
+        capsys.readouterr()
+        units = json.loads((null / "reshuffle_summary.json").read_text(encoding="utf-8"))["units"]
+        rows = read_rows(bench / "benchmark.csv")[1:]
+        assert [[u["unit_id"], repr(u["null_mean_h"]), repr(u["null_sd_h"])] for u in units] == [r[:1] + r[3:5] for r in rows]
+        for u in units:
+            assert isinstance(u["null_q025_h"], int) and isinstance(u["null_q975_h"], int)
+            assert u["null_q025_h"] <= u["null_mean_h"] <= u["null_q975_h"]
+
+    def test_sample_means_lie_within_4_standard_errors_of_the_summary(self, synth_run, tmp_path, capsys):
+        out = tmp_path / "nm"
+        assert main(["null-model", str(synth_run), "--seed", "4", "--replicates", "400", "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        summary = json.loads((out / "reshuffle_summary.json").read_text(encoding="utf-8"))
+        samples = read_rows(out / "reshuffle_samples.csv")[1:]
+        for u in summary["units"]:
+            mean = np.mean([int(h) for _, uid, h in samples if uid == u["unit_id"]])
+            assert abs(mean - u["null_mean_h"]) <= 4 * u["null_sd_h"] / math.sqrt(400) + 1e-9
+        # the one Monte Carlo statistic comes with its standard error
+        assert 0.0 < summary["mean_spearman_se"] < 0.1
+
+    def test_uncited_input_has_h_zero_but_no_benchmark(self, tmp_path, capsys):
+        path = tmp_path / "uncited.csv"
+        path.write_text("unit_id,unit_name,citations\na,A,0\na,A,0\nb,B,0\n", encoding="utf-8")
+        out = tmp_path / "nm"
+        assert main(["null-model", str(path), "--seed", "1", "--replicates", "3", "--out-dir", str(out)]) == 0
+        summary = json.loads((out / "reshuffle_summary.json").read_text(encoding="utf-8"))
+        assert summary["mean_spearman_vs_real"] is None and summary["mean_spearman_se"] is None
+        for u in summary["units"]:
+            assert (u["real_h"], u["null_mean_h"], u["null_sd_h"], u["null_q025_h"], u["null_q975_h"]) == (0, 0, 0, 0, 0)
+        assert main(["benchmark", str(path), "--out-dir", str(tmp_path / "bench")]) == 4
+        assert "every unit's null h is 0" in capsys.readouterr().err
+
+
+CLI_PROBE = "import sys; from sizebias.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run_cli(argv, **env):
+    """Run the CLI in a fresh interpreter, standard output a pipe; returns the
+    completed process, text decoded as UTF-8."""
+    env = {**os.environ, "PYTHONPATH": SRC_PATH, **env}
+    return subprocess.run([sys.executable, "-c", CLI_PROBE, *map(str, argv)], env=env, capture_output=True, encoding="utf-8")
+
+
+class TestStdout:
+    """A report that standard output cannot take exits 5, printing no part of it."""
+
+    def test_unencodable_report_prints_nothing(self, tmp_path):
+        pubs = tmp_path / "é.csv"
+        pubs.write_text("unit_id,unit_name,citations\né,E,3\né,E,1\nb,B,2\n", encoding="utf-8")
+        summary = TestFit.exact_summary(tmp_path)
+        runs = (
+            ["hindex", pubs],
+            ["hindex", pubs, "--format", "csv"],
+            ["fit", summary.rename(tmp_path / "é-summary.csv"), "--format", "json"],
+            ["null-model", pubs, "--seed", "1", "--replicates", "2", "--out-dir", tmp_path / "é"],
+            ["benchmark", pubs, "--out-dir", tmp_path / "é"],
+        )
+        for argv in runs:
+            run = run_cli(argv, PYTHONIOENCODING="ascii")
+            assert (run.returncode, run.stdout) == (5, ""), argv
+            assert run.stderr.startswith("error: 'ascii' codec can't encode") and run.stderr.count("\n") == 1
+        run = run_cli(runs[0], PYTHONIOENCODING="utf-8")
+        assert run.returncode == 0 and run.stdout.split() == ["unit_id", "N", "h", "é", "2", "1", "b", "1", "1"]
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_closed_pipe_exits_5(self, tmp_path, fmt, unbuffered):
+        # hindex big.csv | head -1, with the report far larger than a pipe holds
+        path = tmp_path / "big.csv"
+        path.write_text("unit_id,unit_name,citations\n" + "".join(f"u{i},U,{i % 7}\n" for i in range(20_000)))
+        env = {**os.environ, "PYTHONPATH": SRC_PATH, "PYTHONUNBUFFERED": unbuffered}
+        argv = [sys.executable, "-c", CLI_PROBE, "hindex", str(path), "--format", fmt]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b"unit_id")
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (5, b"error: [Errno 32] Broken pipe\n")
+
+
 class TestFit:
     @staticmethod
     def exact_summary(tmp_path):
@@ -497,7 +580,9 @@ class TestFit:
         run = tmp_path / "nm"
         run.mkdir()
         write_samples_csv(result, run / "reshuffle_samples.csv")
-        write_json(reshuffle_summary_payload(result, None), run / "reshuffle_summary.json")
+        # fit reads only the units' sizes from the summary, so any marginals do
+        null = NullMarginals(sizes, np.ones((40, 1)), np.arange(40), np.ones(40, dtype=int))
+        write_json(reshuffle_summary_payload(result, null, None, None), run / "reshuffle_summary.json")
         reports = []
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": SRC_PATH}

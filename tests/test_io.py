@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from sizebias.io import (
     write_samples_csv,
 )
 from sizebias.model import MAX_CITATIONS
-from sizebias.nullmodel import ReshuffleResult, run_null_model
+from sizebias.nullmodel import NullMarginals, ReshuffleResult, null_marginals, run_null_model
 from sizebias.scaling import fit_power_law
 
 
@@ -58,6 +59,22 @@ def awkward_result(replicates, units=len(AWKWARD_IDS), seed=0):
         real_h=rng.integers(0, 25, size=units),
         productivities=sizes,
     )
+
+
+def marginals_from_tails(tails):
+    """NullMarginals that give unit i the distribution tails[i, k - 1] = P(h >= k)."""
+    units = len(tails)
+    return NullMarginals(sizes=np.arange(units), tails=tails, inverse=np.arange(units), units=np.ones(units, dtype=int))
+
+
+def awkward_null(result, seed=0):
+    """Null marginals for awkward_result's units: random tails, each row
+    nonincreasing, some levels certain (1.0) or impossible (0.0)."""
+    rng = np.random.default_rng(seed)
+    tails = -np.sort(-rng.random((len(result.unit_ids), 24)), axis=1)
+    tails[:, :2] = 1.0
+    tails[:, 20:] = 0.0
+    return marginals_from_tails(tails)
 
 
 class TestPublicationsRoundTrip:
@@ -360,9 +377,11 @@ class TestReadSummary:
 class TestReadSamples:
     @staticmethod
     def run_dir(tmp_path):
-        result = run_null_model(small_dataset(), 1, 4, workers=1)
+        dataset = small_dataset()
+        result = run_null_model(dataset, 1, 4, workers=1)
         write_samples_csv(result, tmp_path / "reshuffle_samples.csv")
-        write_json(reshuffle_summary_payload(result, None), tmp_path / "reshuffle_summary.json")
+        payload = reshuffle_summary_payload(result, null_marginals(dataset), None, None)
+        write_json(payload, tmp_path / "reshuffle_summary.json")
         return result
 
     @staticmethod
@@ -478,26 +497,36 @@ class TestWriters:
     @pytest.mark.parametrize("replicates,units", [(1, 8), (2, 8), (7, 19), (3, 0)])
     def test_summary_matches_write_json_of_payload(self, tmp_path, replicates, units, mean_spearman):
         result = awkward_result(replicates, units, seed=replicates)
+        null = awkward_null(result, seed=replicates)
+        se = None if mean_spearman is None or replicates < 2 else abs(mean_spearman) / replicates
         path, oracle = tmp_path / "summary.json", tmp_path / "oracle.json"
-        sizebias.io.write_reshuffle_summary(result, mean_spearman, path)
-        write_json(reshuffle_summary_payload(result, mean_spearman), oracle)
+        sizebias.io.write_reshuffle_summary(result, null, mean_spearman, se, path)
+        write_json(reshuffle_summary_payload(result, null, mean_spearman, se), oracle)
         assert path.read_bytes() == oracle.read_bytes()
 
     def test_summary_of_a_null_model_run_matches_write_json(self, tmp_path):
-        result = run_null_model(small_dataset(), 1, 5, workers=1)
+        dataset = small_dataset()
+        result, null = run_null_model(dataset, 1, 5, workers=1), null_marginals(dataset)
         path, oracle = tmp_path / "summary.json", tmp_path / "oracle.json"
-        sizebias.io.write_reshuffle_summary(result, 0.5, path)
-        write_json(reshuffle_summary_payload(result, 0.5), oracle)
+        sizebias.io.write_reshuffle_summary(result, null, 0.5, 0.125, path)
+        write_json(reshuffle_summary_payload(result, null, 0.5, 0.125), oracle)
         assert path.read_bytes() == oracle.read_bytes()
 
     @pytest.mark.parametrize("replicates", range(1, 65))
-    def test_quantiles_equal_np_quantile(self, replicates):
+    def test_quantiles_equal_np_quantile(self, tmp_path, replicates):
+        # the summary's q quantile is the smallest k with P(h <= k) >= q: on
+        # the empirical distribution of a sample, numpy's inverted_cdf rule
         rng = np.random.default_rng(replicates)
         h = rng.integers(0, 3 + replicates, size=(replicates, 30))
         h[:, :3] = [0, 7, 1000]  # constant columns
-        expected = np.quantile(h, [0.025, 0.975], axis=0)
-        got = np.stack(sizebias.io._null_quantiles(h))
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        tails = (h[:, :, None] >= np.arange(1, h.max() + 1)).mean(axis=0)
+        result = ReshuffleResult(tuple(f"u{i}" for i in range(30)), h, h[0], np.full(30, 1000))
+        path = tmp_path / "summary.json"
+        sizebias.io.write_reshuffle_summary(result, marginals_from_tails(tails), None, None, path)
+        units = json.loads(path.read_text(encoding="utf-8"))["units"]
+        got = [[u["null_q025_h"] for u in units], [u["null_q975_h"] for u in units]]
+        expected = np.quantile(h, [0.025, 0.975], axis=0, method="inverted_cdf")
+        assert got == expected.tolist()
 
     def test_hindex_csv(self, tmp_path):
         path = tmp_path / "h.csv"
@@ -564,15 +593,16 @@ class TestWriters:
     def test_failed_summary_write_leaves_no_file(self, tmp_path):
         # an id that is not text fails after the opening lines are written
         good = awkward_result(3, 5000)
+        null = awkward_null(good)
         bad = ReshuffleResult(good.unit_ids[:-1] + (5,), good.h_samples, good.real_h, good.productivities)
         with pytest.raises(TypeError):
-            sizebias.io.write_reshuffle_summary(bad, None, tmp_path / "s.json")
+            sizebias.io.write_reshuffle_summary(bad, null, None, None, tmp_path / "s.json")
         assert list(tmp_path.iterdir()) == []
         path = tmp_path / "s.json"
-        sizebias.io.write_reshuffle_summary(good, None, path)
+        sizebias.io.write_reshuffle_summary(good, null, None, None, path)
         before = path.read_bytes()
         with pytest.raises(TypeError):
-            sizebias.io.write_reshuffle_summary(bad, None, path)
+            sizebias.io.write_reshuffle_summary(bad, null, None, None, path)
         assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
 
 
@@ -586,21 +616,25 @@ class TestPayloads:
     def test_reshuffle_summary_payload(self):
         ds = small_dataset()
         result = run_null_model(ds, 1, 5, workers=1)
-        payload = reshuffle_summary_payload(result, 0.5)
+        payload = reshuffle_summary_payload(result, null_marginals(ds), 0.5, 0.125)
         assert payload["n_replicates"] == 5
         assert payload["n_units"] == 2
         assert payload["mean_spearman_vs_real"] == 0.5
+        assert payload["mean_spearman_se"] == 0.125
         assert [u["unit_id"] for u in payload["units"]] == ["a", "b"]
+        # a's two papers are two of the pool's 3, 0 and 7 citations: h is 1, 2
+        # or 1, each with probability 1/3
         first = payload["units"][0]
         assert first["n_publications"] == 2
-        assert first["null_mean_h"] == pytest.approx(float(result.h_samples[:, 0].mean()))
-        assert first["null_q025_h"] <= first["null_mean_h"] <= first["null_q975_h"]
+        assert first["null_mean_h"] == pytest.approx(4 / 3, abs=1e-15)
+        assert first["null_sd_h"] == pytest.approx(math.sqrt(2) / 3, abs=1e-15)
+        assert (first["null_q025_h"], first["null_q975_h"]) == (1, 2)
 
     def test_reshuffle_summary_payload_undefined_spearman(self):
         ds = small_dataset()
         result = run_null_model(ds, 1, 2, workers=1)
-        payload = reshuffle_summary_payload(result, None)
-        assert payload["mean_spearman_vs_real"] is None
+        payload = reshuffle_summary_payload(result, null_marginals(ds), None, None)
+        assert payload["mean_spearman_vs_real"] is None and payload["mean_spearman_se"] is None
 
 
 class TestManifest:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,14 +18,17 @@ from sizebias.model import MAX_CITATIONS, h_from_tally, h_index
 from sizebias.nullmodel import (
     ReshuffleResult,
     _row_average_ranks,
+    mean_spearman_se,
     mean_spearman_vs_real,
     null_h_tails,
+    null_marginals,
     replicate_stream,
     reshuffle_blocks,
     reshuffled_dataset,
     resolve_workers,
     run_null_model,
 )
+from sizebias.scaling import FitError, exact_benchmark
 from sizebias.synth import CitationModel, SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
 
 
@@ -380,6 +384,51 @@ class TestNullHTails:
         assert null_h_tails(counts, [0, 2]).tolist() == [[0.0, 0.0], [1.0, 1.0]]
 
 
+def enumerated_h(counts, n):
+    """The h of every one of the equally likely n-paper blocks of `counts`."""
+    return [
+        sum(c >= r for r, c in enumerate(sorted((counts[i] for i in block), reverse=True), 1))
+        for block in itertools.combinations(range(len(counts)), n)
+    ]
+
+
+class TestNullMarginals:
+    def test_match_full_subset_enumeration(self):
+        # 200 pools of 3-8 papers, each cut into 1-4 units of any size, 0 included
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            counts = rng.integers(0, 9, size=int(rng.integers(3, 9))).tolist()
+            cuts = np.sort(rng.integers(0, len(counts) + 1, size=int(rng.integers(0, 4))))
+            blocks = np.split(np.array(counts), cuts)
+            null = null_marginals(make_dataset({f"u{i}": b.tolist() for i, b in enumerate(blocks)}))
+            for i, block in enumerate(blocks):
+                drawn = enumerated_h(counts, block.size)
+                mean = Fraction(sum(drawn), len(drawn))
+                var = Fraction(sum(h * h for h in drawn), len(drawn)) - mean**2
+                assert null.mean_h[i] == pytest.approx(float(mean), abs=1e-12)
+                assert null.sd_h[i] == pytest.approx(math.sqrt(var), abs=1e-7)
+                for q in (0.025, 0.975):
+                    # the smallest k with P(h <= k) >= q, in exact arithmetic
+                    exact_q = Fraction(q).limit_denominator(1000)
+                    expected = min(k for k in drawn if Fraction(sum(h <= k for h in drawn), len(drawn)) >= exact_q)
+                    assert null.quantile_h(q)[i] == expected
+
+    def test_unit_of_size_zero_has_h_zero(self):
+        null = null_marginals(make_dataset({"empty": [], "a": [3, 1, 4], "b": [2, 0]}))
+        assert null.mean_h[0] == null.sd_h[0] == 0.0
+        assert null.quantile_h(0.025)[0] == null.quantile_h(0.975)[0] == 0
+        assert np.all(null.mean_h[1:] > 0)
+
+    def test_uncited_pool_has_h_zero_everywhere(self):
+        dataset = make_dataset({"a": [0, 0, 0], "b": [0]})
+        null = null_marginals(dataset)
+        assert null.tails.shape == (2, 0)
+        assert null.mean_h.tolist() == null.sd_h.tolist() == [0.0, 0.0]
+        assert null.quantile_h(0.025).tolist() == null.quantile_h(0.975).tolist() == [0, 0]
+        with pytest.raises(FitError):
+            exact_benchmark(dataset)
+
+
 class TestResultValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -490,6 +539,18 @@ class TestRankAgreement:
             [stats.spearmanr(result.real_h, row).statistic for row in result.h_samples]
         )
         assert mean_spearman_vs_real(result) == pytest.approx(float(expected), abs=1e-12)
+
+    def test_standard_error_matches_scipy(self):
+        result = manual_result()
+        rho = [stats.spearmanr(result.real_h, row).statistic for row in result.h_samples]
+        expected = np.std(rho, ddof=1) / math.sqrt(len(rho))
+        assert mean_spearman_se(result) == pytest.approx(float(expected), abs=1e-12)
+
+    def test_standard_error_needs_two_replicates(self):
+        assert mean_spearman_se(result_of([1, 2, 3], [3, 1, 2])) is None
+        assert mean_spearman_se(result_of([1, 2, 3], [1, 2, 3], [1, 2, 3])) == 0.0
+        with pytest.raises(ValueError):
+            mean_spearman_se(result_of([1, 2, 3], [3, 1, 2], [5, 5, 5]))
 
     def test_null_model_pipeline_agreement_is_high_for_size_spread(self):
         # strongly size-heterogeneous units: size alone orders the null ranking
