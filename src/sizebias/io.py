@@ -127,67 +127,81 @@ def _parse_count(text: str, lineno: int, field: str, problems: list[str], cap: i
     return value
 
 
-def _plain_lines(data: bytes) -> tuple[np.ndarray, list[int], list[int], list[int]] | None:
-    """Counts of a header-checked plain publications file (see
-    _read_plain_publications), and its runs of lines with one "id,name,"
-    prefix: their first lines, then the line count, and where each run's
-    prefix starts and ends (its second comma); None if a line is not plain."""
+def _line_fields(data: bytes, header: tuple[str, ...]) -> tuple[np.ndarray, ...] | None:
+    """Each data line's start, end (its newline) and two commas, in a file
+    that starts with `header`, of three fields, after at most a byte-order
+    mark, ends in a newline and holds no quote, carriage return or NUL byte
+    (csv rejects a NUL before Python 3.11); None for any other file, or if
+    there is no data line or one does not hold exactly two commas."""
+    start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
+    plain = data.startswith(",".join(header).encode() + b"\n", start) and data.endswith(b"\n")
+    if not plain or any(byte in data for byte in (b'"', b"\r", b"\0")):
+        return None
     buf = np.frombuffer(data, dtype=np.uint8)
     newlines = np.flatnonzero(buf == ord("\n"))
     commas = np.flatnonzero(buf == ord(","))[2:]  # the header holds the first two
-    starts, ends, second = newlines[:-1] + 1, newlines[1:], commas[1::2]
+    starts, ends, first, second = newlines[:-1] + 1, newlines[1:], commas[0::2], commas[1::2]
     # with two commas per line in all, line i holds two iff it holds pair i
-    if not (starts.size and commas.size == 2 * starts.size and (commas[0::2] > starts).all() and (second < ends).all()):
+    if not (starts.size and commas.size == 2 * starts.size and (first >= starts).all() and (second < ends).all()):
         return None
-    width = ends - second - 1
+    return starts, ends, first, second
+
+
+def _digit_column(data: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """The fields data[lo[i]:hi[i]] as uint64 numbers; None unless every field
+    is 1 to 19 ASCII digits, so below 2**64.  data[hi[i]] must exist."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    width = hi - lo
     if not 1 <= width.min() <= width.max() <= 19:
         return None
-    counts = np.zeros(starts.size, dtype=np.uint64)
+    values = np.zeros(width.size, dtype=np.uint64)
     for j in range(int(width.max())):
         live = width > j
-        digit = buf[np.minimum(second + (1 + j), ends)] - ord("0")  # above 9 for any other byte
+        digit = buf[np.minimum(lo + j, hi)] - ord("0")  # above 9 for any other byte
         if (live & (digit > 9)).any():
             return None
-        np.multiply(counts, 10, out=counts, where=live)
-        np.add(counts, digit, out=counts, where=live)
-    # read past its end, a prefix repeats its closing comma; past 32 bytes two
-    # prefixes are compared whole, so a long name costs its lines, not a pass
-    length = second - starts
-    same = length[1:] == length[:-1]
+        np.multiply(values, 10, out=values, where=live)
+        np.add(values, digit, out=values, where=live)
+    return values
+
+
+def _same_as_earlier(data: bytes, lo: np.ndarray, hi: np.ndarray, lag: int) -> np.ndarray:
+    """same[i]: whether field i + lag, data[lo:hi], has the bytes of field i.
+    Each field ends before a comma, which it repeats when read past its end;
+    past 32 bytes two fields are compared whole, so a long field costs its
+    lines, not a pass."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    length = hi - lo
+    same = length[lag:] == length[:-lag]
     for j in range(min(int(length.max()), 32)):
-        column = buf[np.minimum(starts + j, second)]
-        same &= column[1:] == column[:-1]
-    for i in np.flatnonzero(same & (length[1:] > 32)).tolist():
-        same[i] = data[starts[i + 1] : second[i + 1]] == data[starts[i] : second[i]]
-    runs = np.flatnonzero(np.concatenate(([True], ~same)))
-    return counts, runs.tolist() + [starts.size], starts[runs].tolist(), second[runs].tolist()
+        column = buf[np.minimum(lo + j, hi)]
+        same &= column[lag:] == column[:-lag]
+    for i in np.flatnonzero(same & (length[lag:] > 32)).tolist():
+        same[i] = data[lo[i + lag] : hi[i + lag]] == data[lo[i] : hi[i]]
+    return same
 
 
 def _read_plain_publications(path: str | Path) -> Dataset | None:
     """The Dataset of a publications file in the plain subset of the format,
-    read by whole columns; None for any other file.
-
-    Plain is: the exact header, after at most a byte-order mark, then lines
-    that each end in a newline and hold exactly two commas; no quote or
-    carriage return anywhere; valid UTF-8; ids that are nonempty and carry
-    no surrounding whitespace, with one name each; and counts of 1 to 19
-    ASCII digits, so below 2**64.  On such a file the line-by-line reader
-    finds no problem and builds the same Dataset.
-    """
+    read by whole columns; None for any other file.  Plain is: bytes and
+    lines that _line_fields takes; valid UTF-8; ids that are nonempty and
+    carry no surrounding whitespace, with one name each; and counts of 1 to
+    19 ASCII digits, so below 2**64.  On such a file the line-by-line reader
+    finds no problem and builds the same Dataset."""
     try:
         data = Path(path).read_bytes()
     except OSError:
         return None
-    header = ",".join(PUBLICATIONS_HEADER).encode() + b"\n"
-    plain = data.startswith(header, 3 if data.startswith(b"\xef\xbb\xbf") else 0) and data.endswith(b"\n")
-    lines = _plain_lines(data) if plain and b'"' not in data and b"\r" not in data else None
-    if lines is None:
+    lines = _line_fields(data, PUBLICATIONS_HEADER)
+    counts = None if lines is None else _digit_column(data, lines[3] + 1, lines[1])
+    if counts is None:
         return None
-    counts, bounds, prefix_starts, prefix_ends = lines
+    starts, _, _, second = lines  # runs of lines with one "id,name" prefix, up to the second comma
+    runs = np.flatnonzero(np.concatenate(([True], ~_same_as_earlier(data, starts, second, 1))))
     units: dict[str, int] = {}  # each id's unit index, in first occurrence order
     names: list[str] = []
     run_unit = []
-    for start, end in zip(prefix_starts, prefix_ends):
+    for start, end in zip(starts[runs].tolist(), second[runs].tolist()):
         try:
             unit_id, _, name = data[start:end].decode("utf-8").partition(",")
         except UnicodeDecodeError:
@@ -198,7 +212,7 @@ def _read_plain_publications(path: str | Path) -> Dataset | None:
         if not unit_id or unit_id != unit_id.strip() or names[unit] != name:
             return None
         run_unit.append(unit)
-    sizes = np.diff(bounds)  # lines per run
+    sizes = np.diff(np.append(runs, starts.size))  # lines per run
     if len(run_unit) > len(names):  # some id has several runs: gather each unit's lines in unit order
         line_unit = np.repeat(run_unit, sizes)
         sizes, counts = np.bincount(line_unit, minlength=len(names)), counts[np.argsort(line_unit, kind="stable")]
@@ -297,7 +311,8 @@ def read_samples(path: str | Path) -> tuple[np.ndarray, np.ndarray, int, Path]:
     samples CSV; unit sizes come from the run's summary JSON beside it.
 
     Returns the sizes and the h of the h > 0 points as two float arrays,
-    the count of excluded h = 0 points, and the samples CSV path.
+    the count of excluded h = 0 points, and the samples CSV path.  A plain
+    samples file (see _read_plain_samples) is read by whole columns.
     """
     p = Path(path)
     if p.is_dir():
@@ -314,7 +329,37 @@ def read_samples(path: str | Path) -> tuple[np.ndarray, np.ndarray, int, Path]:
         sizes = {u["unit_id"]: int(u["n_publications"]) for u in meta["units"]}
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise IngestError(summary, [f"malformed run summary JSON: {exc}"]) from exc
+    points = _read_plain_samples(samples, sizes)
+    return (*(_read_sample_lines(samples, sizes) if points is None else points), samples)
 
+
+def _read_plain_samples(samples: Path, sizes: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """read_samples' points of a samples file in the plain subset of the
+    format, read by whole columns; None for any other file.  Plain is what
+    null-model writes: bytes and lines that _line_fields takes; replicate and
+    h fields of 1 to 19 ASCII digits; and a positive multiple of U lines whose
+    ids repeat the U ids of `sizes` in order, none with surrounding whitespace."""
+    data, ids, units = samples.read_bytes(), list(sizes), len(sizes)
+    lines = _line_fields(data, SAMPLES_HEADER) if units else None
+    if lines is None or lines[0].size % units:
+        return None
+    starts, ends, first, second = lines
+    h, same = _digit_column(data, second + 1, ends), _same_as_earlier(data, first + 1, second, units)
+    if h is None or not same.all() or _digit_column(data, starts, first) is None:
+        return None
+    try:
+        head = [data[a + 1 : b].decode("utf-8") for a, b in zip(first[:units].tolist(), second[:units].tolist())]
+        unit_n = np.array(list(sizes.values()), dtype=float)
+    except (UnicodeDecodeError, OverflowError):  # the line reader raises the first, and the second on a kept point
+        return None
+    if head != ids or any(uid != uid.strip() for uid in ids):
+        return None
+    kept = h > 0
+    return np.tile(unit_n, h.size // units)[kept], h[kept].astype(float), int(h.size - kept.sum())
+
+
+def _read_sample_lines(samples: Path, sizes: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int]:
+    """read_samples' points one CSV row at a time; the source of every IngestError."""
     kept_n: list[int] = []
     kept_h: list[int] = []
     n_excluded = 0
@@ -337,7 +382,7 @@ def read_samples(path: str | Path) -> tuple[np.ndarray, np.ndarray, int, Path]:
             n_excluded += 1
     if problems:
         raise IngestError(samples, problems)
-    return np.array(kept_n, dtype=float), np.array(kept_h, dtype=float), n_excluded, samples
+    return np.array(kept_n, dtype=float), np.array(kept_h, dtype=float), n_excluded
 
 
 def bundled_summary_path(name: str) -> Path:

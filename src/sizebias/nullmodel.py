@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +20,7 @@ from .model import Dataset, _tally_keys, h_from_tally, h_index
 
 _MAX_SEED = 2**64 - 1
 _DEFAULT_WORKER_CAP = 8
+_WINDOW_POINTS_PER_PASS = 32768  # null_h_tails' cap: small temporaries reuse memory, not fault in new pages
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,25 @@ class ReshuffleResult:
     @property
     def replicates(self) -> int:
         return int(self.h_samples.shape[0])
+
+    @cached_property
+    def _spearman_coefficients(self) -> np.ndarray:
+        """Spearman's rho of each replicate row against the real h vector, the
+        Pearson correlation of average ranks, once per result; ValueError where
+        one is undefined: under 2 units, or a constant real vector or row.
+        Centred ranks are half-integers, so np.sum adds their products exactly,
+        where BLAS would make the sums depend on its thread count."""
+        real, samples = self.real_h, self.h_samples
+        if real.size < 2:
+            raise ValueError("need at least 2 units")
+        if np.all(real == real[0]) or np.any(np.all(samples == samples[:, :1], axis=1)):
+            raise ValueError("rank correlation is undefined for a constant input")
+        middle = (real.size + 1) / 2.0
+        ranks = _row_average_ranks(np.vstack([real, samples])) - middle
+        rx, ry = ranks[0], ranks[1:]
+        rho = np.clip(np.sum(ry * rx, axis=1) / np.sqrt(np.sum(rx * rx) * np.sum(ry * ry, axis=1)), -1.0, 1.0)
+        rho.setflags(write=False)
+        return rho
 
 
 def replicate_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -160,7 +181,8 @@ def null_h_tails(pool_counts: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     (lo < k <= hi) need one: the others are certain, exactly 1.0, or
     impossible, exactly 0.0, as is every k > N.  The cells are grouped by
     window width rounded up to a power of two, one cumsum per group, so a
-    cell's value depends on its own window alone, not on the other sizes.
+    cell's value depends on its own window alone, not on the other sizes;
+    a group's cells are taken _WINDOW_POINTS_PER_PASS window points at a time.
     """
     cap = h_index(pool_counts)
     tally = np.bincount(np.minimum(pool_counts, cap).astype(np.int64), minlength=cap + 1)
@@ -179,16 +201,18 @@ def null_h_tails(pool_counts: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     rows, cols = np.nonzero((lo < k) & (k <= hi))
     group = np.frexp(hi[rows, cols] - lo[rows, cols])[1]  # 2**group >= the window's hi - lo + 1 points
     for g in np.flatnonzero(np.bincount(group)):  # not np.unique, which imports numpy.ma
-        r, c = rows[group == g], cols[group == g]
-        n_g, K, top = n[r], marked[c, None], hi[r, c, None]
-        x = lo[r, c, None] + np.arange(2**g)
-        step = x < top
-        ratio = np.log(np.where(step, (K - x) * (n_g - x), 1.0)) - np.log(  # log pmf(x + 1) - log pmf(x)
-            np.where(step, (x + 1.0) * (total - K - n_g + x + 1.0), 1.0)
-        )
-        log_pmf = np.cumsum(ratio, axis=1) - ratio  # log pmf(x) - log pmf(lo)
-        weight = np.where(x <= top, np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True)), 0.0)
-        tails[r, c] = np.where(x >= k[c, None], weight, 0.0).sum(axis=1) / weight.sum(axis=1)
+        cells, per_pass = np.flatnonzero(group == g), max(1, _WINDOW_POINTS_PER_PASS >> g)
+        for part in range(0, cells.size, per_pass):
+            r, c = rows[cells[part : part + per_pass]], cols[cells[part : part + per_pass]]
+            n_g, K, top = n[r], marked[c, None], hi[r, c, None]
+            x = lo[r, c, None] + np.arange(2**g)
+            step = x < top
+            ratio = np.log(np.where(step, (K - x) * (n_g - x), 1.0)) - np.log(  # log pmf(x + 1) - log pmf(x)
+                np.where(step, (x + 1.0) * (total - K - n_g + x + 1.0), 1.0)
+            )
+            log_pmf = np.cumsum(ratio, axis=1) - ratio  # log pmf(x) - log pmf(lo)
+            weight = np.where(x <= top, np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True)), 0.0)
+            tails[r, c] = np.where(x >= k[c, None], weight, 0.0).sum(axis=1) / weight.sum(axis=1)
     return tails
 
 
@@ -247,35 +271,15 @@ def _row_average_ranks(a: np.ndarray) -> np.ndarray:
     return ranks - (np.arange(rows) * width)[:, None]
 
 
-def _spearman_coefficients(result: ReshuffleResult) -> np.ndarray:
-    """Spearman's rho of every replicate row against the real h vector: the
-    Pearson correlation of average ranks.  Raises ValueError where any
-    coefficient is undefined: fewer than 2 units, or a constant real vector
-    or replicate row.  Centred ranks are half-integers, so np.sum adds their
-    products exactly, where BLAS would make the sums depend on its thread
-    count.
-    """
-    real, samples = result.real_h, result.h_samples
-    if real.size < 2:
-        raise ValueError("need at least 2 units")
-    if np.all(real == real[0]) or np.any(np.all(samples == samples[:, :1], axis=1)):
-        raise ValueError("rank correlation is undefined for a constant input")
-    middle = (real.size + 1) / 2.0
-    ranks = _row_average_ranks(np.vstack([real, samples])) - middle
-    rx, ry = ranks[0], ranks[1:]
-    rho = np.sum(ry * rx, axis=1) / np.sqrt(np.sum(rx * rx) * np.sum(ry * ry, axis=1))
-    return np.clip(rho, -1.0, 1.0)
-
-
 def mean_spearman_vs_real(result: ReshuffleResult) -> float:
     """Mean over replicates of Spearman's rho against the real h vector;
     ValueError where a coefficient is undefined."""
-    return float(np.mean(_spearman_coefficients(result)))
+    return float(np.mean(result._spearman_coefficients))
 
 
 def mean_spearman_se(result: ReshuffleResult) -> float | None:
     """Monte Carlo standard error of mean_spearman_vs_real: the standard
     deviation (ddof 1) of the coefficients over sqrt(R); None for R = 1,
     ValueError where a coefficient is undefined."""
-    rho = _spearman_coefficients(result)
+    rho = result._spearman_coefficients
     return None if rho.size < 2 else float(rho.std(ddof=1) / np.sqrt(rho.size))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import sizebias
+import sizebias.nullmodel
 from conftest import unit_citations
 from sizebias.cli import build_parser, main
 from sizebias.io import (
@@ -340,6 +341,16 @@ class TestNullModel:
         assert manifest["seed"] == 7
         assert manifest["replicates"] == 25
         assert len(manifest["input_sha256"]) == 64
+
+    def test_ranks_the_replicates_once(self, synth_run, tmp_path, monkeypatch, capsys):
+        # mean_spearman_vs_real and mean_spearman_se share one ranking
+        calls = []
+        rank = sizebias.nullmodel._row_average_ranks
+        monkeypatch.setattr(sizebias.nullmodel, "_row_average_ranks", lambda a: calls.append(a.shape) or rank(a))
+        out = tmp_path / "nm"
+        assert main(["null-model", str(synth_run), "--seed", "7", "--replicates", "5", "--out-dir", str(out)]) == 0
+        assert "standard error" in capsys.readouterr().out
+        assert calls == [(6, 3)]
 
     def test_same_seed_same_bytes(self, synth_run, tmp_path, capsys):
         outs = []

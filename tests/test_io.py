@@ -7,12 +7,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sizebias
 import sizebias.io
 from conftest import make_dataset, unit_citations
+from sizebias.cli import main
 from sizebias.io import (
     BENCHMARK_HEADER,
     BUNDLED_SUMMARIES,
@@ -33,6 +34,7 @@ from sizebias.io import (
     write_hindex_csv,
     write_json,
     write_publications,
+    write_reshuffle_summary,
     write_samples_csv,
 )
 from sizebias.model import MAX_CITATIONS
@@ -214,8 +216,8 @@ BOM = b"\xef\xbb\xbf"
 # accepts, and odd ones, each of which sends a file to the line reader.
 PLAIN_IDS = [b"a", b"b", b"u1", "é".encode(), b"v" * 40 + b"1", b"v" * 40 + b"2"]  # long ids differ late
 ODD_IDS = [b"", b" a", b"a ", "\xa0a".encode(), b"a,b", b'"a"']
-PLAIN_NAMES = [b"A", b"", "Ünï 中".encode(), b"x\x00y", b" B "]
-ODD_NAMES = [b'q"t', b"c,d", b"\xff", b"x\ry"]
+PLAIN_NAMES = [b"A", b"", "Ünï 中".encode(), b" B "]
+ODD_NAMES = [b'q"t', b"c,d", b"\xff", b"x\ry", b"x\x00y"]  # csv rejects a NUL before Python 3.11
 PLAIN_COUNTS = [b"0", b"3", b"007", b"9" * 19, str(2**63).encode()]
 ODD_COUNTS = [
     b"+3", b" 3 ", b"1_000", b"-2", b"x", b"", "٣".encode(), b"3.0", b"3:",
@@ -303,6 +305,13 @@ class TestColumnarReader:
         path = tmp_path_factory.mktemp("pubs") / "pubs.csv"
         path.write_bytes(text)
         assert self.check_readers_agree(path) is not None
+
+    def test_nul_byte_goes_to_the_line_reader(self, tmp_path):
+        # Python 3.10's csv raises "line contains NUL"; 3.11's reads the byte
+        path = tmp_path / "nul.csv"
+        path.write_bytes(HEADER + b"a,x\x00y,1\n")
+        assert sizebias.io._read_plain_publications(path) is None
+        self.check_readers_agree(path)
 
     def test_plain_file_never_reaches_the_line_reader(self, tmp_path, monkeypatch):
         def refuse(path):
@@ -441,6 +450,140 @@ class TestReadSamples:
         (tmp_path / "reshuffle_samples.csv").write_text("unit_id,unit_name,citations\n", encoding="utf-8")
         with pytest.raises(IngestError, match="bad header"):
             read_samples(tmp_path)
+
+
+# Unit ids of a samples file: plain ones, and some that take it out of the
+# plain subset (csv.writer quotes "a,b"; the line reader strips " lead";
+# csv rejects a NUL before Python 3.11).
+PLAIN_SAMPLE_IDS = ["a", "u1", "Kyiv — Київ", "v" * 40 + "1", "v" * 40 + "2", ""]
+SAMPLE_IDS = PLAIN_SAMPLE_IDS + ["a,b", " lead", "x\0y"]
+# changes to one field of a samples line: (replicate, unit_id, h) -> new fields
+LINE_CHANGES = {
+    "quoted id": lambda r, u, h: (r, b'"%s"' % u, h),
+    "space before id": lambda r, u, h: (r, b" " + u, h),
+    "space after h": lambda r, u, h: (r, u, h + b" "),
+    "+3": lambda r, u, h: (r, u, b"+3"),
+    "1_0": lambda r, u, h: (r, u, b"1_0"),
+    "20-digit h": lambda r, u, h: (r, u, h.rjust(20, b"0")),
+    "h past 2**64": lambda r, u, h: (r, u, b"1" * 20),
+    "non-digit replicate": lambda r, u, h: (b"x", u, h),
+    "NUL in replicate": lambda r, u, h: (r + b"\0", u, h),
+    "non-UTF-8 replicate": lambda r, u, h: (r + b"\xff", u, h),  # ignored by the line reader, but decoded
+    "unknown id": lambda r, u, h: (r, b"zz", h),
+    "non-UTF-8 id": lambda r, u, h: (r, u + b"\xff", h),
+}
+SAMPLE_CHANGES = [
+    None, "BOM", "CRLF", "blank line", "swapped lines", "dropped line", "duplicated line",
+    "summary with a duplicated id", *LINE_CHANGES,
+]  # fmt: skip
+
+
+@st.composite
+def null_model_results(draw, ids=SAMPLE_IDS):
+    """A ReshuffleResult of 1-4 distinct units and 1-3 replicates, some h = 0."""
+    unit_ids = tuple(draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True)))
+    replicates = draw(st.integers(1, 3))
+    h = draw(st.lists(st.integers(0, 12), min_size=replicates * len(unit_ids), max_size=replicates * len(unit_ids)))
+    sizes = draw(st.lists(st.integers(1, 300), min_size=len(unit_ids), max_size=len(unit_ids)))
+    return ReshuffleResult(
+        unit_ids=unit_ids,
+        h_samples=np.array(h).reshape(replicates, len(unit_ids)),
+        real_h=np.zeros(len(unit_ids), dtype=int),
+        productivities=np.array(sizes),
+    )
+
+
+def write_changed_run(run, result, change, i, j):
+    """Write null-model's two files for `result` into `run`, then apply
+    `change` to data lines i and j (modulo the line count), or to the
+    summary's units i and j."""
+    samples, summary = run / "reshuffle_samples.csv", run / "reshuffle_summary.json"
+    write_samples_csv(result, samples)
+    write_reshuffle_summary(result, awkward_null(result), None, None, summary)
+    head, *lines = samples.read_bytes().split(b"\n")[:-1]
+    i, j = i % len(lines), j % len(lines)
+    if change == "BOM":
+        head = BOM + head
+    elif change == "CRLF":
+        lines[i] += b"\r"
+    elif change == "blank line":
+        lines.insert(i, b"")
+    elif change == "swapped lines":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif change == "dropped line":  # i = 0 (hypothesis' favourite) drops the last
+        del lines[-1 - i]
+    elif change == "duplicated line":  # i = 0 appends line j
+        lines.insert(len(lines) - i, lines[j])
+    elif change == "summary with a duplicated id":
+        meta = json.loads(summary.read_text(encoding="utf-8"))
+        units = meta["units"]
+        units[i % len(units)]["unit_id"] = units[j % len(units)]["unit_id"]
+        write_json(meta, summary)
+    elif change is not None:
+        replicate, rest = lines[i].split(b",", 1)
+        lines[i] = b",".join(LINE_CHANGES[change](replicate, *rest.rsplit(b",", 1)))
+    samples.write_bytes(b"\n".join([head, *lines, b""]))
+
+
+def points_outcome(read, samples, sizes):
+    """What a samples reader makes of a file: its points, or the error."""
+    try:
+        n, h, n_excluded = read(samples, sizes)
+    except IngestError as exc:
+        return type(exc), str(exc)
+    return n.dtype, n.tolist(), h.dtype, h.tolist(), n_excluded
+
+
+class TestColumnarSamples:
+    """read_samples reads a plain samples file by whole columns, and gives the
+    line reader's points or IngestError on every file."""
+
+    @staticmethod
+    def check_readers_agree(run):
+        samples = run / "reshuffle_samples.csv"
+        meta = json.loads((run / "reshuffle_summary.json").read_text(encoding="utf-8"))
+        sizes = {u["unit_id"]: int(u["n_publications"]) for u in meta["units"]}
+        expected = points_outcome(sizebias.io._read_sample_lines, samples, sizes)
+        assert points_outcome(lambda *_: read_samples(run)[:3], samples, sizes) == expected
+        columnar = sizebias.io._read_plain_samples(samples, sizes)
+        if columnar is not None:
+            assert points_outcome(lambda *_: columnar, samples, sizes) == expected
+        return columnar
+
+    @pytest.mark.parametrize("change", SAMPLE_CHANGES)
+    @settings(max_examples=25)
+    @given(result=null_model_results(), i=st.integers(0, 11), j=st.integers(0, 11))
+    def test_both_readers_agree(self, tmp_path_factory, change, result, i, j):
+        run = tmp_path_factory.mktemp("run")
+        write_changed_run(run, result, change, i, j)
+        self.check_readers_agree(run)
+
+    @given(null_model_results(ids=PLAIN_SAMPLE_IDS))
+    def test_plain_runs_are_read_by_columns(self, tmp_path_factory, result):
+        run = tmp_path_factory.mktemp("run")
+        write_changed_run(run, result, None, 0, 0)
+        assert self.check_readers_agree(run) is not None
+
+    def test_nul_byte_goes_to_the_line_reader(self, tmp_path):
+        result = ReshuffleResult(("x\0y", "b"), np.array([[1, 0]]), np.zeros(2, dtype=int), np.array([3, 4]))
+        write_changed_run(tmp_path, result, None, 0, 0)
+        assert self.check_readers_agree(tmp_path) is None
+
+    def test_null_model_output_never_reaches_the_line_reader(self, tmp_path, monkeypatch, capsys):
+        pubs, run = tmp_path / "pubs.csv", tmp_path / "run"
+        write_publications(make_dataset({"a": [3, 0, 5], "Kyiv — Київ": [7, 2], "c": [1, 1, 0, 4]}), pubs)
+        assert main(["null-model", str(pubs), "--seed", "3", "--replicates", "6", "--out-dir", str(run)]) == 0
+        meta = json.loads((run / "reshuffle_summary.json").read_text(encoding="utf-8"))
+        sizes = {u["unit_id"]: u["n_publications"] for u in meta["units"]}
+        expected = points_outcome(sizebias.io._read_sample_lines, run / "reshuffle_samples.csv", sizes)
+
+        def refuse(samples, sizes):
+            raise AssertionError("the line reader ran on null-model's samples")
+
+        monkeypatch.setattr(sizebias.io, "_read_sample_lines", refuse)
+        assert points_outcome(lambda *_: read_samples(run)[:3], None, None) == expected
+        assert main(["fit", str(run), "--source", "null-model"]) == 0
+        capsys.readouterr()
 
 
 class TestBundledData:

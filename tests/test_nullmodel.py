@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
+import sizebias.nullmodel
 from conftest import make_dataset, unit_citations
 from sizebias.combinatorics import PoolSpec, hypergeom_pmf
 from sizebias.model import MAX_CITATIONS, h_from_tally, h_index
@@ -376,6 +377,18 @@ class TestNullHTails:
         for j in range(0, len(sizes), 7):
             assert np.array_equal(null_h_tails(counts, [sizes[j]])[0], tails[j])
 
+    @pytest.mark.parametrize("points_per_pass", [1, 64, sizebias.nullmodel._WINDOW_POINTS_PER_PASS, 2**40])
+    def test_passes_do_not_change_a_bit(self, monkeypatch, points_per_pass):
+        # 60 sizes of a 20k-paper pool: tens of thousands of window points in
+        # all, so the groups span many passes at small caps, and one at 2**40
+        rng = np.random.default_rng(5)
+        counts = np.floor((1.0 - rng.random(20_000)) ** (-1 / 1.5) - 1.0).astype(np.uint64)
+        sizes = np.unique(rng.integers(1, 20_001, size=60)).tolist()
+        by_size = [null_h_tails(counts, [n])[0] for n in sizes]
+        monkeypatch.setattr(sizebias.nullmodel, "_WINDOW_POINTS_PER_PASS", points_per_pass)
+        tails = null_h_tails(counts, sizes)
+        assert all(np.array_equal(row, alone) for row, alone in zip(tails, by_size, strict=True))
+
     def test_size_outside_the_pool_rejected(self):
         counts = np.array([5, 5], dtype=np.uint64)
         for size in (-1, 3):
@@ -551,6 +564,18 @@ class TestRankAgreement:
         assert mean_spearman_se(result_of([1, 2, 3], [1, 2, 3], [1, 2, 3])) == 0.0
         with pytest.raises(ValueError):
             mean_spearman_se(result_of([1, 2, 3], [3, 1, 2], [5, 5, 5]))
+
+    def test_replicates_are_ranked_once_per_result(self, monkeypatch):
+        calls = []
+        rank = sizebias.nullmodel._row_average_ranks
+        monkeypatch.setattr(sizebias.nullmodel, "_row_average_ranks", lambda a: calls.append(a.shape) or rank(a))
+        result = manual_result()
+        for _ in range(2):
+            mean_spearman_vs_real(result)
+            mean_spearman_se(result)
+        assert calls == [(4, 4)]
+        with pytest.raises(ValueError, match="read-only"):  # one array serves every caller
+            result._spearman_coefficients[0] = 0.0
 
     def test_null_model_pipeline_agreement_is_high_for_size_spread(self):
         # strongly size-heterogeneous units: size alone orders the null ranking
