@@ -3,7 +3,7 @@ size-normalized rankings."""
 
 from importlib import import_module
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 # The submodule that defines each public name.  Names resolve on first use
 # (PEP 562), so `import sizebias` loads neither numpy nor any submodule.
@@ -16,8 +16,8 @@ _SOURCES = {
         "exact_benchmark", "fit_power_law", "normalized_scores",
     ),
     "synth": (
-        "CitationModel", "SizeModel", "build_synthetic_dataset", "generation_stream",
-        "sample_citations", "sample_sizes", "verify_beta_relation",
+        "SizeModel", "build_synthetic_dataset", "generation_stream", "sample_citations", "sample_sizes",
+        "verify_beta_relation",
     ),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}

@@ -47,6 +47,10 @@ DEFAULT_REPLICATES = 200
 DEFAULT_POOL_SIZE = 4000
 DEFAULT_BLACK = 2120
 DEFAULT_BASKET_SIZES = tuple(range(10, 101, 10))
+DEFAULT_UNITS = 40
+DEFAULT_SIZE_EXPONENT = 2.0
+DEFAULT_MIN_SIZE = 100
+DEFAULT_MAX_SIZE = 10000
 
 BUNDLED_PREFIX = "bundled:"
 
@@ -88,6 +92,7 @@ def _checked(
 
 _positive_int = _checked(int, "an integer", lambda v: v >= 1, "must be >= 1, got {value}")
 _nonneg_int = _checked(int, "an integer", lambda v: v >= 0, "must be >= 0, got {value}")
+_positive_float = _checked(float, "a number", lambda v: v > 0, "must be > 0, got {value}")
 _seed = _checked(int, "an integer", lambda v: 0 <= v < 2**64, "seed must fit in an unsigned 64-bit integer")
 
 
@@ -141,12 +146,12 @@ def _write_stdout(text: str) -> None:
 
 
 def _table_text(header: tuple[str, ...], rows: list[tuple]) -> str:
+    """The first column (ids) left-justified and the others (counts) right-justified, whatever the cells hold."""
     cells = [[str(v) for v in row] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h) for i, h in enumerate(header)]
     lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
-    for row in cells:
-        padded = (v.rjust(widths[i]) if v.lstrip("-").isdigit() else v.ljust(widths[i]) for i, v in enumerate(row))
-        lines.append("  ".join(padded).rstrip())
+    for first, *rest in cells:
+        lines.append("  ".join([first.ljust(widths[0]), *map(str.rjust, rest, widths[1:])]).rstrip())
     return "".join(f"{line}\n" for line in lines)
 
 
@@ -261,10 +266,11 @@ def cmd_toy_balls(args: argparse.Namespace) -> int:
 
     if args.black > args.pool_size:
         raise UsageError(f"black count {args.black} exceeds pool size {args.pool_size}")
+    if max(args.basket_sizes) > args.pool_size:
+        raise UsageError(f"basket size {max(args.basket_sizes)} exceeds pool size {args.pool_size}")
+    if len(set(args.basket_sizes)) < len(args.basket_sizes):
+        raise UsageError(f"--basket-sizes repeats a size: {','.join(map(str, args.basket_sizes))}")
     pool = PoolSpec(black=args.black, white=args.pool_size - args.black)
-    for k in args.basket_sizes:
-        if k > pool.total:
-            raise UsageError(f"basket size {k} exceeds pool size {pool.total}")
     out = _ensure_out_dir(args.out_dir)
     for k in args.basket_sizes:
         rows = [(k1, k1 / k, prob) for k1, prob in count_distribution(pool, k)]
@@ -278,31 +284,32 @@ def cmd_toy_balls(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    from .synth import CitationModel, SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
-
-    # argparse lets at most one of --units, --sizes and --sizes-from-summary
-    # through; only --units (or none of them) leaves the sizes to a size model
-    try:
-        citation_model = CitationModel(alpha=args.alpha, x_min=args.x_min)
-        if args.sizes is not None or args.sizes_from_summary is not None:
-            size_model = None
-        elif args.size_model == "powerlaw":
-            size_model = SizeModel.power_law(args.size_exponent, args.min_size, args.max_size)
-        else:
-            size_model = SizeModel.uniform_floor(args.min_size, args.max_size)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    from .synth import SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
 
     rng = generation_stream(args.seed)
-    sizes = args.sizes
-    ids = names = input_display = digest = None
-    if args.sizes_from_summary is not None:
-        rows, input_display, digest = _load_summary_spec(args.sizes_from_summary)
-        sizes = [r.n_publications for r in rows]
-        ids, names = [r.unit_id for r in rows], [r.unit_name for r in rows]
-    elif size_model is not None:
-        sizes = sample_sizes(size_model, 40 if args.units is None else args.units, rng)
-    dataset = build_synthetic_dataset(sizes, citation_model, rng, ids=ids, names=names)
+    sizes, ids, names, input_display, digest = args.sizes, None, None, None, None
+    # argparse lets at most one of --units, --sizes and --sizes-from-summary through; the size-law
+    # options default to None, as --units does, so that one given beside a size list is refused
+    if args.sizes is not None or args.sizes_from_summary is not None:
+        law = ("size_model", "size_exponent", "min_size", "max_size")
+        given = ["--" + name.replace("_", "-") for name in law if getattr(args, name) is not None]
+        if given:
+            raise UsageError(f"{', '.join(given)} cannot be combined with --sizes or --sizes-from-summary")
+        if args.sizes_from_summary is not None:
+            rows, input_display, digest = _load_summary_spec(args.sizes_from_summary)
+            sizes = [r.n_publications for r in rows]
+            ids, names = [r.unit_id for r in rows], [r.unit_name for r in rows]
+    elif args.size_model == "uniform_floor" and args.size_exponent is not None:
+        raise UsageError("--size-exponent does not apply to --size-model uniform_floor")
+    else:
+        # a given count, size or exponent is positive, so `or` falls back only when it was left out
+        exponent = None if args.size_model == "uniform_floor" else args.size_exponent or DEFAULT_SIZE_EXPONENT
+        try:
+            size_model = SizeModel(args.min_size or DEFAULT_MIN_SIZE, args.max_size or DEFAULT_MAX_SIZE, exponent)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        sizes = sample_sizes(size_model, args.units or DEFAULT_UNITS, rng)
+    dataset = build_synthetic_dataset(sizes, args.alpha, rng, ids=ids, names=names)
     out = _ensure_out_dir(args.out_dir)
     path = out / "publications.csv"
     io.write_publications(dataset, path)
@@ -363,16 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_toy_balls)
 
     p = sub.add_parser("synth", help="synthetic publications file from a Paretian citation model")
-    p.add_argument("--alpha", type=float, required=True, help="citation tail exponent (> 0)")
-    p.add_argument("--x-min", type=float, default=1.0)
+    p.add_argument("--alpha", type=_positive_float, required=True, help="citation tail exponent (> 0)")
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--size-model", choices=("powerlaw", "uniform_floor"), default="powerlaw")
-    p.add_argument("--size-exponent", type=float, default=2.0)
-    p.add_argument("--min-size", type=_positive_int, default=100)
-    p.add_argument("--max-size", type=_positive_int, default=10000)
+    # each default is None, so that cmd_synth can tell a given option from one left out
+    p.add_argument("--size-model", choices=("powerlaw", "uniform_floor"), help="size law (default powerlaw)")
+    p.add_argument("--size-exponent", type=_positive_float, help=f"powerlaw exponent (default {DEFAULT_SIZE_EXPONENT})")
+    p.add_argument("--min-size", type=_positive_int, help=f"smallest unit size (default {DEFAULT_MIN_SIZE})")
+    p.add_argument("--max-size", type=_positive_int, help=f"largest unit size (default {DEFAULT_MAX_SIZE})")
     # a default of None: argparse counts an option as given when its value is not the default
     sizes = p.add_mutually_exclusive_group()
-    sizes.add_argument("--units", type=_positive_int, default=None, help="unit count (default 40)")
+    sizes.add_argument("--units", type=_positive_int, default=None, help=f"unit count (default {DEFAULT_UNITS})")
     sizes.add_argument("--sizes", type=_size_list, default=None, help="explicit comma-separated unit sizes")
     sizes.add_argument(
         "--sizes-from-summary",

@@ -10,7 +10,6 @@ without proprietary citation data.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,72 +28,36 @@ _INT64_CAP = np.nextafter(2.0**63, 0.0)
 
 
 @dataclass(frozen=True)
-class CitationModel:
-    """Paretian citation-count model with tail exponent alpha."""
-
-    alpha: float
-    x_min: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError(f"tail exponent must be > 0, got {self.alpha}")
-        if not (self.x_min > 0 and math.isfinite(self.x_min)):
-            raise ValueError(f"scale must be finite and > 0, got {self.x_min}")
-
-
-@dataclass(frozen=True)
 class SizeModel:
-    """How unit sizes (publication counts) are generated.
+    """How unit sizes (publication counts) are drawn on [min_size, max_size].
 
-    kind "powerlaw": survival function of sizes falls off as
-    N**(-exponent), truncated to [min_size, max_size].
-    kind "uniform_floor": integer uniform on [min_size, max_size].
+    With no exponent sizes are integer uniform; with one, their survival
+    function falls off as N**(-exponent), truncated to the bounds.
     """
 
-    kind: str
+    min_size: int
+    max_size: int
     exponent: float | None = None
-    min_size: int | None = None
-    max_size: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "powerlaw":
-            if self.exponent is None or not self.exponent > 0:
-                raise ValueError("powerlaw sizes need an exponent > 0")
-            self._check_bounds()
-        elif self.kind == "uniform_floor":
-            self._check_bounds()
-        else:
-            raise ValueError(f"unknown size model kind {self.kind!r}")
-
-    def _check_bounds(self) -> None:
-        if self.min_size is None or self.max_size is None:
-            raise ValueError(f"{self.kind} sizes need min_size and max_size")
-        if self.min_size < 1:
-            raise ValueError("min_size must be >= 1")
-        if self.min_size > self.max_size:
-            raise ValueError(f"min_size {self.min_size} > max_size {self.max_size}")
-
-    @classmethod
-    def power_law(cls, exponent: float, min_size: int, max_size: int) -> "SizeModel":
-        return cls(kind="powerlaw", exponent=exponent, min_size=min_size, max_size=max_size)
-
-    @classmethod
-    def uniform_floor(cls, min_size: int, max_size: int) -> "SizeModel":
-        return cls(kind="uniform_floor", min_size=min_size, max_size=max_size)
+        if not 1 <= self.min_size <= self.max_size:
+            raise ValueError(f"need 1 <= min_size <= max_size, got {self.min_size} and {self.max_size}")
+        if self.exponent is not None and not self.exponent > 0:
+            raise ValueError(f"size exponent must be > 0, got {self.exponent}")
 
 
-def sample_citations(model: CitationModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n citation counts: floor(x_min * U**(-1/alpha) - x_min).
+def sample_citations(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n citation counts with tail exponent alpha: floor(U**(-1/alpha) - 1).
 
     U is uniform on (0, 1], so the smallest possible draw is exactly 0;
     zero-citation papers are a normal part of the model.
     """
+    if not alpha > 0:
+        raise ValueError(f"tail exponent must be > 0, got {alpha}")
     if n < 0:
         raise ValueError("sample count must be >= 0")
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
     u = 1.0 - rng.random(n)
-    values = np.floor(model.x_min * u ** (-1.0 / model.alpha) - model.x_min)
+    values = np.floor(u ** (-1.0 / alpha) - 1.0)
     # Very small alpha can push single draws past int64; the cap is purely
     # representational and unreachable for realistic citation tails.
     return np.minimum(values, _INT64_CAP).astype(np.int64)
@@ -104,12 +67,11 @@ def sample_sizes(model: SizeModel, units: int, rng: np.random.Generator) -> np.n
     """Draw `units` unit sizes according to the size model."""
     if units < 1:
         raise ValueError("need at least one unit")
-    a, b = float(model.min_size), float(model.max_size)
-    if model.kind == "uniform_floor":
+    if model.exponent is None:
         return rng.integers(model.min_size, model.max_size, size=units, endpoint=True, dtype=np.int64)
     # Truncated power law by inverse CDF on the survival function, rounded
     # to integers.
-    g = float(model.exponent)
+    a, b, g = float(model.min_size), float(model.max_size), float(model.exponent)
     u = rng.random(units)
     x = (a**-g - u * (a**-g - b**-g)) ** (-1.0 / g)
     return np.clip(np.rint(x), model.min_size, model.max_size).astype(np.int64)
@@ -117,14 +79,14 @@ def sample_sizes(model: SizeModel, units: int, rng: np.random.Generator) -> np.n
 
 def build_synthetic_dataset(
     sizes: Sequence[int] | np.ndarray,
-    model: CitationModel,
+    alpha: float,
     rng: np.random.Generator,
     name: str = "synthetic",
     ids: Sequence[str] | None = None,
     names: Sequence[str] | None = None,
 ) -> Dataset:
-    """One unit per size, each with independently sampled citations, all
-    drawn in one call in unit order.
+    """One unit per size, each with citations sampled independently with
+    tail exponent alpha, all drawn in one call in unit order.
 
     Pass ids/names to mirror the units of a real dataset; the defaults
     invent sequential unit ids.
@@ -139,7 +101,7 @@ def build_synthetic_dataset(
         ids = [f"u{i:0{width}d}" for i in range(1, sizes.size + 1)]
     if names is None:
         names = [f"synthetic unit {i}" for i in range(1, sizes.size + 1)]
-    counts = sample_citations(model, int(sizes.sum()), rng)
+    counts = sample_citations(alpha, int(sizes.sum()), rng)
     return Dataset(name=name, unit_ids=ids, unit_names=names, sizes=sizes, citations=counts)
 
 
@@ -157,5 +119,5 @@ def verify_beta_relation(
     null benchmark curve, the predicted exponent 1/(1+alpha))."""
     rng = generation_stream(seed)
     sizes = sample_sizes(size_model, units, rng)
-    dataset = build_synthetic_dataset(sizes, CitationModel(alpha=alpha), rng)
+    dataset = build_synthetic_dataset(sizes, alpha, rng)
     return exact_benchmark(dataset).fit.beta, 1.0 / (1.0 + alpha)

@@ -27,7 +27,7 @@ from sizebias.nullmodel import (
     run_null_model,
 )
 from sizebias.scaling import build_benchmark, fit_power_law, normalized_scores
-from sizebias.synth import CitationModel, SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
+from sizebias.synth import SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
 
 
 def report(criterion: int, label: str, ok: bool, detail: str) -> None:
@@ -206,8 +206,8 @@ def test_criterion_5_null_model_slope_on_paretian_synthetic():
     budget = 120.0
     t0 = time.perf_counter()
     rng = generation_stream(1)
-    sizes = sample_sizes(SizeModel.uniform_floor(100, 10000), 40, rng)
-    dataset = build_synthetic_dataset(sizes, CitationModel(alpha=1.5), rng)
+    sizes = sample_sizes(SizeModel(100, 10000), 40, rng)
+    dataset = build_synthetic_dataset(sizes, 1.5, rng)
     result = run_null_model(dataset, 1, 200)
     benchmark = build_benchmark(result)
     beta = benchmark.fit.beta
@@ -227,7 +227,7 @@ def test_criterion_6_conservation_and_worker_determinism(tmp_path, monkeypatch):
     t0 = time.perf_counter()
 
     rng = generation_stream(6)
-    dataset = build_synthetic_dataset(table2_sizes(), CitationModel(alpha=1.5), rng)
+    dataset = build_synthetic_dataset(table2_sizes(), 1.5, rng)
     pool_counts = dataset.citations
     pool_sorted = np.sort(pool_counts)
     checksum = int(pool_counts.sum())
@@ -281,7 +281,7 @@ def test_criterion_7_null_ranking_tracks_size_on_real_sizes():
     budget = 120.0
     t0 = time.perf_counter()
     rng = generation_stream(11)
-    dataset = build_synthetic_dataset(table2_sizes(), CitationModel(alpha=1.5), rng)
+    dataset = build_synthetic_dataset(table2_sizes(), 1.5, rng)
     result = run_null_model(dataset, 11, 200)
     rho = mean_spearman_vs_real(result)
     elapsed = time.perf_counter() - t0
@@ -304,7 +304,7 @@ def test_criterion_8_normalized_scores_calibrated_on_null_data():
     z_by_unit = np.zeros((8, len(sizes)))
     for i, master_seed in enumerate(range(21, 29)):
         rng = generation_stream(master_seed)
-        base = build_synthetic_dataset(sizes, CitationModel(alpha=1.5), rng)
+        base = build_synthetic_dataset(sizes, 1.5, rng)
         null_draw = reshuffled_dataset(base, replicate_stream(master_seed, 2**32 - 2))
         result = run_null_model(null_draw, master_seed + 1000, 200)
         benchmark = build_benchmark(result)

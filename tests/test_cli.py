@@ -28,7 +28,7 @@ from sizebias.io import (
 )
 from sizebias.model import h_index
 from sizebias.nullmodel import NullMarginals, ReshuffleResult
-from sizebias.synth import CitationModel, SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
+from sizebias.synth import SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
 
 
 @pytest.fixture(autouse=True)
@@ -91,7 +91,7 @@ class TestTopLevel:
         with warnings.catch_warnings():  # setuptools may call its [tool.setuptools] support beta
             warnings.simplefilter("ignore")
             config = read_configuration(pyproject, expand=True)
-        assert config["project"]["version"] == sizebias.__version__ == "0.12.0"
+        assert config["project"]["version"] == sizebias.__version__ == "0.13.0"
 
     def test_missing_positional(self, capsys):
         assert main(["hindex"]) == 2
@@ -106,7 +106,7 @@ class TestTopLevel:
             "benchmark": {"input", "--replicates", "--seed", "--rank-key", "--out-dir"},
             "toy-balls": {"--pool-size", "--black", "--basket-sizes", "--out-dir"},
             "synth": {
-                "--alpha", "--x-min", "--seed", "--units", "--size-model", "--size-exponent",
+                "--alpha", "--seed", "--units", "--size-model", "--size-exponent",
                 "--min-size", "--max-size", "--sizes", "--sizes-from-summary", "--out-dir",
             },
         }
@@ -134,7 +134,7 @@ class TestTopLevel:
 
     def test_public_names(self):
         assert sorted(sizebias.__all__) == sorted([
-            "__version__", "Benchmark", "CitationModel", "Dataset", "FitError", "PoolSpec", "PowerLawFit",
+            "__version__", "Benchmark", "Dataset", "FitError", "PoolSpec", "PowerLawFit",
             "ReshuffleResult", "SizeModel", "build_benchmark", "build_synthetic_dataset",
             "competition_ranks", "count_distribution", "exact_benchmark", "fit_power_law", "generation_stream",
             "group_h_indices", "h_index", "hypergeom_pmf", "mean_spearman_vs_real", "most_likely_black_count",
@@ -273,6 +273,19 @@ class TestHindex:
         out = capsys.readouterr().out
         for token in ("unit_id", "a", "b", "c"):
             assert token in out
+
+    def test_table_justifies_by_column(self, tmp_path, capsys):
+        # ids stay left-justified even when they are all digits, ASCII or not; N and h are right-justified
+        path = tmp_path / "digits.csv"
+        rows = ["12,A,5", *["abc,B,20"] * 12, "\u0661\u0662,C,3"]
+        path.write_text("unit_id,unit_name,citations\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["hindex", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "unit_id  N   h",
+            "12        1   1",
+            "abc      12  12",
+            "\u0661\u0662        1   1",
+        ]
 
     def test_out_dir_files_match_library(self, tiny_pubs, tmp_path, capsys):
         out = tmp_path / "run"
@@ -679,9 +692,9 @@ class TestBenchmark:
 
     def test_reports_ignore_blas_threads(self, tmp_path):
         rng = generation_stream(4)
-        sizes = sample_sizes(SizeModel.power_law(1.5, 20, 2000), 4000, rng)
+        sizes = sample_sizes(SizeModel(20, 2000, 1.5), 4000, rng)
         pubs = tmp_path / "units.csv"
-        write_publications(build_synthetic_dataset(sizes, CitationModel(alpha=1.5), rng), pubs)
+        write_publications(build_synthetic_dataset(sizes, 1.5, rng), pubs)
         reports = []
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": SRC_PATH}
@@ -792,6 +805,14 @@ class TestToyBalls:
         assert code == 2
         assert "exceeds pool size" in capsys.readouterr().err
 
+    def test_repeated_basket_size_is_usage_error(self, tmp_path, capsys):
+        # one table per size: a repeat would overwrite its own table and miscount the tables written
+        out = tmp_path / "o"
+        argv = ["toy-balls", "--pool-size", "50", "--black", "10", "--basket-sizes", "10,10,5", "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert "repeats a size" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_black_exceeding_pool(self, tmp_path, capsys):
         code = main(
             ["toy-balls", "--pool-size", "4", "--black", "5", "--out-dir", str(tmp_path / "o")]
@@ -810,7 +831,7 @@ class TestSynth:
         capsys.readouterr()
         back = read_publications(out / "publications.csv")
 
-        expected = build_synthetic_dataset([12, 30], CitationModel(alpha=2.0), generation_stream(9))
+        expected = build_synthetic_dataset([12, 30], 2.0, generation_stream(9))
         assert back.unit_ids == expected.unit_ids
         assert (back.sizes.tolist(), back.citations.tolist()) == (expected.sizes.tolist(), expected.citations.tolist())
 
@@ -911,10 +932,23 @@ class TestSynth:
                  "--min-size", "10", "--max-size", "50"],
                 "c0e2589fc4df3bc96056c1f7c5a5d9f610e9a89fc6c57f6793c17eb427da593c",
             ),
+            (
+                ["--alpha", "1.5", "--seed", "7", "--size-model", "uniform_floor", "--units", "25"],
+                "76631c6fd6c898a25e5b1bf0e97e7e35a24c4f8e475db2a37ba3585515b5819b",
+            ),
+            (
+                ["--alpha", "1.5", "--seed", "1", "--sizes-from-summary", "bundled:ukraine_2019"],
+                "6f5ef9e65a7adc399a37cc1b16030347be04fa23b39f89df9a7a96a7d1c8b1a8",
+            ),
+            (
+                ["--alpha", "4", "--seed", "1", "--size-exponent", "1.5", "--min-size", "20", "--max-size", "2000",
+                 "--units", "4000"],
+                "16b2165f5fabbb8c0b3d46a1e52dbe70b8d13243900e6e2a5d53574fecd41f2b",
+            ),
         ],
     )
     def test_publications_bytes_pinned(self, tmp_path, capsys, flags, digest):
-        # the sha256 of publications.csv as written by sizebias 0.10.0
+        # the sha256 of publications.csv as written by sizebias 0.10.0 (the first four) and 0.12.0
         out = tmp_path / "s"
         assert main(["synth", *flags, "--out-dir", str(out)]) == 0
         capsys.readouterr()
@@ -925,6 +959,26 @@ class TestSynth:
             ["synth", "--alpha", "0", "--seed", "2", "--sizes", "5,6", "--out-dir", str(tmp_path / "o")]
         ) == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # size-law options beside a size list, which draws no sizes
+            (["--sizes", "5,6", "--min-size", "500", "--max-size", "100"], "--min-size, --max-size cannot be combined"),
+            (["--sizes", "5,6", "--size-model", "powerlaw"], "--size-model cannot be combined"),
+            (["--sizes-from-summary", "bundled:ukraine_2019", "--size-exponent", "2"], "--size-exponent cannot be"),
+            (["--size-model", "uniform_floor", "--size-exponent", "9"], "does not apply to --size-model uniform_floor"),
+            (["--min-size", "500", "--max-size", "100"], "min_size <= max_size"),
+            (["--size-exponent", "0"], "must be > 0"),
+            (["--alpha", "nan"], "must be > 0"),
+        ],
+    )
+    def test_refuses_size_options_it_would_ignore_or_cannot_use(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "o"
+        assert main(["synth", "--alpha", "1.5", "--seed", "1", *flags, "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_dir_collides_with_file(self, tmp_path, capsys):
         target = tmp_path / "blocker"

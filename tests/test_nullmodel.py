@@ -30,7 +30,7 @@ from sizebias.nullmodel import (
     run_null_model,
 )
 from sizebias.scaling import FitError, exact_benchmark
-from sizebias.synth import CitationModel, SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
+from sizebias.synth import SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
 
 
 def toy_dataset():
@@ -198,8 +198,8 @@ class TestRunNullModel:
         # A Pareto (alpha = 1.5) pool dealt to units best-cited first, so a
         # sampler that kept papers near their own unit would shift the means.
         rng = generation_stream(31)
-        sizes = sample_sizes(SizeModel.uniform_floor(20, 400), 12, rng)
-        pooled = np.sort(build_synthetic_dataset(sizes, CitationModel(alpha=1.5), rng).citations)[::-1]
+        sizes = sample_sizes(SizeModel(20, 400), 12, rng)
+        pooled = np.sort(build_synthetic_dataset(sizes, 1.5, rng).citations)[::-1]
         cuts = np.split(pooled, np.cumsum(sizes)[:-1])
         ds = make_dataset({f"u{i}": c for i, c in enumerate(cuts)})
         replicates = 600

@@ -24,7 +24,7 @@ from sizebias.scaling import (
     fit_power_law,
     normalized_scores,
 )
-from sizebias.synth import CitationModel, SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
+from sizebias.synth import SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
 
 
 def ols_oracle(points):
@@ -318,8 +318,8 @@ class TestBuildBenchmark:
 
 def paretian_dataset(seed, units=40, max_size=10000):
     rng = generation_stream(seed)
-    sizes = sample_sizes(SizeModel.uniform_floor(100, max_size), units, rng)
-    return build_synthetic_dataset(sizes, CitationModel(alpha=1.5), rng)
+    sizes = sample_sizes(SizeModel(100, max_size), units, rng)
+    return build_synthetic_dataset(sizes, 1.5, rng)
 
 
 class TestExactBenchmark:
