@@ -3,7 +3,7 @@ size-normalized rankings."""
 
 from importlib import import_module
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 # The submodule that defines each public name.  Names resolve on first use
 # (PEP 562), so `import sizebias` loads neither numpy nor any submodule.

@@ -146,13 +146,13 @@ def _write_stdout(text: str) -> None:
 
 
 def _table_text(header: tuple[str, ...], rows: list[tuple]) -> str:
-    """The first column (ids) left-justified and the others (counts) right-justified, whatever the cells hold."""
-    cells = [[str(v) for v in row] for row in rows]
-    widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h) for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
-    for first, *rest in cells:
-        lines.append("  ".join([first.ljust(widths[0]), *map(str.rjust, rest, widths[1:])]).rstrip())
-    return "".join(f"{line}\n" for line in lines)
+    """The first column (ids) left-justified and the others (counts) right-justified, header included,
+    whatever the cells hold."""
+    cells = [list(header), *([str(v) for v in row] for row in rows)]
+    widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
+    return "".join(
+        "  ".join([first.ljust(widths[0]), *map(str.rjust, rest, widths[1:])]).rstrip() + "\n" for first, *rest in cells
+    )
 
 
 def cmd_hindex(args: argparse.Namespace) -> int:

@@ -216,7 +216,7 @@ def _read_plain_publications(path: str | Path) -> Dataset | None:
     if len(run_unit) > len(names):  # some id has several runs: gather each unit's lines in unit order
         line_unit = np.repeat(run_unit, sizes)
         sizes, counts = np.bincount(line_unit, minlength=len(names)), counts[np.argsort(line_unit, kind="stable")]
-    return Dataset(name=Path(path).stem, unit_ids=tuple(units), unit_names=tuple(names), sizes=sizes, citations=counts)
+    return Dataset(unit_ids=tuple(units), unit_names=tuple(names), sizes=sizes, citations=counts)
 
 
 def read_publications(path: str | Path) -> Dataset:
@@ -263,7 +263,6 @@ def _read_publication_lines(path: str | Path) -> Dataset:
         raise IngestError(path, ["no data rows"])
     # every count passed _parse_count: one exact uint64 array, no per-value check
     return Dataset(
-        name=Path(path).stem,
         unit_ids=tuple(citations),
         unit_names=tuple(names.values()),
         sizes=[len(counts) for counts in citations.values()],
@@ -390,10 +389,6 @@ def bundled_summary_path(name: str) -> Path:
     if name not in BUNDLED_SUMMARIES:
         raise ValueError(f"unknown bundled summary {name!r}; have {', '.join(BUNDLED_SUMMARIES)}")
     return Path(__file__).with_name("data") / f"{name}.summary.csv"
-
-
-def load_bundled_summary(name: str) -> list[SummaryRow]:
-    return read_summary(bundled_summary_path(name))
 
 
 @contextmanager

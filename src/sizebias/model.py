@@ -22,7 +22,7 @@ MAX_CITATIONS = 2**64 - 1
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A named, ordered collection of research units (groups, departments,
+    """An ordered collection of research units (groups, departments,
     institutions) with distinct ids.
 
     Unit i is `unit_ids[i]`, named `unit_names[i]`, with `sizes[i]`
@@ -34,7 +34,6 @@ class Dataset:
     identity: an array field has no single truth value for `==`.
     """
 
-    name: str
     unit_ids: tuple[str, ...]
     unit_names: tuple[str, ...]
     sizes: np.ndarray

@@ -78,30 +78,11 @@ def replicate_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
 
 
-def reshuffle_blocks(
-    pool_counts: np.ndarray, productivities: Sequence[int] | np.ndarray, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """One redistribution: permute the pool, cut it into per-unit blocks.
-
-    The blocks partition a full permutation of the pool, so the multiset
-    union of the returned blocks always equals the input pool.
-    """
-    prods = np.asarray(productivities, dtype=np.int64)
-    if prods.size and prods.min() < 0:
-        raise ValueError("productivities must be nonnegative")
-    if int(prods.sum()) != int(pool_counts.size):
-        raise ValueError(
-            f"productivities sum to {int(prods.sum())} but the pool holds {pool_counts.size} publications"
-        )
-    permuted = rng.permutation(pool_counts)
-    return np.split(permuted, np.cumsum(prods)[:-1])
-
-
 def reshuffled_dataset(dataset: Dataset, rng: np.random.Generator) -> Dataset:
-    """A concrete dataset drawn from the null model (one redistribution):
-    the permuted pool, cut into the units' blocks, as reshuffle_blocks
-    draws it from the same rng."""
-    return replace(dataset, name=f"{dataset.name}-reshuffled", citations=rng.permutation(dataset.citations))
+    """One draw of the null model: the pooled citations permuted, each unit
+    keeping its size, so unit i's block of the result is its reshuffled
+    output (cut them with np.split at np.cumsum(sizes)[:-1])."""
+    return replace(dataset, citations=rng.permutation(dataset.citations))
 
 
 def resolve_workers(workers: int | None) -> int:

@@ -81,7 +81,6 @@ def build_synthetic_dataset(
     sizes: Sequence[int] | np.ndarray,
     alpha: float,
     rng: np.random.Generator,
-    name: str = "synthetic",
     ids: Sequence[str] | None = None,
     names: Sequence[str] | None = None,
 ) -> Dataset:
@@ -102,7 +101,7 @@ def build_synthetic_dataset(
     if names is None:
         names = [f"synthetic unit {i}" for i in range(1, sizes.size + 1)]
     counts = sample_citations(alpha, int(sizes.sum()), rng)
-    return Dataset(name=name, unit_ids=ids, unit_names=names, sizes=sizes, citations=counts)
+    return Dataset(unit_ids=ids, unit_names=names, sizes=sizes, citations=counts)
 
 
 def generation_stream(master_seed: int) -> np.random.Generator:

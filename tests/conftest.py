@@ -45,7 +45,7 @@ def run_without_scipy():
     return run
 
 
-def make_dataset(units, name="d", names=None):
+def make_dataset(units, names=None):
     """A Dataset from {unit id: citation counts}, in insertion order, each
     unit named by `names` or else by its id in upper case.  Arrays are
     joined as an array and anything else as one list, so the Dataset checks
@@ -56,7 +56,7 @@ def make_dataset(units, name="d", names=None):
     else:
         citations = [c for b in blocks for c in b]
     names = [uid.upper() for uid in units] if names is None else names
-    return Dataset(name=name, unit_ids=tuple(units), unit_names=names, sizes=[len(b) for b in blocks], citations=citations)
+    return Dataset(unit_ids=tuple(units), unit_names=names, sizes=[len(b) for b in blocks], citations=citations)
 
 
 def unit_citations(dataset):

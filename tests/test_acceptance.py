@@ -17,12 +17,11 @@ import scipy.stats
 
 from sizebias.cli import main
 from sizebias.combinatorics import PoolSpec, count_distribution, most_likely_black_count
-from sizebias.io import load_bundled_summary
+from sizebias.io import bundled_summary_path, read_summary
 from sizebias.model import h_index
 from sizebias.nullmodel import (
     mean_spearman_vs_real,
     replicate_stream,
-    reshuffle_blocks,
     reshuffled_dataset,
     run_null_model,
 )
@@ -71,7 +70,7 @@ def ols_oracle(points):
 
 
 def table2_sizes() -> list[int]:
-    return [r.n_publications for r in load_bundled_summary("ukraine_2019")]
+    return [r.n_publications for r in read_summary(bundled_summary_path("ukraine_2019"))]
 
 
 def test_criterion_1_exact_hypergeometric_distribution():
@@ -180,7 +179,7 @@ def test_criterion_4_bundled_table_scaling_slopes():
     t0 = time.perf_counter()
     fits = {}
     for name in ("ukraine_2019", "uk_rae2008_physics"):
-        rows = load_bundled_summary(name)
+        rows = read_summary(bundled_summary_path(name))
         kept = [r for r in rows if r.h_index > 0]
         fits[name] = fit_power_law([r.n_publications for r in kept], [r.h_index for r in kept])
     ua, uk = fits["ukraine_2019"], fits["uk_rae2008_physics"]
@@ -235,7 +234,8 @@ def test_criterion_6_conservation_and_worker_determinism(tmp_path, monkeypatch):
 
     conserved = 0
     for r in range(200):
-        blocks = reshuffle_blocks(pool_counts, prods, replicate_stream(60, r))
+        shuffled = reshuffled_dataset(dataset, replicate_stream(60, r)).citations
+        blocks = np.split(shuffled, np.cumsum(prods)[:-1])
         merged = np.concatenate(blocks)
         if merged.size == pool_counts.size and int(merged.sum()) == checksum:
             conserved += 1

@@ -91,7 +91,7 @@ class TestTopLevel:
         with warnings.catch_warnings():  # setuptools may call its [tool.setuptools] support beta
             warnings.simplefilter("ignore")
             config = read_configuration(pyproject, expand=True)
-        assert config["project"]["version"] == sizebias.__version__ == "0.13.0"
+        assert config["project"]["version"] == sizebias.__version__ == "0.14.0"
 
     def test_missing_positional(self, capsys):
         assert main(["hindex"]) == 2
@@ -281,7 +281,7 @@ class TestHindex:
         path.write_text("unit_id,unit_name,citations\n" + "\n".join(rows) + "\n", encoding="utf-8")
         assert main(["hindex", str(path)]) == 0
         assert capsys.readouterr().out.splitlines() == [
-            "unit_id  N   h",
+            "unit_id   N   h",
             "12        1   1",
             "abc      12  12",
             "\u0661\u0662        1   1",

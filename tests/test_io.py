@@ -24,7 +24,6 @@ from sizebias.io import (
     bundled_summary_path,
     file_sha256,
     fit_payload,
-    load_bundled_summary,
     read_publications,
     read_samples,
     read_summary,
@@ -252,7 +251,7 @@ def outcome(read, path):
         ds = read(path)
     except IngestError as exc:
         return type(exc), str(exc)
-    return ds.name, ds.unit_ids, ds.unit_names, *((a.dtype, a.tolist()) for a in (ds.sizes, ds.citations))
+    return ds.unit_ids, ds.unit_names, *((a.dtype, a.tolist()) for a in (ds.sizes, ds.citations))
 
 
 class TestColumnarReader:
@@ -321,7 +320,6 @@ class TestColumnarReader:
         path = tmp_path / "plain.csv"
         path.write_bytes(HEADER + b"u1,Unit 1,12\nu1,Unit 1,0\nu2,Unit 2,3\nu1,Unit 1,7\n")
         back = read_publications(path)
-        assert back.name == "plain"
         assert (back.unit_ids, back.unit_names) == (("u1", "u2"), ("Unit 1", "Unit 2"))
         assert (back.sizes.tolist(), back.citations.tolist()) == ([3, 1], [12, 0, 7, 3])
 
@@ -591,7 +589,7 @@ class TestBundledData:
         assert BUNDLED_SUMMARIES == ("ukraine_2019", "uk_rae2008_physics")
 
     def test_first_table_shape_and_first_row(self):
-        rows = load_bundled_summary("ukraine_2019")
+        rows = read_summary(bundled_summary_path("ukraine_2019"))
         assert len(rows) == 40
         assert rows[0].n_publications == 17349
         assert rows[0].h_index == 90
@@ -600,7 +598,7 @@ class TestBundledData:
         assert all(r.h_index <= r.n_publications for r in rows)
 
     def test_second_table_shape_and_first_row(self):
-        rows = load_bundled_summary("uk_rae2008_physics")
+        rows = read_summary(bundled_summary_path("uk_rae2008_physics"))
         assert len(rows) == 41
         assert rows[0].n_publications == 9602
         assert rows[0].h_index == 250

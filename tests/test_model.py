@@ -150,7 +150,7 @@ class TestPublication:
 
 
 def two_units(sizes=(1, 1), citations=(1, 2), ids=("a", "b"), names=("A", "B")):
-    return Dataset(name="d", unit_ids=ids, unit_names=names, sizes=sizes, citations=citations)
+    return Dataset(unit_ids=ids, unit_names=names, sizes=sizes, citations=citations)
 
 
 class TestUnit:
@@ -206,7 +206,7 @@ class TestDataset:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one unit"):
-            Dataset(name="d", unit_ids=(), unit_names=(), sizes=[], citations=[])
+            Dataset(unit_ids=(), unit_names=(), sizes=[], citations=[])
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate unit id 'a'"):

@@ -227,7 +227,7 @@ class TestSlopeSignificance:
 def spread_dataset(seed=4):
     rng = np.random.default_rng(seed)
     sizes = [15, 40, 110, 300, 820, 2200]
-    return make_dataset({f"u{i}": rng.integers(0, 60, size=s) for i, s in enumerate(sizes)}, name="spread")
+    return make_dataset({f"u{i}": rng.integers(0, 60, size=s) for i, s in enumerate(sizes)})
 
 
 class TestBuildBenchmark:
@@ -264,7 +264,7 @@ class TestBuildBenchmark:
     def test_identical_units_give_flat_benchmark(self):
         rng = np.random.default_rng(12)
         counts = rng.integers(0, 30, size=25).tolist()
-        ds = make_dataset({f"u{i}": counts for i in range(5)}, name="same")
+        ds = make_dataset({f"u{i}": counts for i in range(5)})
         result = run_null_model(ds, 2, 30, workers=1)
         bench = build_benchmark(result)
         assert bench.fit.beta == 0.0
@@ -308,7 +308,7 @@ class TestBuildBenchmark:
 
     def test_zero_h_points_counted(self):
         # two tiny units over a nearly uncited pool produce h=0 replicates
-        ds = make_dataset({"a": [0, 0, 0, 1], "b": [0, 0, 2, 1], "c": [3, 0, 0, 0]}, name="tiny")
+        ds = make_dataset({"a": [0, 0, 0, 1], "b": [0, 0, 2, 1], "c": [3, 0, 0, 0]})
         result = run_null_model(ds, 3, 25, workers=1)
         bench = build_benchmark(result)
         zeros = int(np.count_nonzero(result.h_samples == 0))
@@ -352,14 +352,14 @@ class TestExactBenchmark:
     def test_certain_null_h_has_zero_spread(self):
         # every paper is cited, so the one-paper unit always has h = 1
         units = {"solo": [50]} | {uid: [1 + (7 * i) % 30 for i in range(size)] for uid, size in (("a", 8), ("b", 20))}
-        bench = exact_benchmark(make_dataset(units, name="certain"))
+        bench = exact_benchmark(make_dataset(units))
         assert bench.null_mean_h[0] == 1.0
         assert bench.null_sd_h[0] == 0.0
         assert np.all(bench.null_sd_h[1:] > 0)
         z = normalized_scores([1, 5, 9], bench)["z"]
         assert np.isnan(z[0]) and not np.isnan(z[1:]).any()
         # a unit holding the whole pool has the pool's h for certain
-        whole = exact_benchmark(make_dataset({"all": [9, 4, 4, 2, 0]}, name="whole"))
+        whole = exact_benchmark(make_dataset({"all": [9, 4, 4, 2, 0]}))
         assert (whole.null_mean_h[0], whole.null_sd_h[0]) == (3.0, 0.0)
         assert whole.fit.beta == 0.0 and whole.fit.log10_prefactor == math.log10(3)
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sizebias.io import load_bundled_summary
+from sizebias.io import bundled_summary_path, read_summary
 from sizebias.nullmodel import replicate_stream
 from sizebias.scaling import exact_benchmark
 from sizebias.synth import (
@@ -117,7 +117,7 @@ class TestSampleCitations:
 class TestSampleSizes:
     def test_explicit_real_size_column(self):
         # an explicit size list draws nothing: it goes straight to the dataset, in order
-        rows = load_bundled_summary("uk_rae2008_physics")
+        rows = read_summary(bundled_summary_path("uk_rae2008_physics"))
         sizes = [r.n_publications for r in rows]
         out = build_synthetic_dataset(sizes, 1.5, generation_stream(1)).sizes
         assert out.tolist() == sizes
@@ -163,7 +163,7 @@ class TestBuildSyntheticDataset:
             build_synthetic_dataset(sizes, 1.5, generation_stream(1))
 
     def test_pool_size_equals_size_sum(self):
-        rows = load_bundled_summary("ukraine_2019")
+        rows = read_summary(bundled_summary_path("ukraine_2019"))
         sizes = [r.n_publications for r in rows]
         ds = build_synthetic_dataset(sizes, 1.5, generation_stream(2))
         assert len(ds.unit_ids) == 40
@@ -173,7 +173,7 @@ class TestBuildSyntheticDataset:
     def test_reproducible(self):
         a = build_synthetic_dataset([5, 9], 1.5, generation_stream(3))
         b = build_synthetic_dataset([5, 9], 1.5, generation_stream(3))
-        assert (a.name, a.unit_ids, a.unit_names) == (b.name, b.unit_ids, b.unit_names)
+        assert (a.unit_ids, a.unit_names) == (b.unit_ids, b.unit_names)
         assert (a.sizes.tolist(), a.citations.tolist()) == (b.sizes.tolist(), b.citations.tolist())
 
     @pytest.mark.parametrize("alpha", [0.1, 1.5, 3.0])
