@@ -3,7 +3,7 @@ size-normalized rankings."""
 
 from importlib import import_module
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 # The submodule that defines each public name.  Names resolve on first use
 # (PEP 562), so `import sizebias` loads neither numpy nor any submodule.
@@ -15,10 +15,7 @@ _SOURCES = {
         "Benchmark", "FitError", "PowerLawFit", "build_benchmark", "competition_ranks",
         "exact_benchmark", "fit_power_law", "normalized_scores",
     ),
-    "synth": (
-        "SizeModel", "build_synthetic_dataset", "generation_stream", "sample_citations", "sample_sizes",
-        "verify_beta_relation",
-    ),
+    "synth": ("SizeModel", "build_synthetic_dataset", "generation_stream", "sample_citations", "sample_sizes"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 __all__ = ["__version__", *sorted(_MODULE_OF)]

@@ -136,6 +136,11 @@ def _load_summary_spec(spec: str) -> tuple[list[io.SummaryRow], str, str]:
     return io.read_summary(path), spec, io.file_sha256(path)
 
 
+def _write_manifest(out: Path, args: argparse.Namespace, **fields: Any) -> None:
+    """The run's manifest.json in `out`, after its reports, named by the subcommand the parser chose."""
+    io.write_json(io.build_manifest(args.command, args.argv, **fields), out / "manifest.json")
+
+
 def _write_stdout(text: str) -> None:
     """Print a report, encoded whole first so that an unencodable character prints none of it, then
     a line at a time: on unbuffered output (python -u) a large write cut short by a closed pipe
@@ -162,7 +167,7 @@ def cmd_hindex(args: argparse.Namespace) -> int:
     if args.out_dir:
         out = _ensure_out_dir(args.out_dir)
         io.write_hindex_csv(rows, out / "hindex.csv")
-        io.write_json(io.build_manifest("hindex", args.argv, input_path=args.input), out / "manifest.json")
+        _write_manifest(out, args, input_path=args.input)
     text = io.csv_text(io.HINDEX_HEADER, rows) if args.format == "csv" else _table_text(io.HINDEX_HEADER, rows)
     _write_stdout(text)
     return EXIT_OK
@@ -178,12 +183,7 @@ def cmd_null_model(args: argparse.Namespace) -> int:
     out = _ensure_out_dir(args.out_dir)
     io.write_samples_csv(result, out / "reshuffle_samples.csv")
     io.write_reshuffle_summary(result, null_marginals(dataset), rho, rho_se, out / "reshuffle_summary.json")
-    io.write_json(
-        io.build_manifest(
-            "null-model", args.argv, input_path=args.input, seed=args.seed, replicates=args.replicates
-        ),
-        out / "manifest.json",
-    )
+    _write_manifest(out, args, input_path=args.input, seed=args.seed, replicates=args.replicates)
     se = "" if rho_se is None else f", standard error {rho_se:.4f}"
     shown = "undefined (constant ranking)" if rho is None else f"{rho:.4f}{se}"
     _write_stdout(
@@ -215,10 +215,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.out_dir:
         out = _ensure_out_dir(args.out_dir)
         io.write_json(payload, out / "fit_report.json")
-        io.write_json(
-            io.build_manifest("fit", args.argv, input_path=display, input_sha256=digest),
-            out / "manifest.json",
-        )
+        _write_manifest(out, args, input_path=display, input_sha256=digest)
     if args.format == "json":
         _write_stdout(io.json_text(payload))
     else:
@@ -253,7 +250,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     out = _ensure_out_dir(args.out_dir)
     io.write_benchmark_csv(rows, out / "benchmark.csv")
     io.write_json(io.fit_payload(benchmark.fit), out / "benchmark_fit.json")
-    io.write_json(io.build_manifest("benchmark", args.argv, input_path=args.input), out / "manifest.json")
+    _write_manifest(out, args, input_path=args.input)
     _write_stdout(
         f"benchmark from the exact null model: beta={benchmark.fit.beta:.4f}, ranking key {args.rank_key}\n"
         f"wrote benchmark.csv and benchmark_fit.json to {out}\n"
@@ -275,7 +272,7 @@ def cmd_toy_balls(args: argparse.Namespace) -> int:
     for k in args.basket_sizes:
         rows = [(k1, k1 / k, prob) for k1, prob in count_distribution(pool, k)]
         io.write_distribution_csv(rows, out / f"toy_balls_k{k:03d}.csv")
-    io.write_json(io.build_manifest("toy-balls", args.argv), out / "manifest.json")
+    _write_manifest(out, args)
     print(
         f"wrote {len(args.basket_sizes)} distribution tables "
         f"(pool {pool.total}, black {pool.black}) to {out}"
@@ -313,10 +310,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out = _ensure_out_dir(args.out_dir)
     path = out / "publications.csv"
     io.write_publications(dataset, path)
-    io.write_json(
-        io.build_manifest("synth", args.argv, input_path=input_display, input_sha256=digest, seed=args.seed),
-        out / "manifest.json",
-    )
+    _write_manifest(out, args, input_path=input_display, input_sha256=digest, seed=args.seed)
     print(f"wrote {dataset.pool_size} publications across {len(dataset.unit_ids)} units to {path}")
     return EXIT_OK
 

@@ -407,19 +407,22 @@ def _atomic_write(path: str | Path, newline: str | None = None) -> Iterator[Text
         raise
 
 
+def _csv_lines(header: tuple[str, ...], rows: Iterable[Sequence]) -> Iterator[str]:
+    """Every CSV report's lines, one at a time: text and Python numbers by
+    `str` (a float's shortest round-trip repr), and None as an empty cell."""
+    echo = csv.writer(_Echo(), lineterminator="\n")
+    yield echo.writerow(header)
+    yield from map(echo.writerow, rows)
+
+
 def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[Sequence]) -> None:
-    """Every CSV report's bytes: text and Python numbers by `str` (a float's
-    shortest round-trip repr), and None as an empty cell."""
     with _atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(_csv_lines(header, rows))
 
 
 def csv_text(header: tuple[str, ...], rows: Iterable[Sequence]) -> str:
     """What _write_csv writes, as one string."""
-    echo = csv.writer(_Echo(), lineterminator="\n")
-    return "".join(map(echo.writerow, [header, *rows]))
+    return "".join(_csv_lines(header, rows))
 
 
 def write_publications(dataset: Dataset, path: str | Path) -> None:

@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .model import Dataset
-from .scaling import exact_benchmark
 
 # Spawn key of the dataset-generation RNG stream.  Replicate streams use
 # keys 0..replicates-1, so the top 32-bit key can never collide.
@@ -109,14 +108,3 @@ def generation_stream(master_seed: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(_GENERATION_STREAM,))
     )
-
-
-def verify_beta_relation(
-    alpha: float, size_model: SizeModel, seed: int, units: int = 40
-) -> tuple[float, float]:
-    """Generate a dataset from `seed` and return (the slope of its exact
-    null benchmark curve, the predicted exponent 1/(1+alpha))."""
-    rng = generation_stream(seed)
-    sizes = sample_sizes(size_model, units, rng)
-    dataset = build_synthetic_dataset(sizes, alpha, rng)
-    return exact_benchmark(dataset).fit.beta, 1.0 / (1.0 + alpha)

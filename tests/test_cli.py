@@ -91,7 +91,29 @@ class TestTopLevel:
         with warnings.catch_warnings():  # setuptools may call its [tool.setuptools] support beta
             warnings.simplefilter("ignore")
             config = read_configuration(pyproject, expand=True)
-        assert config["project"]["version"] == sizebias.__version__ == "0.14.0"
+        assert config["project"]["version"] == sizebias.__version__ == "0.15.0"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hindex", "{pubs}"],
+            ["null-model", "{pubs}", "--replicates", "3", "--seed", "1"],
+            ["fit", "bundled:uk_rae2008_physics"],
+            ["benchmark", "{pubs}"],
+            ["toy-balls", "--pool-size", "40", "--black", "12", "--basket-sizes", "5"],
+            ["synth", "--alpha", "1.5", "--seed", "5", "--sizes", "10,40"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_manifest_names_its_subcommand(self, argv, tiny_pubs, tmp_path, capsys):
+        argv = [word.format(pubs=tiny_pubs) for word in argv] + ["--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+        assert (manifest["command"], manifest["argv"]) == (argv[0], argv)
+        assert sorted(manifest) == sorted([
+            "command", "argv", "input_path", "input_sha256", "seed", "replicates", "tool_version", "created_utc",
+        ])
 
     def test_missing_positional(self, capsys):
         assert main(["hindex"]) == 2
@@ -138,7 +160,7 @@ class TestTopLevel:
             "ReshuffleResult", "SizeModel", "build_benchmark", "build_synthetic_dataset",
             "competition_ranks", "count_distribution", "exact_benchmark", "fit_power_law", "generation_stream",
             "group_h_indices", "h_index", "hypergeom_pmf", "mean_spearman_vs_real", "most_likely_black_count",
-            "normalized_scores", "run_null_model", "sample_citations", "sample_sizes", "verify_beta_relation",
+            "normalized_scores", "run_null_model", "sample_citations", "sample_sizes",
         ])
 
     def test_import_does_not_load_scipy(self, tmp_path, run_without_scipy):
@@ -248,6 +270,14 @@ class TestStartUp:
         lazy = ("concurrent.futures", "numpy.typing", "sizebias.synth", "sizebias.combinatorics")
         probe = "import sys, sizebias.cli\nprint([m for m in %r if m in sys.modules])" % (lazy,)
         assert run_probe(probe).strip() == "[]"
+
+    def test_synth_loads_neither_scaling_nor_nullmodel(self):
+        # synth only draws a dataset; the slope of its benchmark is the benchmark command's to compute
+        probe = (
+            "import sys, sizebias.synth\n"
+            "print('sizebias.scaling' in sys.modules, 'sizebias.nullmodel' in sys.modules)\n"
+        )
+        assert run_probe(probe).split() == ["False", "False"]
 
     def test_null_model_and_benchmark_do_not_load_numpy_ma(self, tiny_pubs, tmp_path):
         # np.quantile and a bare np.unique import numpy.ma on first use

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -684,6 +685,17 @@ class TestWriters:
         cells = lines[1].split(",")
         assert cells[7] == ""
         assert cells[0] == "a"
+
+    def test_csv_reports_are_written_a_line_at_a_time(self, tmp_path):
+        # a publications file may run to millions of rows: its text is never held whole
+        path = tmp_path / "h.csv"
+        tracemalloc.start()
+        try:
+            write_hindex_csv(((f"u{i}", i, i) for i in range(100_000)), path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
 
     def test_distribution_csv(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -1,6 +1,6 @@
 """The README's library example runs as written, its command lines parse,
-and its `null-model` section names every key of the summary that command
-writes."""
+the slope it states is the one its commands print, and its `null-model`
+section names every key of the summary that command writes."""
 
 import argparse
 import json
@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sizebias.cli import build_parser
+import sizebias
+from sizebias.cli import build_parser, main
 from sizebias.io import write_reshuffle_summary
 from sizebias.nullmodel import NullMarginals, ReshuffleResult
 
@@ -56,3 +57,23 @@ def test_command_line_parses(line):
     except SystemExit:
         pytest.fail(f"README command line does not parse: {line}")
     assert args.command == words[1]
+
+
+def test_slope_commands_print_the_stated_beta(tmp_path, monkeypatch, capsys):
+    # the fit section's sh block (synth, then benchmark), run as written from an empty directory
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n### fit\n")[1].split("\n### ")[0]
+    lines = re.findall(r"```sh\n(.*?)```", section, flags=re.S)[-1].splitlines()
+    assert [shlex.split(line)[1] for line in lines] == ["synth", "benchmark"]
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+    stated = re.search(r"prints `(beta=\d\.\d{4})`", section).group(1)
+    assert f"{stated}," in capsys.readouterr().out
+    assert stated == "beta=0.4210"
+    # the library use section gives the same slope as one expression
+    expression, rng = re.search(r"is\n`(exact_benchmark\(.*?)`\nwith `rng = (.*?)`", text).groups()
+    names = {name: getattr(sizebias, name) for name in sizebias.__all__}
+    beta = eval(expression, {**names, "rng": eval(rng, names)})
+    fit = json.loads((tmp_path / "synth-bench" / "benchmark_fit.json").read_text(encoding="utf-8"))
+    assert beta == fit["beta"]

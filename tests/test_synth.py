@@ -15,7 +15,6 @@ from sizebias.synth import (
     generation_stream,
     sample_citations,
     sample_sizes,
-    verify_beta_relation,
 )
 
 
@@ -220,28 +219,25 @@ class TestStreamSeparation:
             assert not np.array_equal(gen, replicate_stream(9, r).random(8))
 
 
+def exact_slope(alpha, size_model, seed, units=40):
+    """The exact null curve's slope for the dataset `synth` draws from these arguments."""
+    rng = generation_stream(seed)
+    return exact_benchmark(build_synthetic_dataset(sample_sizes(size_model, units, rng), alpha, rng)).fit.beta
+
+
 class TestBetaRelation:
     def test_predicted_exponent_formula(self):
-        model = SizeModel(50, 400)
-        _, predicted = verify_beta_relation(1.5, model, seed=1, units=5)
-        assert predicted == pytest.approx(0.4, abs=1e-12)
+        # 1/(1+alpha) is the large-N limit of the self-consistent h(N)
+        for alpha, predicted in ((1.5, 0.4), (4.0, 0.2)):
+            assert finite_size_slope(alpha, 1e20, 1e24) == pytest.approx(predicted, abs=1e-4)
 
     def test_alpha_1_5_recovers_exponent(self):
-        fitted, predicted = verify_beta_relation(1.5, SizeModel(100, 10000), seed=1, units=40)
-        assert predicted == 0.4
-        assert fitted == pytest.approx(0.4, abs=0.05)
+        assert exact_slope(1.5, SizeModel(100, 10000), seed=1) == pytest.approx(0.4, abs=0.05)
 
     def test_fit_insensitive_to_size_model_kind(self):
         # matched size range, same seed: the two size models and a fixed
         # geometric size list agree at fit level
-        kinds = [
-            SizeModel(100, 10000, 1.0),
-            SizeModel(100, 10000),
-        ]
-        fits = [
-            verify_beta_relation(1.5, m, seed=1, units=40)[0]
-            for m in kinds
-        ]
+        fits = [exact_slope(1.5, m, seed=1) for m in (SizeModel(100, 10000, 1.0), SizeModel(100, 10000))]
         geom = [int(round(x)) for x in np.geomspace(100, 10000, 40)]
         dataset = build_synthetic_dataset(geom, 1.5, generation_stream(1))
         fits.append(exact_benchmark(dataset).fit.beta)
@@ -250,8 +246,7 @@ class TestBetaRelation:
     def test_steep_tail_matches_finite_size_oracle(self):
         # alpha=4 at desk-scale sizes: the asymptotic exponent 0.2 is not
         # reached; the self-consistency oracle gives the attainable slope
-        fitted, predicted = verify_beta_relation(4.0, SizeModel(100, 10000), seed=1, units=40)
-        assert predicted == pytest.approx(0.2, abs=1e-12)
+        fitted = exact_slope(4.0, SizeModel(100, 10000), seed=1)
         oracle = finite_size_slope(4.0, 100, 10000)
         assert fitted == pytest.approx(oracle, abs=0.05)
-        assert fitted > predicted
+        assert fitted > 1 / (1 + 4.0)
