@@ -49,6 +49,7 @@ DISTRIBUTION_HEADER = ("k1", "share", "probability")
 BUNDLED_SUMMARIES = ("ukraine_2019", "uk_rae2008_physics")
 
 _MAX_REPORTED_PROBLEMS = 20
+_LINES_PER_WRITE = 4096  # write_publications' rows per write: a bounded string, few calls
 
 
 class IngestError(Exception):
@@ -426,15 +427,23 @@ def csv_text(header: tuple[str, ...], rows: Iterable[Sequence]) -> str:
 
 
 def write_publications(dataset: Dataset, path: str | Path) -> None:
-    """One row per publication.  A unit with no publications would have no
-    row and be lost on reading back, so such a dataset is rejected before
-    the file is opened."""
+    """One row per publication, the bytes of csv.writer.  A unit with no
+    publications would have no row and be lost on reading back, so such a
+    dataset is rejected before the file is opened.  Each unit's id and name
+    are quoted once, and its rows are written _LINES_PER_WRITE at a time."""
     empty = [dataset.unit_ids[i] for i in np.flatnonzero(dataset.sizes == 0)]
     if empty:
         raise ValueError(f"units with no publications cannot be written as publications: {', '.join(empty)}")
-    ids = np.repeat(np.array(dataset.unit_ids, dtype=object), dataset.sizes).tolist()
-    names = np.repeat(np.array(dataset.unit_names, dtype=object), dataset.sizes).tolist()
-    _write_csv(path, PUBLICATIONS_HEADER, zip(ids, names, dataset.citations.tolist()))
+    echo = csv.writer(_Echo(), lineterminator="\n")
+    # "<id>,<name>," per unit, from a row with a last, empty cell
+    prefixes = [echo.writerow(unit + ("",))[:-1] for unit in zip(dataset.unit_ids, dataset.unit_names)]
+    ends = np.cumsum(dataset.sizes).tolist()
+    with _atomic_write(path, newline="") as fh:
+        fh.write(",".join(PUBLICATIONS_HEADER) + "\n")
+        for prefix, start, end in zip(prefixes, [0, *ends], ends):
+            for lo in range(start, end, _LINES_PER_WRITE):
+                counts = map(str, dataset.citations[lo : min(lo + _LINES_PER_WRITE, end)].tolist())
+                fh.write(prefix + f"\n{prefix}".join(counts) + "\n")
 
 
 class _Echo:

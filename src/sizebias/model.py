@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -120,33 +120,47 @@ def h_from_tally(tally: np.ndarray) -> np.ndarray:
     return h
 
 
-def h_index(citations: Iterable[int] | np.ndarray) -> int:
-    """Largest h such that at least h of the counts are >= h.
-
-    Single counting pass over buckets capped at n = len(citations), so the
-    cost is linear in the input size regardless of how large individual
-    counts are.  Equivalent to the classic sort-based definition.
-    """
+def cited_at_least(citations: Iterable[int] | np.ndarray) -> np.ndarray:
+    """K_k, the number of counts >= k, for k = 1..h, as int64: the k >= 1
+    with K_k >= k form a prefix, whose length h is the h-index.  One
+    counting pass over buckets capped at n = len(citations), so the cost is
+    linear in n however large single counts are."""
     arr = _as_citation_array(citations)
     n = int(arr.size)
     tally = np.bincount(np.minimum(arr, n).astype(np.int64), minlength=n + 1)
-    return int(h_from_tally(tally[np.newaxis])[0])
+    return n - np.cumsum(tally[: h_from_tally(tally[np.newaxis])[0]])
 
 
-def _tally_keys(dataset: Dataset) -> tuple[int, np.ndarray, np.ndarray]:
-    """The pool's h, H, and for every pooled paper in unit order the start
-    of its unit's row and its citation count capped at H, both flat indices
-    into a (units, H + 1) tally.  No unit's h can exceed H, so tallying
-    row + level gives every unit's h through h_from_tally."""
+def h_index(citations: Iterable[int] | np.ndarray) -> int:
+    """Largest h such that at least h of the counts are >= h."""
+    return int(cited_at_least(citations).size)
+
+
+def unit_h_tally(dataset: Dataset) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The pool positions of the cited papers, and h_at: h_at(positions) is
+    every unit's h when the i-th cited paper sits at the distinct pool
+    position positions[i], so h_at(cited) is every unit's real h.
+
+    No unit's h exceeds the pool's h, H, so counts are capped at H and
+    tallied per unit and level in a (units, H + 1) matrix (4000 x 132 is
+    about 4 MB).  Uncited papers raise no h, fill the other positions and
+    are never tallied, so a call costs the cited papers, not the pool size.
+    h_at only reads what it shares, so threads may call it at once."""
     cap = h_index(dataset.citations)
-    rows = np.repeat(np.arange(dataset.sizes.size) * (cap + 1), dataset.sizes)
-    return cap, rows, np.minimum(dataset.citations, cap).astype(np.int64)
+    units = dataset.sizes.size
+    cited = np.flatnonzero(dataset.citations)
+    levels = np.minimum(dataset.citations[cited], cap).astype(np.int64)
+    rows = np.repeat(np.arange(units) * (cap + 1), dataset.sizes)  # position -> start of its unit's row
+
+    def h_at(positions: np.ndarray) -> np.ndarray:
+        keys = rows[positions]
+        keys += levels
+        return h_from_tally(np.bincount(keys, minlength=units * (cap + 1)).reshape(units, cap + 1))
+
+    return cited, h_at
 
 
 def group_h_indices(dataset: Dataset) -> np.ndarray:
     """Every unit's group h-index, in unit order, from one tally."""
-    cap, keys, levels = _tally_keys(dataset)
-    keys += levels
-    tally = np.bincount(keys, minlength=dataset.sizes.size * (cap + 1)).reshape(-1, cap + 1)
-    del keys, levels  # freed before h_from_tally copies the tally: a lower peak memory
-    return h_from_tally(tally)
+    cited, h_at = unit_h_tally(dataset)
+    return h_at(cited)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Dataset, _tally_keys, h_from_tally, h_index
+from .model import Dataset, cited_at_least, unit_h_tally
 
 _MAX_SEED = 2**64 - 1
 _DEFAULT_WORKER_CAP = 8
@@ -102,39 +102,25 @@ def run_null_model(dataset: Dataset, seed: int, replicates: int, workers: int | 
     """Run the full reshuffling experiment: `replicates` redistributions,
     drawn from the master `seed`, an unsigned 64-bit integer.
 
-    No block's h can exceed the pool's h, H, so counts are capped at H and
-    tallied per unit and level in a (units, H + 1) matrix that gives every
-    unit's h at once; each worker holds one (4000 x 132 is about 4 MB).
-    An uncited paper raises no h, so a replicate places only the cited
-    papers: it draws distinct positions for them in block order, uniformly
-    and in random order, which is exactly where a uniform permutation of
-    the pool sends them.  The uncited papers fill the other positions and
-    are never tallied (no h reads the level-0 column), so a replicate costs
-    the number of cited papers, not the pool size.
-    Replicate r uses the RNG stream keyed by (seed, r) and writes exactly
-    one row of the sample matrix, so the result is identical for any worker
-    count or scheduling order.
+    A replicate places the cited papers at distinct pool positions drawn
+    uniformly, in random order, exactly where a uniform permutation of the
+    pool sends them, and reads every unit's h from model.unit_h_tally (one
+    tally per worker).  Replicate r uses the RNG stream keyed by (seed, r)
+    and writes exactly one row of the sample matrix, so the result is
+    identical for any worker count or scheduling order.
     """
     if not 0 <= seed <= _MAX_SEED:
         raise ValueError("seed must fit in 64 unsigned bits")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     workers = resolve_workers(workers)
-    cap, slots, levels = _tally_keys(dataset)
-    units = dataset.sizes.size
-    cited = np.flatnonzero(levels)
-    cited_levels = levels[cited]
-
-    def h_of(keys: np.ndarray) -> np.ndarray:  # keys: a fresh array of the cited papers' slots
-        keys += cited_levels
-        return h_from_tally(np.bincount(keys, minlength=units * (cap + 1)).reshape(units, cap + 1))
-
-    real_h = h_of(slots[cited])
-    samples = np.empty((replicates, units), dtype=np.int64)
+    cited, h_at = unit_h_tally(dataset)
+    real_h = h_at(cited)
+    samples = np.empty((replicates, dataset.sizes.size), dtype=np.int64)
 
     def one(replicate: int) -> None:
         rng = replicate_stream(seed, replicate)
-        samples[replicate, :] = h_of(slots[rng.choice(levels.size, cited.size, replace=False)])
+        samples[replicate, :] = h_at(rng.choice(dataset.pool_size, cited.size, replace=False))
 
     from concurrent.futures import ThreadPoolExecutor
 
@@ -156,7 +142,7 @@ def null_h_tails(pool_counts: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
 
     N of the M pooled papers have h >= k exactly when k of them are cited
     k times or more, so P(h >= k) = P(X >= k) with X ~ Hypergeom(M, K_k, N),
-    K_k counting the pooled papers cited k times or more.  Each pmf is built
+    K_k = model.cited_at_least(pool_counts)[k - 1].  Each pmf is built
     from log pmf ratios over mean +- (12 sd + 12), clipped to the support,
     and normalised by its own sum.  Only the cells inside their window
     (lo < k <= hi) need one: the others are certain, exactly 1.0, or
@@ -165,15 +151,13 @@ def null_h_tails(pool_counts: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     cell's value depends on its own window alone, not on the other sizes;
     a group's cells are taken _WINDOW_POINTS_PER_PASS window points at a time.
     """
-    cap = h_index(pool_counts)
-    tally = np.bincount(np.minimum(pool_counts, cap).astype(np.int64), minlength=cap + 1)
-    marked = np.cumsum(tally[::-1])[::-1][1:].astype(float)  # K_k, k = 1..H
+    marked = cited_at_least(pool_counts).astype(float)  # K_k, k = 1..H
     sizes = np.asarray(sizes, dtype=np.int64)
     bad = (sizes < 0) | (sizes > pool_counts.size)
     if bad.any():
         raise ValueError(f"block size {sizes[bad][0]} is outside 0..{pool_counts.size}, the pool size")
     total = float(pool_counts.size)
-    n, k = sizes[:, None].astype(float), np.arange(1, cap + 1)
+    n, k = sizes[:, None].astype(float), np.arange(1, marked.size + 1)
     mean = n * marked / total
     sd = np.sqrt(mean * (1.0 - marked / total) * (total - n) / max(total - 1.0, 1.0))
     lo = np.maximum(np.maximum(0.0, n + marked - total), np.floor(mean - 12.0 * sd - 12.0))

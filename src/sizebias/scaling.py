@@ -51,7 +51,6 @@ class Benchmark:
     null_mean_h: np.ndarray
     null_sd_h: np.ndarray
     fit: PowerLawFit
-    n_excluded_zero_h: int
 
 
 def fit_power_law(sizes: ArrayLike, h: ArrayLike) -> PowerLawFit:
@@ -150,13 +149,9 @@ def build_benchmark(result: ReshuffleResult) -> Benchmark:
     if result.replicates < 2:
         raise ValueError("need at least 2 replicates to estimate a spread")
 
-    sizes = np.broadcast_to(result.productivities, result.h_samples.shape)
-    h_flat = result.h_samples.ravel()
-    n_flat = sizes.ravel()
-    keep = h_flat > 0
-    n_excluded = int(np.size(h_flat) - np.count_nonzero(keep))
-    kept_n = n_flat[keep]
-    kept_h = h_flat[keep]
+    keep = result.h_samples > 0
+    kept_n = np.broadcast_to(result.productivities, keep.shape)[keep]
+    kept_h = result.h_samples[keep]
     if kept_h.size >= 3 and np.unique(kept_n).size >= 2:
         fit = fit_power_law(kept_n, kept_h)
     elif kept_h.size >= 1:
@@ -173,7 +168,6 @@ def build_benchmark(result: ReshuffleResult) -> Benchmark:
         null_mean_h=result.h_samples.mean(axis=0),
         null_sd_h=result.h_samples.std(axis=0, ddof=1),
         fit=fit,
-        n_excluded_zero_h=n_excluded,
     )
 
 
@@ -183,8 +177,7 @@ def exact_benchmark(dataset: Dataset) -> Benchmark:
     The null mean and sd are those of `nullmodel.null_marginals`, and the
     curve a fit of (log10 N, log10 k), k >= 1, weighted by P(h = k | N)
     times the number of units of size N, stderr 0.  `n_points` counts the
-    (unit, k) pairs of positive weight and `n_excluded_zero_h` the units
-    whose null h can be 0, P(h >= 1) < 1."""
+    (unit, k) pairs of positive weight."""
     null = null_marginals(dataset)
     tails, units = null.tails, null.units
     k = np.arange(1, tails.shape[1] + 1)
@@ -199,7 +192,6 @@ def exact_benchmark(dataset: Dataset) -> Benchmark:
         null_mean_h=null.mean_h,
         null_sd_h=null.sd_h,
         fit=replace(fit, n_points=int(units[rows].sum())),
-        n_excluded_zero_h=int(units[tails[:, 0] < 1.0].sum()),
     )
 
 

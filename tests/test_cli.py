@@ -1,6 +1,7 @@
 """End-to-end command line tests: outputs, exit codes, determinism."""
 
 import argparse
+import ast
 import csv
 import hashlib
 import json
@@ -91,7 +92,7 @@ class TestTopLevel:
         with warnings.catch_warnings():  # setuptools may call its [tool.setuptools] support beta
             warnings.simplefilter("ignore")
             config = read_configuration(pyproject, expand=True)
-        assert config["project"]["version"] == sizebias.__version__ == "0.15.0"
+        assert config["project"]["version"] == sizebias.__version__ == "0.16.0"
 
     @pytest.mark.parametrize(
         "argv",
@@ -162,6 +163,16 @@ class TestTopLevel:
             "group_h_indices", "h_index", "hypergeom_pmf", "mean_spearman_vs_real", "most_likely_black_count",
             "normalized_scores", "run_null_model", "sample_citations", "sample_sizes",
         ])
+
+    def test_modules_import_no_private_name_of_each_other(self):
+        # each decision has one owner, and other modules use only what it makes public
+        reached = []
+        for path in sorted(Path(sizebias.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("sizebias")):
+                    private = [a.name for a in node.names if a.name.startswith("_") and not a.name.startswith("__")]
+                    reached += [f"{path.name}:{node.lineno} {name}" for name in private]
+        assert reached == []
 
     def test_import_does_not_load_scipy(self, tmp_path, run_without_scipy):
         # numpy is the only runtime dependency: importing the CLI and the

@@ -697,6 +697,27 @@ class TestWriters:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 2
 
+    def test_publications_match_csv_writer_and_are_written_in_chunks(self, tmp_path):
+        # one unit of 200,000 rows, between units whose id or name needs quoting
+        big = np.random.default_rng(0).integers(0, MAX_CITATIONS, size=200_000, dtype=np.uint64, endpoint=True)
+        edge = np.array([0, 5], dtype=np.uint64), np.array([MAX_CITATIONS], dtype=np.uint64)
+        names = ["two\nlines", "", "Kyiv — Київ"]
+        ds = make_dataset({"a,b": edge[0], "big": big, 'say "hi"': edge[1]}, names=names)
+        path, oracle = tmp_path / "pubs.csv", tmp_path / "oracle.csv"
+        tracemalloc.start()
+        try:
+            write_publications(ds, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
+        with open(oracle, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("unit_id", "unit_name", "citations"))
+            for uid, name, counts in zip(ds.unit_ids, ds.unit_names, unit_citations(ds)):
+                writer.writerows((uid, name, c) for c in counts.tolist())
+        assert path.read_bytes() == oracle.read_bytes()
+
     def test_distribution_csv(self, tmp_path):
         path = tmp_path / "d.csv"
         write_distribution_csv([(0, 0.0, 0.25), (1, 0.5, 0.5)], path)

@@ -1,16 +1,21 @@
 """Core domain types and the h-index computation."""
 
+import bisect
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import make_dataset, unit_citations
 from sizebias.model import (
     MAX_CITATIONS,
     Dataset,
+    cited_at_least,
     group_h_indices,
     h_index,
+    unit_h_tally,
 )
 
 
@@ -114,6 +119,21 @@ class TestHIndex:
     def test_rejects_over_cap(self):
         with pytest.raises(ValueError):
             h_index([MAX_CITATIONS + 1])
+
+
+class TestCitedAtLeast:
+    @given(st.lists(st.one_of(st.integers(0, 60), st.integers(MAX_CITATIONS - 3, MAX_CITATIONS)), max_size=150))
+    @example([])
+    @example([0, 0, 0])
+    @example([MAX_CITATIONS])
+    @example([MAX_CITATIONS, 0, MAX_CITATIONS - 1, 5])
+    def test_matches_sort_oracle(self, cs):
+        # K_k, the papers cited >= k times, for k = 1..h, from the sorted counts
+        ranked = sorted(cs)
+        expected = [len(ranked) - bisect.bisect_left(ranked, k) for k in range(1, naive_h(cs) + 1)]
+        for counts in (cs, np.array(cs, dtype=np.uint64)):
+            got = cited_at_least(counts)
+            assert got.dtype == np.int64 and got.tolist() == expected
 
 
 class TestPublication:
@@ -253,6 +273,17 @@ class TestGroupHIndices:
         # one unit holding the whole pool has the pool's h
         whole = make_dataset({"all": [c for counts in per_unit for c in counts]})
         assert group_h_indices(whole).tolist() == [h_index(whole.citations)]
+
+    @given(st.lists(citation_counts, min_size=1, max_size=8), st.randoms(use_true_random=False))
+    def test_h_at_any_placement_matches_the_placed_blocks(self, per_unit, random):
+        ds = make_dataset({f"u{i}": counts for i, counts in enumerate(per_unit)})
+        cited, h_at = unit_h_tally(ds)
+        assert cited.tolist() == np.flatnonzero(ds.citations).tolist()
+        positions = np.array(random.sample(range(ds.pool_size), cited.size), dtype=np.int64)
+        placed = np.zeros(ds.pool_size, dtype=np.uint64)
+        placed[positions] = ds.citations[cited]
+        blocks = unit_citations(replace(ds, citations=placed))
+        assert h_at(positions).tolist() == [naive_h(b.tolist()) for b in blocks]
 
     def test_empty_units_score_zero(self):
         assert group_h_indices(make_dataset({"a": [], "b": [4, 4, 4], "c": []})).tolist() == [0, 3, 0]

@@ -285,7 +285,6 @@ class TestBuildBenchmark:
         assert (fit.beta, fit.beta_stderr, fit.p_value, fit.n_points) == (0.0, 0.0, 1.0, kept.size)
         assert fit.log10_prefactor == np.mean(np.log10(kept))
         assert fit.r_squared == 0.0
-        assert bench.n_excluded_zero_h == 1
 
     def test_single_size_equal_h_fits_exactly(self):
         fit = build_benchmark(self.samples_result([30, 30], [[4, 4], [4, 4]])).fit
@@ -312,7 +311,6 @@ class TestBuildBenchmark:
         result = run_null_model(ds, 3, 25, workers=1)
         bench = build_benchmark(result)
         zeros = int(np.count_nonzero(result.h_samples == 0))
-        assert bench.n_excluded_zero_h == zeros
         assert bench.fit.n_points == result.h_samples.size - zeros
 
 
@@ -337,7 +335,6 @@ class TestExactBenchmark:
             assert bench.null_mean_h[i] == pytest.approx(mean, abs=1e-9)
             assert bench.null_sd_h[i] == pytest.approx(sd, abs=1e-9)
         assert bench.unit_ids == ds.unit_ids
-        assert bench.n_excluded_zero_h == 0
 
     def test_agrees_with_monte_carlo_within_its_error(self):
         ds = paretian_dataset(2, max_size=3000)
@@ -367,7 +364,6 @@ class TestExactBenchmark:
         bench = exact_benchmark(make_dataset({"a": [0, 0, 0, 1], "b": [0, 0, 2, 1], "c": [3, 0, 0, 0, 5, 2]}))
         # pool h is 2: each unit's null h can be 0, 1 or 2
         assert bench.fit.n_points == 6
-        assert bench.n_excluded_zero_h == 3
 
     def test_pool_without_h_rejected(self):
         with pytest.raises(FitError, match="null h is 0"):
@@ -397,7 +393,6 @@ class TestExactBenchmark:
         assert bench.fit.log10_prefactor == pytest.approx(y_mean - sxy / sxx * x_mean, abs=1e-12)
         assert bench.fit.r_squared == pytest.approx(sxy**2 / (sxx * syy), abs=1e-12)
         assert bench.fit.n_points == len(points)
-        assert bench.n_excluded_zero_h == sum(tail[0] < 1.0 for tail in tails) >= 1
 
 
 def manual_result_and_benchmark():
@@ -438,7 +433,6 @@ class TestNormalizedScores:
             null_mean_h=np.array([4.0]),
             null_sd_h=np.array([1.0]),
             fit=fit,
-            n_excluded_zero_h=0,
         )
         result = ReshuffleResult(
             unit_ids=("a",),
