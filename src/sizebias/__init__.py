@@ -3,14 +3,14 @@ size-normalized rankings."""
 
 from importlib import import_module
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 # The submodule that defines each public name.  Names resolve on first use
 # (PEP 562), so `import sizebias` loads neither numpy nor any submodule.
 _SOURCES = {
     "combinatorics": ("PoolSpec", "count_distribution", "hypergeom_pmf", "most_likely_black_count"),
     "model": ("Dataset", "group_h_indices", "h_index"),
-    "nullmodel": ("ReshuffleResult", "mean_spearman_vs_real", "run_null_model"),
+    "nullmodel": ("ReshuffleResult", "run_null_model"),
     "scaling": (
         "Benchmark", "FitError", "PowerLawFit", "build_benchmark", "competition_ranks",
         "exact_benchmark", "fit_power_law", "normalized_scores",

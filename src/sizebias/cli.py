@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, io
 from .model import group_h_indices
-from .nullmodel import mean_spearman_se, mean_spearman_vs_real, null_marginals, resolve_workers, run_null_model
+from .nullmodel import null_marginals, resolve_workers, run_null_model
 from .scaling import (
     RANKING_KEYS,
     competition_ranks,
@@ -125,15 +125,15 @@ def _ensure_out_dir(path_text: str) -> Path:
     return out
 
 
-def _load_summary_spec(spec: str) -> tuple[list[io.SummaryRow], str, str]:
-    """Read a summary from a path or `bundled:NAME`; returns (rows, display, sha256)."""
+def _load_summary_spec(spec: str) -> tuple[list[io.SummaryRow], str]:
+    """Read a summary from a path or `bundled:NAME`; returns (rows, sha256)."""
     path = spec
     if spec.startswith(BUNDLED_PREFIX):
         try:
             path = io.bundled_summary_path(spec[len(BUNDLED_PREFIX):])
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    return io.read_summary(path), spec, io.file_sha256(path)
+    return io.read_summary(path), io.file_sha256(path)
 
 
 def _write_manifest(out: Path, args: argparse.Namespace, **fields: Any) -> None:
@@ -176,13 +176,10 @@ def cmd_hindex(args: argparse.Namespace) -> int:
 def cmd_null_model(args: argparse.Namespace) -> int:
     dataset = io.read_publications(args.input)
     result = run_null_model(dataset, args.seed, args.replicates, workers=_workers())
-    try:
-        rho, rho_se = mean_spearman_vs_real(result), mean_spearman_se(result)
-    except ValueError:
-        rho = rho_se = None
+    rho, rho_se = result.mean_spearman_vs_real, result.mean_spearman_se  # a failure here leaves no run directory
     out = _ensure_out_dir(args.out_dir)
     io.write_samples_csv(result, out / "reshuffle_samples.csv")
-    io.write_reshuffle_summary(result, null_marginals(dataset), rho, rho_se, out / "reshuffle_summary.json")
+    io.write_reshuffle_summary(result, null_marginals(dataset), out / "reshuffle_summary.json")
     _write_manifest(out, args, input_path=args.input, seed=args.seed, replicates=args.replicates)
     se = "" if rho_se is None else f", standard error {rho_se:.4f}"
     shown = "undefined (constant ranking)" if rho is None else f"{rho:.4f}{se}"
@@ -195,7 +192,8 @@ def cmd_null_model(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     if args.source == "summary":
-        rows, display, digest = _load_summary_spec(args.input)
+        display = args.input
+        rows, digest = _load_summary_spec(display)
         kept = [r for r in rows if r.h_index > 0]
         sizes, h = [r.n_publications for r in kept], [r.h_index for r in kept]
         n_excluded = len(rows) - len(kept)
@@ -284,7 +282,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     from .synth import SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
 
     rng = generation_stream(args.seed)
-    sizes, ids, names, input_display, digest = args.sizes, None, None, None, None
+    sizes, ids, names, input_display, digest = args.sizes, None, None, args.sizes_from_summary, None
     # argparse lets at most one of --units, --sizes and --sizes-from-summary through; the size-law
     # options default to None, as --units does, so that one given beside a size list is refused
     if args.sizes is not None or args.sizes_from_summary is not None:
@@ -293,7 +291,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if given:
             raise UsageError(f"{', '.join(given)} cannot be combined with --sizes or --sizes-from-summary")
         if args.sizes_from_summary is not None:
-            rows, input_display, digest = _load_summary_spec(args.sizes_from_summary)
+            rows, digest = _load_summary_spec(args.sizes_from_summary)
             sizes = [r.n_publications for r in rows]
             ids, names = [r.unit_id for r in rows], [r.unit_name for r in rows]
     elif args.size_model == "uniform_floor" and args.size_exponent is not None:
@@ -399,6 +397,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds) as exc:
+        if isinstance(exc, BrokenPipeError):  # the reader is gone: what stdout holds, flushed at exit, goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 

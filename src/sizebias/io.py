@@ -107,8 +107,13 @@ def _csv_rows(
             for row in reader:
                 if row:
                     yield reader.line_num, row
-    except UnicodeDecodeError as exc:
-        raise IngestError(path, [f"not valid UTF-8: {exc}"]) from exc
+    except UnicodeDecodeError:  # at an offset into the decoder's buffer: decode the whole file to place the byte
+        try:
+            p.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:  # its line as csv counts lines: \n, \r\n and \r each end one
+            line, byte = len((exc.object[: exc.start] + b"?").splitlines()), exc.object[exc.start]
+            raise IngestError(path, [f"line {line}: not valid UTF-8 (byte {byte:#04x}: {exc.reason})"]) from exc
+        raise
     except csv.Error as exc:  # such as a field past csv's size limit
         raise IngestError(path, [f"line {reader.line_num}: {exc}"]) from exc
 
@@ -516,23 +521,21 @@ def _unit_columns(result: ReshuffleResult, null: NullMarginals) -> list[list]:
     return [list(result.unit_ids), *(a.tolist() for a in arrays)]
 
 
-def _summary_head(result: ReshuffleResult, mean_spearman: float | None, mean_spearman_se: float | None) -> dict:
+def _summary_head(result: ReshuffleResult) -> dict:
     """The summary's keys besides `units`: the run and its Monte Carlo rank
     agreement with the real ranking, with that estimate's standard error."""
     return {
         "n_replicates": result.replicates,
         "n_units": len(result.unit_ids),
-        "mean_spearman_vs_real": None if mean_spearman is None else float(mean_spearman),
-        "mean_spearman_se": None if mean_spearman_se is None else float(mean_spearman_se),
+        "mean_spearman_vs_real": result.mean_spearman_vs_real,
+        "mean_spearman_se": result.mean_spearman_se,
     }
 
 
-def reshuffle_summary_payload(
-    result: ReshuffleResult, null: NullMarginals, mean_spearman: float | None, mean_spearman_se: float | None
-) -> dict:
+def reshuffle_summary_payload(result: ReshuffleResult, null: NullMarginals) -> dict:
     """Per-unit exact null statistics plus the rank-agreement diagnostic."""
     units = [dict(zip(_UNIT_KEYS, values)) for values in zip(*_unit_columns(result, null))]
-    return {**_summary_head(result, mean_spearman, mean_spearman_se), "units": units}
+    return {**_summary_head(result), "units": units}
 
 
 # one unit of the summary as write_json lays it out, keys sorted, indent 2; `str`
@@ -540,16 +543,12 @@ def reshuffle_summary_payload(
 _UNIT_TEMPLATE = "    {\n" + ",\n".join(f'      "{key}": %s' for key in sorted(_UNIT_KEYS)) + "\n    }"
 
 
-def write_reshuffle_summary(
-    result: ReshuffleResult, null: NullMarginals, mean_spearman: float | None, mean_spearman_se: float | None,
-    path: str | Path,
-) -> None:
-    """write_json(reshuffle_summary_payload(...), path) for the same
-    arguments, byte for byte, filled in from whole columns.  `units` sorts
-    last, so the rest is json_text's up to its null `units`."""
+def write_reshuffle_summary(result: ReshuffleResult, null: NullMarginals, path: str | Path) -> None:
+    """write_json(reshuffle_summary_payload(result, null), path), byte for byte, from whole
+    columns.  `units` sorts last, so the rest is json_text's up to its null `units`."""
     columns = dict(zip(_UNIT_KEYS, _unit_columns(result, null)))
     columns["unit_id"] = map(json.encoder.encode_basestring, columns["unit_id"])
-    head = json_text({**_summary_head(result, mean_spearman, mean_spearman_se), "units": None})
+    head = json_text({**_summary_head(result), "units": None})
     with _atomic_write(path) as fh:
         fh.write(head.removesuffix("null\n}\n"))
         units = ",\n".join(map(_UNIT_TEMPLATE.__mod__, zip(*(columns[key] for key in sorted(columns)))))

@@ -50,23 +50,34 @@ class ReshuffleResult:
         return int(self.h_samples.shape[0])
 
     @cached_property
-    def _spearman_coefficients(self) -> np.ndarray:
+    def _spearman_coefficients(self) -> np.ndarray | None:
         """Spearman's rho of each replicate row against the real h vector, the
-        Pearson correlation of average ranks, once per result; ValueError where
-        one is undefined: under 2 units, or a constant real vector or row.
+        Pearson correlation of average ranks, once per result; None where one
+        is undefined: a constant real vector (as under 2 units) or row.
         Centred ranks are half-integers, so np.sum adds their products exactly,
         where BLAS would make the sums depend on its thread count."""
         real, samples = self.real_h, self.h_samples
-        if real.size < 2:
-            raise ValueError("need at least 2 units")
-        if np.all(real == real[0]) or np.any(np.all(samples == samples[:, :1], axis=1)):
-            raise ValueError("rank correlation is undefined for a constant input")
+        if np.all(real == real[:1]) or np.any(np.all(samples == samples[:, :1], axis=1)):
+            return None
         middle = (real.size + 1) / 2.0
         ranks = _row_average_ranks(np.vstack([real, samples])) - middle
         rx, ry = ranks[0], ranks[1:]
         rho = np.clip(np.sum(ry * rx, axis=1) / np.sqrt(np.sum(rx * rx) * np.sum(ry * ry, axis=1)), -1.0, 1.0)
         rho.setflags(write=False)
         return rho
+
+    @property
+    def mean_spearman_vs_real(self) -> float | None:
+        """The mean of the replicates' coefficients; None where one is undefined."""
+        rho = self._spearman_coefficients
+        return None if rho is None else float(np.mean(rho))
+
+    @property
+    def mean_spearman_se(self) -> float | None:
+        """The Monte Carlo standard error of that mean, the coefficients' standard
+        deviation (ddof 1) over sqrt(R); None for R = 1 too."""
+        rho = self._spearman_coefficients
+        return None if rho is None or rho.size < 2 else float(rho.std(ddof=1) / np.sqrt(rho.size))
 
 
 def replicate_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -235,16 +246,3 @@ def _row_average_ranks(a: np.ndarray) -> np.ndarray:
     ranks = (np.cumsum(counts) - (counts - 1) / 2)[inverse].reshape(rows, width)
     return ranks - (np.arange(rows) * width)[:, None]
 
-
-def mean_spearman_vs_real(result: ReshuffleResult) -> float:
-    """Mean over replicates of Spearman's rho against the real h vector;
-    ValueError where a coefficient is undefined."""
-    return float(np.mean(result._spearman_coefficients))
-
-
-def mean_spearman_se(result: ReshuffleResult) -> float | None:
-    """Monte Carlo standard error of mean_spearman_vs_real: the standard
-    deviation (ddof 1) of the coefficients over sqrt(R); None for R = 1,
-    ValueError where a coefficient is undefined."""
-    rho = result._spearman_coefficients
-    return None if rho.size < 2 else float(rho.std(ddof=1) / np.sqrt(rho.size))

@@ -19,12 +19,7 @@ from sizebias.cli import main
 from sizebias.combinatorics import PoolSpec, count_distribution, most_likely_black_count
 from sizebias.io import bundled_summary_path, read_summary
 from sizebias.model import h_index
-from sizebias.nullmodel import (
-    mean_spearman_vs_real,
-    replicate_stream,
-    reshuffled_dataset,
-    run_null_model,
-)
+from sizebias.nullmodel import replicate_stream, reshuffled_dataset, run_null_model
 from sizebias.scaling import build_benchmark, fit_power_law, normalized_scores
 from sizebias.synth import SizeModel, build_synthetic_dataset, generation_stream, sample_sizes
 
@@ -283,7 +278,7 @@ def test_criterion_7_null_ranking_tracks_size_on_real_sizes():
     rng = generation_stream(11)
     dataset = build_synthetic_dataset(table2_sizes(), 1.5, rng)
     result = run_null_model(dataset, 11, 200)
-    rho = mean_spearman_vs_real(result)
+    rho = result.mean_spearman_vs_real
     elapsed = time.perf_counter() - t0
     ok = rho > 0.6 and elapsed < budget
     report(

@@ -92,7 +92,7 @@ class TestTopLevel:
         with warnings.catch_warnings():  # setuptools may call its [tool.setuptools] support beta
             warnings.simplefilter("ignore")
             config = read_configuration(pyproject, expand=True)
-        assert config["project"]["version"] == sizebias.__version__ == "0.16.0"
+        assert config["project"]["version"] == sizebias.__version__ == "0.17.0"
 
     @pytest.mark.parametrize(
         "argv",
@@ -160,7 +160,7 @@ class TestTopLevel:
             "__version__", "Benchmark", "Dataset", "FitError", "PoolSpec", "PowerLawFit",
             "ReshuffleResult", "SizeModel", "build_benchmark", "build_synthetic_dataset",
             "competition_ranks", "count_distribution", "exact_benchmark", "fit_power_law", "generation_stream",
-            "group_h_indices", "h_index", "hypergeom_pmf", "mean_spearman_vs_real", "most_likely_black_count",
+            "group_h_indices", "h_index", "hypergeom_pmf", "most_likely_black_count",
             "normalized_scores", "run_null_model", "sample_citations", "sample_sizes",
         ])
 
@@ -647,7 +647,7 @@ class TestFit:
         write_samples_csv(result, run / "reshuffle_samples.csv")
         # fit reads only the units' sizes from the summary, so any marginals do
         null = NullMarginals(sizes, np.ones((40, 1)), np.arange(40), np.ones(40, dtype=int))
-        write_json(reshuffle_summary_payload(result, null, None, None), run / "reshuffle_summary.json")
+        write_json(reshuffle_summary_payload(result, null), run / "reshuffle_summary.json")
         reports = []
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": SRC_PATH}

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,19 @@ def awkward_result(replicates, units=len(AWKWARD_IDS), seed=0):
         real_h=rng.integers(0, 25, size=units),
         productivities=sizes,
     )
+
+
+def with_agreement(result, mean_spearman):
+    """`result` with a real h and rows whose mean Spearman is of the kind
+    `mean_spearman` stands for: undefined (None) from a constant real h,
+    exactly -1.0 from rows that each reverse the real ranking, and for any
+    other value the random rows as they are, whose mean has no short form."""
+    if mean_spearman is None:
+        return replace(result, real_h=np.zeros_like(result.real_h))
+    if mean_spearman == -1.0:
+        real = np.arange(result.real_h.size)
+        return replace(result, real_h=real, h_samples=np.tile(real[::-1], (result.replicates, 1)))
+    return result
 
 
 def marginals_from_tails(tails):
@@ -194,6 +208,17 @@ class TestReadPublications:
         path.write_bytes("unit_id,unit_name,citations\na,Caf\u00e9,1\n".encode("latin-1"))
         with pytest.raises(IngestError, match="not valid UTF-8"):
             read_publications(path)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_invalid_utf8_reported_at_its_line(self, tmp_path, newline):
+        # far past the decoder's first buffer, after a blank line, which counts
+        lines = [b"unit_id,unit_name,citations", *(b"u%d,N,%d" % (i % 50, i % 17) for i in range(5000))]
+        lines[4861:4863] = [b"", lines[4862] + b"\xff"]
+        path = tmp_path / "late.csv"
+        path.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(IngestError, match="not valid UTF-8") as err:
+            read_publications(path)
+        assert err.value.problems == ["line 4863: not valid UTF-8 (byte 0xff: invalid start byte)"]
 
     def test_field_count_mismatch(self, tmp_path):
         path = tmp_path / "width.csv"
@@ -381,6 +406,49 @@ class TestReadSummary:
         path.write_text("\ufeffunit_id,unit_name,n_publications,h_index\nx,X,10,3\n", encoding="utf-8")
         assert read_summary(path) == [SummaryRow("x", "X", 10, 3)]
 
+    @pytest.mark.parametrize(
+        "line,problem",
+        [
+            ("y,Y,5", "line 4: expected 4 fields, got 3"),
+            ("y,Y,5,1,2", "line 4: expected 4 fields, got 5"),
+            (" ,Y,5,1", "line 4: empty unit_id"),
+            ("y,Y,five,1", "line 4: n_publications 'five' is not an integer"),
+            ("y,Y,5,1.0", "line 4: h_index '1.0' is not an integer"),
+            ("y,Y,-5,1", "line 4: n_publications -5 is negative"),
+            ("y,Y,5,-1", "line 4: h_index -1 is negative"),
+            ("y,Y,0,0", "line 4: n_publications must be >= 1"),
+        ],
+        ids=[
+            "too-few-fields", "too-many-fields", "empty-id", "n-not-an-integer", "h-not-an-integer",
+            "n-negative", "h-negative", "n-zero",
+        ],
+    )
+    def test_bad_line_rejected_at_its_line(self, tmp_path, line, problem):
+        # the bad row follows a good one and a blank line, so line numbers are physical
+        path = tmp_path / "s.csv"
+        path.write_text(f"unit_id,unit_name,n_publications,h_index\nx,X,10,3\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(IngestError) as err:
+            read_summary(path)
+        assert err.value.problems == [problem]
+
+    @pytest.mark.parametrize("body", ["", "\n\n"], ids=["header-only", "blank-lines"])
+    def test_no_data_rows_rejected(self, tmp_path, body):
+        path = tmp_path / "s.csv"
+        path.write_text(f"unit_id,unit_name,n_publications,h_index\n{body}", encoding="utf-8")
+        with pytest.raises(IngestError) as err:
+            read_summary(path)
+        assert err.value.problems == ["no data rows"]
+
+    def test_problems_past_twenty_are_counted(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("unit_id,unit_name,n_publications,h_index\n" + "x,X,0,0\n" * 23, encoding="utf-8")
+        with pytest.raises(IngestError) as err:
+            read_summary(path)
+        assert len(err.value.problems) == 23
+        shown = str(err.value).split("; ")
+        assert shown[0] == f"{path}: line 2: n_publications must be >= 1"
+        assert shown[19:] == ["line 21: n_publications must be >= 1", "... and 3 more"]
+
 
 class TestReadSamples:
     @staticmethod
@@ -388,7 +456,7 @@ class TestReadSamples:
         dataset = small_dataset()
         result = run_null_model(dataset, 1, 4, workers=1)
         write_samples_csv(result, tmp_path / "reshuffle_samples.csv")
-        payload = reshuffle_summary_payload(result, null_marginals(dataset), None, None)
+        payload = reshuffle_summary_payload(result, null_marginals(dataset))
         write_json(payload, tmp_path / "reshuffle_summary.json")
         return result
 
@@ -498,7 +566,7 @@ def write_changed_run(run, result, change, i, j):
     summary's units i and j."""
     samples, summary = run / "reshuffle_samples.csv", run / "reshuffle_summary.json"
     write_samples_csv(result, samples)
-    write_reshuffle_summary(result, awkward_null(result), None, None, summary)
+    write_reshuffle_summary(result, awkward_null(result), summary)
     head, *lines = samples.read_bytes().split(b"\n")[:-1]
     i, j = i % len(lines), j % len(lines)
     if change == "BOM":
@@ -635,23 +703,31 @@ class TestWriters:
                 writer.writerows((r, uid, h) for uid, h in zip(result.unit_ids, row))
         assert path.read_bytes() == oracle.read_bytes()
 
+    # each value names the kind of agreement the result's rows give (see with_agreement)
     @pytest.mark.parametrize("mean_spearman", [None, 0.1 + 0.2, -1.0])
     @pytest.mark.parametrize("replicates,units", [(1, 8), (2, 8), (7, 19), (3, 0)])
     def test_summary_matches_write_json_of_payload(self, tmp_path, replicates, units, mean_spearman):
-        result = awkward_result(replicates, units, seed=replicates)
+        result = with_agreement(awkward_result(replicates, units, seed=replicates), mean_spearman)
         null = awkward_null(result, seed=replicates)
-        se = None if mean_spearman is None or replicates < 2 else abs(mean_spearman) / replicates
         path, oracle = tmp_path / "summary.json", tmp_path / "oracle.json"
-        sizebias.io.write_reshuffle_summary(result, null, mean_spearman, se, path)
-        write_json(reshuffle_summary_payload(result, null, mean_spearman, se), oracle)
+        sizebias.io.write_reshuffle_summary(result, null, path)
+        write_json(reshuffle_summary_payload(result, null), oracle)
         assert path.read_bytes() == oracle.read_bytes()
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        rho, se = summary["mean_spearman_vs_real"], summary["mean_spearman_se"]
+        assert (rho, se) == (result.mean_spearman_vs_real, result.mean_spearman_se)
+        if units and mean_spearman is not None:
+            assert rho == -1.0 if mean_spearman == -1.0 else round(rho, 6) != rho
+            assert (se is None) == (replicates < 2)
+        else:
+            assert rho is se is None
 
     def test_summary_of_a_null_model_run_matches_write_json(self, tmp_path):
         dataset = small_dataset()
         result, null = run_null_model(dataset, 1, 5, workers=1), null_marginals(dataset)
         path, oracle = tmp_path / "summary.json", tmp_path / "oracle.json"
-        sizebias.io.write_reshuffle_summary(result, null, 0.5, 0.125, path)
-        write_json(reshuffle_summary_payload(result, null, 0.5, 0.125), oracle)
+        sizebias.io.write_reshuffle_summary(result, null, path)
+        write_json(reshuffle_summary_payload(result, null), oracle)
         assert path.read_bytes() == oracle.read_bytes()
 
     @pytest.mark.parametrize("replicates", range(1, 65))
@@ -664,7 +740,7 @@ class TestWriters:
         tails = (h[:, :, None] >= np.arange(1, h.max() + 1)).mean(axis=0)
         result = ReshuffleResult(tuple(f"u{i}" for i in range(30)), h, h[0], np.full(30, 1000))
         path = tmp_path / "summary.json"
-        sizebias.io.write_reshuffle_summary(result, marginals_from_tails(tails), None, None, path)
+        sizebias.io.write_reshuffle_summary(result, marginals_from_tails(tails), path)
         units = json.loads(path.read_text(encoding="utf-8"))["units"]
         got = [[u["null_q025_h"] for u in units], [u["null_q975_h"] for u in units]]
         expected = np.quantile(h, [0.025, 0.975], axis=0, method="inverted_cdf")
@@ -770,13 +846,13 @@ class TestWriters:
         null = awkward_null(good)
         bad = ReshuffleResult(good.unit_ids[:-1] + (5,), good.h_samples, good.real_h, good.productivities)
         with pytest.raises(TypeError):
-            sizebias.io.write_reshuffle_summary(bad, null, None, None, tmp_path / "s.json")
+            sizebias.io.write_reshuffle_summary(bad, null, tmp_path / "s.json")
         assert list(tmp_path.iterdir()) == []
         path = tmp_path / "s.json"
-        sizebias.io.write_reshuffle_summary(good, null, None, None, path)
+        sizebias.io.write_reshuffle_summary(good, null, path)
         before = path.read_bytes()
         with pytest.raises(TypeError):
-            sizebias.io.write_reshuffle_summary(bad, null, None, None, path)
+            sizebias.io.write_reshuffle_summary(bad, null, path)
         assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
 
 
@@ -789,12 +865,14 @@ class TestPayloads:
 
     def test_reshuffle_summary_payload(self):
         ds = small_dataset()
-        result = run_null_model(ds, 1, 5, workers=1)
-        payload = reshuffle_summary_payload(result, null_marginals(ds), 0.5, 0.125)
+        # rows with rho 1, 1, -1, 1 and 1 against the real ranking
+        rows = np.array([[1, 2], [1, 2], [2, 1], [1, 2], [0, 3]])
+        result = ReshuffleResult(ds.unit_ids, rows, np.array([1, 2]), ds.sizes)
+        payload = reshuffle_summary_payload(result, null_marginals(ds))
         assert payload["n_replicates"] == 5
         assert payload["n_units"] == 2
-        assert payload["mean_spearman_vs_real"] == 0.5
-        assert payload["mean_spearman_se"] == 0.125
+        assert payload["mean_spearman_vs_real"] == result.mean_spearman_vs_real == pytest.approx(0.6, abs=1e-15)
+        assert payload["mean_spearman_se"] == result.mean_spearman_se == pytest.approx(0.4, abs=1e-15)
         assert [u["unit_id"] for u in payload["units"]] == ["a", "b"]
         # a's two papers are two of the pool's 3, 0 and 7 citations: h is 1, 2
         # or 1, each with probability 1/3
@@ -806,8 +884,8 @@ class TestPayloads:
 
     def test_reshuffle_summary_payload_undefined_spearman(self):
         ds = small_dataset()
-        result = run_null_model(ds, 1, 2, workers=1)
-        payload = reshuffle_summary_payload(result, null_marginals(ds), None, None)
+        result = run_null_model(ds, 1, 2, workers=1)  # both units have h = 1
+        payload = reshuffle_summary_payload(result, null_marginals(ds))
         assert payload["mean_spearman_vs_real"] is None and payload["mean_spearman_se"] is None
 
 

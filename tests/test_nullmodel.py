@@ -19,8 +19,6 @@ from sizebias.model import MAX_CITATIONS, h_from_tally, h_index
 from sizebias.nullmodel import (
     ReshuffleResult,
     _row_average_ranks,
-    mean_spearman_se,
-    mean_spearman_vs_real,
     null_h_tails,
     null_marginals,
     replicate_stream,
@@ -459,14 +457,14 @@ def naive_spearman_mean(real, rows):
 
 
 class TestSpearman:
-    """`mean_spearman_vs_real`: Spearman's rho of each replicate row against
-    the real h vector, averaged over replicates."""
+    """`ReshuffleResult.mean_spearman_vs_real`: Spearman's rho of each
+    replicate row against the real h vector, averaged over replicates."""
 
     def test_perfect_and_reversed(self):
-        assert mean_spearman_vs_real(result_of([1, 2, 3, 4], [10, 20, 30, 40])) == pytest.approx(1.0)
-        assert mean_spearman_vs_real(result_of([1, 2, 3, 4], [40, 30, 20, 10])) == pytest.approx(-1.0)
+        assert result_of([1, 2, 3, 4], [10, 20, 30, 40]).mean_spearman_vs_real == pytest.approx(1.0)
+        assert result_of([1, 2, 3, 4], [40, 30, 20, 10]).mean_spearman_vs_real == pytest.approx(-1.0)
         both = result_of([1, 2, 3, 4], [10, 20, 30, 40], [40, 30, 20, 10])
-        assert mean_spearman_vs_real(both) == pytest.approx(0.0, abs=1e-12)
+        assert both.mean_spearman_vs_real == pytest.approx(0.0, abs=1e-12)
 
     @given(
         st.integers(3, 40).flatmap(
@@ -481,7 +479,7 @@ class TestSpearman:
         assume(not np.all(real == real[0]))
         assume(not np.any(np.all(rows == rows[:, :1], axis=1)))
         result = result_of(real, *rows)
-        assert mean_spearman_vs_real(result) == pytest.approx(naive_spearman_mean(real, rows), abs=1e-12)
+        assert result.mean_spearman_vs_real == pytest.approx(naive_spearman_mean(real, rows), abs=1e-12)
 
     @given(
         hnp.arrays(
@@ -498,20 +496,21 @@ class TestSpearman:
         assert np.array_equal(ranks, expected)
 
     def test_constant_input_rejected(self):
-        with pytest.raises(ValueError):
-            mean_spearman_vs_real(result_of([1, 1, 1], [1, 2, 3]))
-        with pytest.raises(ValueError):
-            mean_spearman_vs_real(result_of([1, 2, 3], [5, 5, 5]))
-        with pytest.raises(ValueError):
-            mean_spearman_vs_real(result_of([1, 2, 3], [3, 1, 2], [5, 5, 5], [1, 2, 3]))
+        # undefined: a constant real vector, or any constant replicate row
+        for result in (
+            result_of([1, 1, 1], [1, 2, 3]),
+            result_of([1, 2, 3], [5, 5, 5]),
+            result_of([1, 2, 3], [3, 1, 2], [5, 5, 5], [1, 2, 3]),
+        ):
+            assert result.mean_spearman_vs_real is None and result.mean_spearman_se is None
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             result_of([1, 2], [1, 2, 3], units=3)
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            mean_spearman_vs_real(result_of([1], [2]))
+        for result in (result_of([1], [2]), result_of([], [], [], units=0)):
+            assert result.mean_spearman_vs_real is None and result.mean_spearman_se is None
 
     def test_always_in_unit_interval(self):
         rng = np.random.default_rng(97)
@@ -521,7 +520,7 @@ class TestSpearman:
             rows = rng.integers(0, 4, size=(int(rng.integers(1, 5)), n))
             if np.all(x == x[0]) or np.any(np.all(rows == rows[:, :1], axis=1)):
                 continue
-            assert -1.0 <= mean_spearman_vs_real(result_of(x, *rows)) <= 1.0
+            assert -1.0 <= result_of(x, *rows).mean_spearman_vs_real <= 1.0
 
 
 def manual_result():
@@ -539,19 +538,18 @@ class TestRankAgreement:
         expected = np.mean(
             [stats.spearmanr(result.real_h, row).statistic for row in result.h_samples]
         )
-        assert mean_spearman_vs_real(result) == pytest.approx(float(expected), abs=1e-12)
+        assert result.mean_spearman_vs_real == pytest.approx(float(expected), abs=1e-12)
 
     def test_standard_error_matches_scipy(self):
         result = manual_result()
         rho = [stats.spearmanr(result.real_h, row).statistic for row in result.h_samples]
         expected = np.std(rho, ddof=1) / math.sqrt(len(rho))
-        assert mean_spearman_se(result) == pytest.approx(float(expected), abs=1e-12)
+        assert result.mean_spearman_se == pytest.approx(float(expected), abs=1e-12)
 
     def test_standard_error_needs_two_replicates(self):
-        assert mean_spearman_se(result_of([1, 2, 3], [3, 1, 2])) is None
-        assert mean_spearman_se(result_of([1, 2, 3], [1, 2, 3], [1, 2, 3])) == 0.0
-        with pytest.raises(ValueError):
-            mean_spearman_se(result_of([1, 2, 3], [3, 1, 2], [5, 5, 5]))
+        assert result_of([1, 2, 3], [3, 1, 2]).mean_spearman_se is None
+        assert result_of([1, 2, 3], [1, 2, 3], [1, 2, 3]).mean_spearman_se == 0.0
+        assert result_of([1, 2, 3], [3, 1, 2], [5, 5, 5]).mean_spearman_se is None
 
     def test_replicates_are_ranked_once_per_result(self, monkeypatch):
         calls = []
@@ -559,8 +557,8 @@ class TestRankAgreement:
         monkeypatch.setattr(sizebias.nullmodel, "_row_average_ranks", lambda a: calls.append(a.shape) or rank(a))
         result = manual_result()
         for _ in range(2):
-            mean_spearman_vs_real(result)
-            mean_spearman_se(result)
+            result.mean_spearman_vs_real
+            result.mean_spearman_se
         assert calls == [(4, 4)]
         with pytest.raises(ValueError, match="read-only"):  # one array serves every caller
             result._spearman_coefficients[0] = 0.0
@@ -570,4 +568,4 @@ class TestRankAgreement:
         rng = np.random.default_rng(3)
         ds = make_dataset({f"u{i}": rng.integers(0, 40, size=size) for i, size in enumerate([10, 40, 160, 640, 2560])})
         result = run_null_model(ds, 8, 50, workers=2)
-        assert mean_spearman_vs_real(result) > 0.5
+        assert result.mean_spearman_vs_real > 0.5

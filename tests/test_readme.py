@@ -37,7 +37,7 @@ def test_library_example_runs(capsys):
 def test_null_model_section_names_every_summary_key(tmp_path):
     result = ReshuffleResult(("a",), np.array([[1]]), np.array([1]), np.array([2]))
     null = NullMarginals(np.array([2]), np.array([[1.0, 0.5]]), np.array([0]), np.array([1]))
-    write_reshuffle_summary(result, null, None, None, tmp_path / "summary.json")
+    write_reshuffle_summary(result, null, tmp_path / "summary.json")
     summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
     keys = {*summary, *summary["units"][0]}
     section = README.read_text(encoding="utf-8").split("\n### null-model\n")[1].split("\n### ")[0]
