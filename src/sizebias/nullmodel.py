@@ -68,7 +68,8 @@ class ReshuffleResult:
 
     @property
     def mean_spearman_vs_real(self) -> float | None:
-        """The mean of the replicates' coefficients; None where one is undefined."""
+        """Mean over replicates of Spearman's rho against the real h vector;
+        None where a coefficient is undefined."""
         rho = self._spearman_coefficients
         return None if rho is None else float(np.mean(rho))
 
