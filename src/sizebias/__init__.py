@@ -3,7 +3,7 @@ size-normalized rankings."""
 
 from importlib import import_module
 
-__version__ = "0.17.0"
+__version__ = "0.17.1"
 
 # The submodule that defines each public name.  Names resolve on first use
 # (PEP 562), so `import sizebias` loads neither numpy nor any submodule.

@@ -184,7 +184,7 @@ def cmd_null_model(args: argparse.Namespace) -> int:
     se = "" if rho_se is None else f", standard error {rho_se:.4f}"
     shown = "undefined (constant ranking)" if rho is None else f"{rho:.4f}{se}"
     _write_stdout(
-        f"mean Spearman vs real ranking over {result.replicates} replicates: {shown}\n"
+        f"mean Spearman vs real ranking over {result.replicates} replicate{'s' * (result.replicates != 1)}: {shown}\n"
         f"wrote reshuffle_samples.csv and reshuffle_summary.json to {out}\n"
     )
     return EXIT_OK

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -68,6 +69,14 @@ class Dataset:
     def pool_size(self) -> int:
         """Total number of publications across all units (duplicates kept)."""
         return int(self.citations.size)
+
+    @cached_property
+    def cited_at_least(self) -> np.ndarray:
+        """The pool's K_k, k = 1..H (see the module function of that name), a
+        read-only array tallied on first use, so its length H is the pool's h."""
+        marked = cited_at_least(self.citations)
+        marked.setflags(write=False)
+        return marked
 
 
 def _as_citation_array(citations: Iterable[int] | np.ndarray) -> np.ndarray:
@@ -146,7 +155,7 @@ def unit_h_tally(dataset: Dataset) -> tuple[np.ndarray, Callable[[np.ndarray], n
     about 4 MB).  Uncited papers raise no h, fill the other positions and
     are never tallied, so a call costs the cited papers, not the pool size.
     h_at only reads what it shares, so threads may call it at once."""
-    cap = h_index(dataset.citations)
+    cap = dataset.cited_at_least.size
     units = dataset.sizes.size
     cited = np.flatnonzero(dataset.citations)
     levels = np.minimum(dataset.citations[cited], cap).astype(np.int64)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import sizebias
+import sizebias.model
 import sizebias.nullmodel
 from conftest import unit_citations
 from sizebias.cli import build_parser, main
@@ -92,7 +93,7 @@ class TestTopLevel:
         with warnings.catch_warnings():  # setuptools may call its [tool.setuptools] support beta
             warnings.simplefilter("ignore")
             config = read_configuration(pyproject, expand=True)
-        assert config["project"]["version"] == sizebias.__version__ == "0.17.0"
+        assert config["project"]["version"] == sizebias.__version__ == "0.17.1"
 
     @pytest.mark.parametrize(
         "argv",
@@ -395,6 +396,22 @@ class TestNullModel:
         assert manifest["seed"] == 7
         assert manifest["replicates"] == 25
         assert len(manifest["input_sha256"]) == 64
+
+    def test_one_replicate_is_singular(self, synth_run, tmp_path, capsys):
+        out = tmp_path / "nm"
+        assert main(["null-model", str(synth_run), "--seed", "7", "--replicates", "1", "--out-dir", str(out)]) == 0
+        assert "mean Spearman vs real ranking over 1 replicate: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [["benchmark"], ["null-model", "--seed", "7", "--replicates", "5"]])
+    def test_tallies_the_pool_once(self, synth_run, tmp_path, monkeypatch, capsys, command):
+        # the real h's tally cap and the exact null's K_k share Dataset.cited_at_least
+        calls = []
+        tally = sizebias.model.cited_at_least
+        for module in (sizebias.model, sizebias.nullmodel):
+            monkeypatch.setattr(module, "cited_at_least", lambda c: calls.append(len(c)) or tally(c))
+        assert main([command[0], str(synth_run), *command[1:], "--out-dir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert calls == [10 + 40 + 160]
 
     def test_ranks_the_replicates_once(self, synth_run, tmp_path, monkeypatch, capsys):
         # mean_spearman_vs_real and mean_spearman_se share one ranking

@@ -224,6 +224,16 @@ class TestDataset:
     def test_pool_size(self):
         assert make_dataset({"a": [1, 2], "b": [3]}).pool_size == 3
 
+    def test_cited_at_least_is_the_pools_read_only_tally(self):
+        dataset = make_dataset({"a": [9, 4, 0], "b": [4, 2], "c": [7]})
+        marked = dataset.cited_at_least
+        assert marked.tolist() == cited_at_least([9, 4, 0, 4, 2, 7]).tolist() == [5, 5, 4, 4]
+        assert dataset.cited_at_least is marked  # tallied once
+        with pytest.raises(ValueError):
+            marked[0] = 1
+        with pytest.raises(AttributeError):
+            dataset.cited_at_least = marked
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one unit"):
             Dataset(unit_ids=(), unit_names=(), sizes=[], citations=[])
