@@ -6,11 +6,9 @@ h-index is recomputed.  Repeating this yields the distribution of
 h-indices a unit would get on size alone, which is what real rankings are
 benchmarked against.
 
-null_marginals gives that distribution exactly from the pool's K_k
-(Dataset.cited_at_least) through one windowed tail kernel: null_h_tails is
-its hypergeometric face, and it has a private binomial urn, the limit of an
-infinite pool.  Its tails are exact to about 1e-12 absolute, and every cell
-outside its window is exactly 0.0 or 1.0.
+null_marginals gives that distribution exactly, through null_h_tails, from
+the pool's K_k (Dataset.cited_at_least): its tails are exact to about 1e-12
+absolute, and every cell outside its window is exactly 0.0 or 1.0.
 """
 
 from __future__ import annotations
@@ -22,11 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Dataset, cited_at_least, unit_h_tally
+from .model import Dataset, unit_h_tally
 
 _MAX_SEED = 2**64 - 1
 _DEFAULT_WORKER_CAP = 8
-_WINDOW_POINTS_PER_PASS = 32768  # _h_tails' cap: small temporaries reuse memory, not fault in new pages
+_WINDOW_POINTS_PER_PASS = 32768  # null_h_tails' cap: small temporaries reuse memory, not fault in new pages
 
 
 @dataclass(frozen=True)
@@ -153,47 +151,33 @@ def run_null_model(dataset: Dataset, seed: int, replicates: int, workers: int | 
     )
 
 
-def null_h_tails(pool_counts: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+def null_h_tails(marked: np.ndarray, pool_size: int, sizes: Sequence[int]) -> np.ndarray:
     """Exact tails of the null h: tails[j, k - 1] = P(h >= k | N = sizes[j])
-    for k = 1..H, where H is the pool's h-index, in a (len(sizes), H) float
-    matrix.  A size below 0 or above the pool size raises ValueError.
+    for k = 1..H in a (len(sizes), H) float matrix, from the pool's K_k
+    (`marked`, k = 1..H, as model.cited_at_least gives them, so H is the
+    pool's h-index) and its size M.  A size outside 0..M raises ValueError.
 
     N of the M pooled papers have h >= k exactly when k of them are cited
-    k times or more, so P(h >= k) = P(X >= k) with X ~ Hypergeom(M, K_k, N),
-    K_k = model.cited_at_least(pool_counts)[k - 1]; see _h_tails.
-    """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    bad = (sizes < 0) | (sizes > pool_counts.size)
-    if bad.any():
-        raise ValueError(f"block size {sizes[bad][0]} is outside 0..{pool_counts.size}, the pool size")
-    return _h_tails(cited_at_least(pool_counts), pool_counts.size, sizes)
-
-
-def _h_tails(marked: np.ndarray, total: float, sizes: np.ndarray, binomial: bool = False) -> np.ndarray:
-    """tails[j, k - 1] = P(X >= k), k = 1..len(marked), where X counts the
-    marked ones among N = sizes[j] papers drawn from a pool of `total` with
-    K_k = marked[k - 1] marked: X ~ Hypergeom(total, K_k, N), or with
-    replacement X ~ Bin(N, K_k / total) (`binomial`).  Each pmf is built
-    from log pmf ratios over mean +- (12 sd + 12), clipped to the support,
-    and normalised by its own sum.  Only the cells inside their window
+    k times or more, so P(h >= k) = P(X >= k) with X ~ Hypergeom(M, K_k, N).
+    Each pmf is built from log pmf ratios over mean +- (12 sd + 12), clipped
+    to the support, and normalised by its own sum, so the tails are exact
+    to about 1e-12 absolute.  Only the cells inside their window
     (lo < k <= hi) need one: the others are certain, exactly 1.0, or
     impossible, exactly 0.0, as is every k > N.  The cells are grouped by
     window width rounded up to a power of two, one cumsum per group, so a
     cell's value depends on its own window alone, not on the other sizes;
     a group's cells are taken _WINDOW_POINTS_PER_PASS window points at a time.
     """
-    marked, total = np.asarray(marked, dtype=float), float(total)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    bad = (sizes < 0) | (sizes > pool_size)
+    if bad.any():
+        raise ValueError(f"block size {sizes[bad][0]} is outside 0..{pool_size}, the pool size")
+    marked, total = np.asarray(marked, dtype=float), float(pool_size)
     n, k = sizes[:, None].astype(float), np.arange(1, marked.size + 1)
-    p = marked / total
     mean = n * marked / total
-    if binomial:
-        sd = np.sqrt(mean * (1.0 - p))
-        support_lo, support_hi = n * (p >= 1.0), n * (p > 0.0)
-    else:
-        sd = np.sqrt(mean * (1.0 - p) * (total - n) / max(total - 1.0, 1.0))
-        support_lo, support_hi = np.maximum(0.0, n + marked - total), np.minimum(n, marked)
-    lo = np.maximum(support_lo, np.floor(mean - 12.0 * sd - 12.0))
-    hi = np.minimum(support_hi, np.ceil(mean + 12.0 * sd + 12.0))
+    sd = np.sqrt(mean * (1.0 - marked / total) * (total - n) / max(total - 1.0, 1.0))
+    lo = np.maximum(np.maximum(0.0, n + marked - total), np.floor(mean - 12.0 * sd - 12.0))
+    hi = np.minimum(np.minimum(n, marked), np.ceil(mean + 12.0 * sd + 12.0))
     tails = (lo >= k).astype(float)
     rows, cols = np.nonzero((lo < k) & (k <= hi))
     group = np.frexp(hi[rows, cols] - lo[rows, cols])[1]  # 2**group >= the window's hi - lo + 1 points
@@ -204,13 +188,9 @@ def _h_tails(marked: np.ndarray, total: float, sizes: np.ndarray, binomial: bool
             n_g, K, top = n[r], marked[c, None], hi[r, c, None]
             x = lo[r, c, None] + np.arange(2**g)
             step = x < top
-            if binomial:  # log pmf(x + 1) - log pmf(x) below top, 0 from there on; 0 < p < 1 in a window
-                odds = p[c, None] / (1.0 - p[c, None])
-                ratio = step * np.log(odds) + np.log(np.where(step, (n_g - x) / (x + 1.0), 1.0))
-            else:
-                ratio = np.log(np.where(step, (K - x) * (n_g - x), 1.0)) - np.log(  # log pmf(x + 1) - log pmf(x)
-                    np.where(step, (x + 1.0) * (total - K - n_g + x + 1.0), 1.0)
-                )
+            ratio = np.log(np.where(step, (K - x) * (n_g - x), 1.0)) - np.log(  # log pmf(x + 1) - log pmf(x)
+                np.where(step, (x + 1.0) * (total - K - n_g + x + 1.0), 1.0)
+            )
             log_pmf = np.cumsum(ratio, axis=1) - ratio  # log pmf(x) - log pmf(lo)
             weight = np.where(x <= top, np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True)), 0.0)
             tails[r, c] = np.where(x >= k[c, None], weight, 0.0).sum(axis=1) / weight.sum(axis=1)
@@ -251,7 +231,7 @@ def null_marginals(dataset: Dataset) -> NullMarginals:
     """The exact null distribution of every unit's h; h = 0 for certain
     where no paper is cited."""
     sizes, inverse, units = np.unique(dataset.sizes, return_inverse=True, return_counts=True)
-    return NullMarginals(sizes, _h_tails(dataset.cited_at_least, dataset.pool_size, sizes), inverse, units)
+    return NullMarginals(sizes, null_h_tails(dataset.cited_at_least, dataset.pool_size, sizes), inverse, units)
 
 
 def _row_average_ranks(a: np.ndarray) -> np.ndarray:

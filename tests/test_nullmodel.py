@@ -18,7 +18,6 @@ from sizebias.combinatorics import PoolSpec, hypergeom_pmf
 from sizebias.model import MAX_CITATIONS, cited_at_least, h_from_tally, h_index
 from sizebias.nullmodel import (
     ReshuffleResult,
-    _h_tails,
     _row_average_ranks,
     null_h_tails,
     null_marginals,
@@ -287,7 +286,7 @@ class TestNullHTails:
     def test_match_exact_urn_and_every_draw(self, counts):
         m, cap = len(counts), h_index(counts)
         pool = np.array(counts, dtype=np.uint64)
-        tails = null_h_tails(pool, range(m + 1))
+        tails = null_h_tails(cited_at_least(pool), pool.size, range(m + 1))
         assert tails.shape == (m + 1, cap)
         for n, (tail, reference) in enumerate(zip(tails, reference_null_h_tails(pool, range(m + 1)), strict=True)):
             assert reference.shape == (min(n, cap),)
@@ -320,7 +319,7 @@ class TestNullHTails:
         counts = np.floor(rng.pareto(1.2, size=int(rng.integers(100, 401))) * 3).astype(np.uint64)
         m, cap = counts.size, h_index(counts)
         sizes = sorted(rng.choice(m + 1, size=6, replace=False).tolist())
-        for n, tail in zip(sizes, null_h_tails(counts, sizes), strict=True):
+        for n, tail in zip(sizes, null_h_tails(cited_at_least(counts), counts.size, sizes), strict=True):
             for k in range(1, cap + 1):
                 marked = int(np.count_nonzero(counts >= k))
                 spec = PoolSpec(black=marked, white=m - marked)
@@ -334,7 +333,7 @@ class TestNullHTails:
         cap = h_index(counts)
         k = np.arange(1, cap + 1)
         marked = np.array([np.count_nonzero(counts >= level) for level in k])
-        tails = null_h_tails(counts, sizes)
+        tails = null_h_tails(cited_at_least(counts), counts.size, sizes)
         assert tails.shape == (len(sizes), cap)
         for n, tail in zip(sizes, tails):
             expected = stats.hypergeom.sf(k - 1, counts.size, marked, n)
@@ -355,84 +354,33 @@ class TestNullHTails:
         rng = np.random.default_rng(12)
         counts = np.floor((1.0 - rng.random(200_000)) ** (-1 / 1.5) - 1.0).astype(np.uint64)
         sizes = sizes.astype(int).tolist()
-        tails = null_h_tails(counts, sizes)
+        tails = null_h_tails(cited_at_least(counts), counts.size, sizes)
         for tail, reference in zip(tails, reference_null_h_tails(counts, sizes), strict=True):
             assert np.max(np.abs(tail[: reference.size] - reference)) <= 1e-15
             assert np.all(tail[reference.size :] == 0.0)
         # each window is summed at its own width, so a size's row does not
         # depend on which other sizes share the call
         for j in range(0, len(sizes), 7):
-            assert np.array_equal(null_h_tails(counts, [sizes[j]])[0], tails[j])
+            assert np.array_equal(null_h_tails(cited_at_least(counts), counts.size, [sizes[j]])[0], tails[j])
 
-    @pytest.mark.parametrize(
-        ("points_per_pass", "binomial"),
-        [
-            pytest.param(points, binomial, id=f"binomial-{points}" if binomial else str(points))
-            for binomial in (False, True)
-            for points in (1, 64, sizebias.nullmodel._WINDOW_POINTS_PER_PASS, 2**40)
-        ],
-    )
-    def test_passes_do_not_change_a_bit(self, monkeypatch, points_per_pass, binomial):
-        # 60 sizes of a 20k-paper pool, drawn without replacement (null_h_tails)
-        # or with it: tens of thousands of window points in all, so the groups
-        # span many passes at small caps, and one at 2**40
+    @pytest.mark.parametrize("points_per_pass", [1, 64, sizebias.nullmodel._WINDOW_POINTS_PER_PASS, 2**40])
+    def test_passes_do_not_change_a_bit(self, monkeypatch, points_per_pass):
+        # 60 sizes of a 20k-paper pool: tens of thousands of window points in
+        # all, so the groups span many passes at small caps, and one at 2**40
         rng = np.random.default_rng(5)
         counts = np.floor((1.0 - rng.random(20_000)) ** (-1 / 1.5) - 1.0).astype(np.uint64)
         sizes = np.unique(rng.integers(1, 20_001, size=60)).tolist()
-
-        def tails_of(sizes):
-            if binomial:
-                return _h_tails(cited_at_least(counts), counts.size, np.array(sizes), binomial=True)
-            return null_h_tails(counts, sizes)
-
-        by_size = [tails_of([n])[0] for n in sizes]
+        by_size = [null_h_tails(cited_at_least(counts), counts.size, [n])[0] for n in sizes]
         monkeypatch.setattr(sizebias.nullmodel, "_WINDOW_POINTS_PER_PASS", points_per_pass)
-        tails = tails_of(sizes)
+        tails = null_h_tails(cited_at_least(counts), counts.size, sizes)
         assert all(np.array_equal(row, alone) for row, alone in zip(tails, by_size, strict=True))
 
     def test_size_outside_the_pool_rejected(self):
         counts = np.array([5, 5], dtype=np.uint64)
         for size in (-1, 3):
             with pytest.raises(ValueError, match=f"block size {size} is outside 0..2"):
-                null_h_tails(counts, [size])
-        assert null_h_tails(counts, [0, 2]).tolist() == [[0.0, 0.0], [1.0, 1.0]]
-
-
-class TestBinomialTails:
-    """_h_tails' urn with replacement: tails[j, k - 1] = P(Bin(N, p_k) >= k),
-    p_k = K_k / M, the limit of null_h_tails' urn as the pool grows."""
-
-    SIZES = np.array([1, 2, 5, 20, 100, 117, 1000, 5000, 20000])
-
-    @pytest.mark.parametrize("p", [1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-6])
-    def test_matches_scipy(self, p):
-        # every level k = 1..N + 1 of each size at one success probability
-        k = np.arange(1, self.SIZES.max() + 2)
-        tails = _h_tails(np.full(k.size, p), 1.0, self.SIZES, binomial=True)
-        for n, tail in zip(self.SIZES.tolist(), tails, strict=True):
-            expected = stats.binom.sf(k - 1, n, p)
-            error = np.abs(tail - expected)
-            assert error.max() <= 1e-12
-            # far tails are cut off by the window, so relative error is bounded only above 1e-10
-            shown = expected >= 1e-10
-            assert np.max(error[shown] / expected[shown], initial=0.0) <= 1e-11
-            assert np.all(tail[n:] == 0.0)
-
-    def test_certain_and_impossible_rows_are_exact(self):
-        # p_k = 1 and p_k = 0 need no pmf, so no log of 0 warns
-        k = np.arange(1, 30)
-        tails = _h_tails(np.where(k % 2, 1.0, 0.0), 1.0, np.array([0, 1, 7, 25]), binomial=True)
-        expected = np.where(k % 2, np.array([0, 1, 7, 25])[:, None] >= k, False)
-        assert np.array_equal(tails, expected.astype(float))
-
-    def test_hypergeometric_tails_converge_to_binomial(self):
-        # K_k = round(p_k M): the gap falls about tenfold for each tenfold growth of M
-        p = np.array([0.5, 0.2, 0.05, 0.01, 0.001])
-        sizes = np.array([10, 100, 1000])
-        binomial = _h_tails(p, 1.0, sizes, binomial=True)
-        gaps = [np.abs(_h_tails(np.round(p * m), m, sizes) - binomial).max() for m in (1e5, 1e6, 1e7, 1e8)]
-        assert gaps[-1] < 1e-6
-        assert all(5.0 < wide / narrow < 20.0 for wide, narrow in zip(gaps, gaps[1:]))
+                null_h_tails(cited_at_least(counts), counts.size, [size])
+        assert null_h_tails(cited_at_least(counts), counts.size, [0, 2]).tolist() == [[0.0, 0.0], [1.0, 1.0]]
 
 
 def enumerated_h(counts, n):

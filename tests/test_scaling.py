@@ -377,7 +377,7 @@ class TestExactBenchmark:
         rng = np.random.default_rng(seed)
         sizes = [0, *rng.choice([1, 2, 5, 9, 30], size=11).tolist()]
         ds = make_dataset({f"u{i}": rng.integers(0, 12, size=n) for i, n in enumerate(sizes)})
-        tails = null_h_tails(ds.citations, sizes)
+        tails = null_h_tails(ds.cited_at_least, ds.pool_size, sizes)
         points = [
             (math.log10(n), math.log10(k), p)
             for n, tail in zip(sizes, tails.tolist())
