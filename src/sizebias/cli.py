@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 usage error, 3 ingestion error, 4 computation error,
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -217,7 +218,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.format == "json":
         _write_stdout(io.json_text(payload))
     else:
-        excluded = f"excluded {n_excluded} h=0 points\n" if n_excluded else ""
+        excluded = f"excluded {n_excluded} h=0 point{'s' * (n_excluded != 1)}\n" if n_excluded else ""
         _write_stdout(
             f"beta            {fit.beta:.6f}\n"
             f"beta_stderr     {fit.beta_stderr:.6f}\n"
@@ -271,10 +272,8 @@ def cmd_toy_balls(args: argparse.Namespace) -> int:
         rows = [(k1, k1 / k, prob) for k1, prob in count_distribution(pool, k)]
         io.write_distribution_csv(rows, out / f"toy_balls_k{k:03d}.csv")
     _write_manifest(out, args)
-    print(
-        f"wrote {len(args.basket_sizes)} distribution tables "
-        f"(pool {pool.total}, black {pool.black}) to {out}"
-    )
+    tables = len(args.basket_sizes)
+    print(f"wrote {tables} distribution table{'s' * (tables != 1)} (pool {pool.total}, black {pool.black}) to {out}")
     return EXIT_OK
 
 
@@ -309,7 +308,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     path = out / "publications.csv"
     io.write_publications(dataset, path)
     _write_manifest(out, args, input_path=input_display, input_sha256=digest, seed=args.seed)
-    print(f"wrote {dataset.pool_size} publications across {len(dataset.unit_ids)} units to {path}")
+    papers, units = dataset.pool_size, len(dataset.unit_ids)
+    print(f"wrote {papers} publication{'s' * (papers != 1)} across {units} unit{'s' * (units != 1)} to {path}")
     return EXIT_OK
 
 
@@ -402,6 +402,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
+
+# The import's last step.  What it loaded, numpy and the package's modules,
+# lives until exit: frozen, no later collection walks it, the interpreter's
+# last one at exit included.  Garbage a command makes is collected as before.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -50,6 +50,8 @@ BUNDLED_SUMMARIES = ("ukraine_2019", "uk_rae2008_physics")
 
 _MAX_REPORTED_PROBLEMS = 20
 _LINES_PER_WRITE = 4096  # write_publications' rows per write: a bounded string, few calls
+_BLOCK_BYTES = 1 << 18  # _read_plain_publications scans whole lines about this many bytes at a time
+_LINE_MARKS = np.frombuffer(b",,\n", dtype=np.uint8)  # the commas and newline of each plain line, in order
 
 
 class IngestError(Exception):
@@ -133,24 +135,30 @@ def _parse_count(text: str, lineno: int, field: str, problems: list[str], cap: i
     return value
 
 
-def _line_fields(data: bytes, header: tuple[str, ...]) -> tuple[np.ndarray, ...] | None:
-    """Each data line's start, end (its newline) and two commas, in a file
-    that starts with `header`, of three fields, after at most a byte-order
-    mark, ends in a newline and holds no quote, carriage return or NUL byte
-    (csv rejects a NUL before Python 3.11); None for any other file, or if
-    there is no data line or one does not hold exactly two commas."""
+def _plain_body(data: bytes, header: tuple[str, ...]) -> int | None:
+    """The offset of the first data line in a file that starts with `header`,
+    of three fields, after at most a byte-order mark, ends in a newline and
+    holds no quote, carriage return or NUL byte (csv rejects a NUL before
+    Python 3.11); None for any other file."""
     start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
-    plain = data.startswith(",".join(header).encode() + b"\n", start) and data.endswith(b"\n")
+    head = ",".join(header).encode() + b"\n"
+    plain = data.startswith(head, start) and data.endswith(b"\n")
     if not plain or any(byte in data for byte in (b'"', b"\r", b"\0")):
         return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    newlines = np.flatnonzero(buf == ord("\n"))
-    commas = np.flatnonzero(buf == ord(","))[2:]  # the header holds the first two
-    starts, ends, first, second = newlines[:-1] + 1, newlines[1:], commas[0::2], commas[1::2]
-    # with two commas per line in all, line i holds two iff it holds pair i
-    if not (starts.size and commas.size == 2 * starts.size and (first >= starts).all() and (second < ends).all()):
+    return start + len(head)
+
+
+def _line_fields(data: bytes, lo: int, hi: int) -> tuple[np.ndarray, ...] | None:
+    """Each line's start, end (its newline) and two commas in data[lo:hi],
+    whole lines that end at hi; None if there is no line or one does not hold
+    exactly two commas."""
+    buf = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
+    marks = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    if not marks.size or marks.size % 3 or not (buf[marks].reshape(-1, 3) == _LINE_MARKS).all():
         return None
-    return starts, ends, first, second
+    marks += lo
+    ends = marks[2::3]
+    return np.append(lo, ends[:-1] + 1), ends, marks[0::3], marks[1::3]
 
 
 def _digit_column(data: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
@@ -189,25 +197,48 @@ def _same_as_earlier(data: bytes, lo: np.ndarray, hi: np.ndarray, lag: int) -> n
 
 def _read_plain_publications(path: str | Path) -> Dataset | None:
     """The Dataset of a publications file in the plain subset of the format,
-    read by whole columns; None for any other file.  Plain is: bytes and
-    lines that _line_fields takes; valid UTF-8; ids that are nonempty and
-    carry no surrounding whitespace, with one name each; and counts of 1 to
-    19 ASCII digits, so below 2**64.  On such a file the line-by-line reader
-    finds no problem and builds the same Dataset."""
+    read by whole columns of blocks of lines; None for any other file.  Plain
+    is: a file that _plain_body takes, whose lines _line_fields takes; valid
+    UTF-8; ids that are nonempty and carry no surrounding whitespace, with one
+    name each; and counts of 1 to 19 ASCII digits, so below 2**64.  On such a
+    file the line-by-line reader finds no problem and builds the same Dataset."""
     try:
         data = Path(path).read_bytes()
     except OSError:
         return None
-    lines = _line_fields(data, PUBLICATIONS_HEADER)
-    counts = None if lines is None else _digit_column(data, lines[3] + 1, lines[1])
-    if counts is None:
+    lo = _plain_body(data, PUBLICATIONS_HEADER)
+    if lo is None:
         return None
-    starts, _, _, second = lines  # runs of lines with one "id,name" prefix, up to the second comma
-    runs = np.flatnonzero(np.concatenate(([True], ~_same_as_earlier(data, starts, second, 1))))
+    counts = np.empty((len(data) - lo) // 4, dtype=np.uint64)  # no line is shorter than ",,0\n"
+    rows, last = 0, None
+    run_rows, run_starts, run_ends = [], [], []  # each run's first line and the span of its prefix
+    while lo < len(data):  # blocks of whole lines, a line longer than _BLOCK_BYTES a block of its own
+        hi = data.rfind(b"\n", lo, lo + _BLOCK_BYTES) + 1 or data.find(b"\n", lo) + 1
+        lines = _line_fields(data, lo, hi)
+        if lines is None:
+            return None
+        starts, ends, _, second = lines
+        values = _digit_column(data, second + 1, ends)
+        if values is None:
+            return None
+        counts[rows : rows + values.size] = values
+        # runs of lines with one "id,name" prefix, up to the second comma; a block's
+        # first line starts one unless it repeats the previous block's last prefix
+        if last is None:
+            new = np.concatenate(([True], ~_same_as_earlier(data, starts, second, 1)))
+        else:
+            new = ~_same_as_earlier(data, np.append(last[0], starts), np.append(last[1], second), 1)
+        run_rows.append(rows + np.flatnonzero(new))
+        run_starts.append(starts[new])
+        run_ends.append(second[new])
+        rows, last, lo = rows + values.size, (starts[-1], second[-1]), hi
+    if not rows:
+        return None
+    runs, counts = np.concatenate(run_rows), counts[:rows]
     units: dict[str, int] = {}  # each id's unit index, in first occurrence order
     names: list[str] = []
     run_unit = []
-    for start, end in zip(starts[runs].tolist(), second[runs].tolist()):
+    for start, end in zip(np.concatenate(run_starts).tolist(), np.concatenate(run_ends).tolist()):
         try:
             unit_id, _, name = data[start:end].decode("utf-8").partition(",")
         except UnicodeDecodeError:
@@ -218,7 +249,7 @@ def _read_plain_publications(path: str | Path) -> Dataset | None:
         if not unit_id or unit_id != unit_id.strip() or names[unit] != name:
             return None
         run_unit.append(unit)
-    sizes = np.diff(np.append(runs, starts.size))  # lines per run
+    sizes = np.diff(np.append(runs, rows))  # lines per run
     if len(run_unit) > len(names):  # some id has several runs: gather each unit's lines in unit order
         line_unit = np.repeat(run_unit, sizes)
         sizes, counts = np.bincount(line_unit, minlength=len(names)), counts[np.argsort(line_unit, kind="stable")]
@@ -341,11 +372,12 @@ def read_samples(path: str | Path) -> tuple[np.ndarray, np.ndarray, int, Path]:
 def _read_plain_samples(samples: Path, sizes: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int] | None:
     """read_samples' points of a samples file in the plain subset of the
     format, read by whole columns; None for any other file.  Plain is what
-    null-model writes: bytes and lines that _line_fields takes; replicate and
+    null-model writes: a file that _plain_body takes, whose lines _line_fields takes; replicate and
     h fields of 1 to 19 ASCII digits; and a positive multiple of U lines whose
     ids repeat the U ids of `sizes` in order, none with surrounding whitespace."""
     data, ids, units = samples.read_bytes(), list(sizes), len(sizes)
-    lines = _line_fields(data, SAMPLES_HEADER) if units else None
+    body = _plain_body(data, SAMPLES_HEADER) if units else None
+    lines = None if body is None else _line_fields(data, body, len(data))
     if lines is None or lines[0].size % units:
         return None
     starts, ends, first, second = lines

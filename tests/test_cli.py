@@ -93,7 +93,7 @@ class TestTopLevel:
         with warnings.catch_warnings():  # setuptools may call its [tool.setuptools] support beta
             warnings.simplefilter("ignore")
             config = read_configuration(pyproject, expand=True)
-        assert config["project"]["version"] == sizebias.__version__ == "0.17.1"
+        assert config["project"]["version"] == sizebias.__version__ == "0.17.2"
 
     @pytest.mark.parametrize(
         "argv",
@@ -275,6 +275,14 @@ class TestStartUp:
             "print(names['h_index'] is sizebias.model.h_index, names['SizeModel'] is sizebias.synth.SizeModel)\n"
         )
         assert run_probe(probe).split() == ["[]", "[]", "True", "True"]
+
+    def test_cli_import_freezes_its_heap(self):
+        # what the import loaded lives until exit; no collection needs to walk it
+        assert run_probe("import gc, sizebias.cli\nprint(gc.get_freeze_count() > 0)").strip() == "True"
+
+    def test_library_import_freezes_nothing(self):
+        probe = "import gc, sizebias.io, sizebias.nullmodel, sizebias.scaling\nprint(gc.get_freeze_count())"
+        assert run_probe(probe).strip() == "0"
 
     def test_cli_import_skips_what_only_some_commands_run(self):
         # the thread pool, numpy.typing, and the modules of synth and toy-balls
@@ -599,6 +607,12 @@ class TestFit:
         assert "p_value" in out
         assert "significant" not in out
 
+    def test_one_excluded_point_is_singular(self, tmp_path, capsys):
+        path = self.exact_summary(tmp_path)
+        path.write_text(path.read_text(encoding="utf-8") + "z,Z,5,0\n", encoding="utf-8")
+        assert main(["fit", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("\nexcluded 1 h=0 point\n")
+
     def test_report_files(self, tmp_path, capsys):
         path = self.exact_summary(tmp_path)
         out = tmp_path / "report"
@@ -857,6 +871,11 @@ class TestToyBalls:
             assert len(rows) == 1 + (k + 1)
             assert sum(float(r[2]) for r in rows[1:]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_one_table_is_singular(self, tmp_path, capsys):
+        out = tmp_path / "toy"
+        assert main(["toy-balls", "--basket-sizes", "10", "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 1 distribution table (pool 4000, black 2120) to {out}\n"
+
     def test_basket_larger_than_pool(self, tmp_path, capsys):
         code = main(
             ["toy-balls", "--pool-size", "4", "--black", "2", "--basket-sizes", "5", "--out-dir", str(tmp_path / "o")]
@@ -893,6 +912,14 @@ class TestSynth:
         expected = build_synthetic_dataset([12, 30], 2.0, generation_stream(9))
         assert back.unit_ids == expected.unit_ids
         assert (back.sizes.tolist(), back.citations.tolist()) == (expected.sizes.tolist(), expected.citations.tolist())
+
+    @pytest.mark.parametrize(
+        "sizes, said", [("1", "1 publication across 1 unit"), ("2,3", "5 publications across 2 units")]
+    )
+    def test_stdout_counts_agree_in_number(self, tmp_path, capsys, sizes, said):
+        out = tmp_path / "s"
+        assert main(["synth", "--alpha", "1.5", "--seed", "1", "--sizes", sizes, "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {said} to {out / 'publications.csv'}\n"
 
     def test_same_seed_same_bytes(self, tmp_path, capsys):
         blobs = []

@@ -6,6 +6,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -249,6 +250,7 @@ ODD_COUNTS = [
     str(2**64 - 1).encode(), str(2**64).encode(), b"0" * 19 + b"7", b"1" * 25,
 ]  # fmt: skip
 ODD_HEADERS = [b"unit_id, unit_name,citations\n", b"\n" + HEADER, b"unit_id,unit_name,n_publications,h_index\n"]
+SMALL_BLOCK = 12  # bytes: two 6-byte lines a block, and a 40-byte id a block of its own line
 
 
 @st.composite
@@ -286,11 +288,17 @@ class TestColumnarReader:
 
     @staticmethod
     def check_readers_agree(path):
+        """Also scans the file SMALL_BLOCK bytes at a time, so that block
+        edges fall inside runs and a block holds one long line."""
         expected = outcome(sizebias.io._read_publication_lines, path)
         assert outcome(read_publications, path) == expected
         columnar = sizebias.io._read_plain_publications(path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sizebias.io, "_BLOCK_BYTES", SMALL_BLOCK)
+            in_small_blocks = sizebias.io._read_plain_publications(path)
+        assert (in_small_blocks is None) == (columnar is None)
         if columnar is not None:
-            assert outcome(lambda _: columnar, path) == expected
+            assert outcome(lambda _: columnar, path) == outcome(lambda _: in_small_blocks, path) == expected
         return columnar
 
     @given(publication_files() | st.none())
@@ -299,6 +307,9 @@ class TestColumnarReader:
     @example(HEADER)
     @example(BOM + HEADER)
     @example(HEADER + b"a,A,1\nb,B,2\na,A,3\n")  # one unit in two runs
+    @example(HEADER + b"a,A,1\na,A,2\na,A,3\nb,B,4\n")  # in SMALL_BLOCK-byte blocks, a's run spans two
+    @example(HEADER + b"a,A,1\n%s,L,2\n%s,L,3\n" % (b"v" * 40, b"v" * 40))  # a run of lines longer than a block
+    @example(BOM + HEADER + b"a,A,1\na,A,2\nb,B,3\n")  # a BOM, then several blocks
     @example(HEADER + b"%s1,L,1\n%s2,L,2\n%s2,L,3\n" % (b"v" * 40, b"v" * 40, b"v" * 40))  # prefixes past 32 bytes
     @example(HEADER + b"a,A,1\na,B,2\n")  # a renamed unit
     @example(HEADER + b"a,%s1,1\na,%s2,2\n" % (b"N" * 29, b"N" * 29))  # renamed in a prefix's 32nd byte
@@ -348,6 +359,19 @@ class TestColumnarReader:
         back = read_publications(path)
         assert (back.unit_ids, back.unit_names) == (("u1", "u2"), ("Unit 1", "Unit 2"))
         assert (back.sizes.tolist(), back.citations.tolist()) == ([3, 1], [12, 0, 7, 3])
+
+    def test_a_run_across_blocks_stays_one_run(self, tmp_path, monkeypatch):
+        # each block's first line is compared with the last line before it, so a unit
+        # read in one run over several blocks needs no sort to gather its lines
+        def refuse(*args, **kwargs):
+            raise AssertionError("lines of one run were gathered by a sort")
+
+        monkeypatch.setattr(sizebias.io, "_BLOCK_BYTES", SMALL_BLOCK)
+        monkeypatch.setattr(sizebias.io, "np", SimpleNamespace(**{**vars(np), "argsort": refuse}))
+        path = tmp_path / "plain.csv"
+        path.write_bytes(HEADER + b"a,A,1\na,A,2\na,A,3\na,A,4\nb,B,5\n")
+        back = sizebias.io._read_plain_publications(path)
+        assert (back.unit_ids, back.sizes.tolist(), back.citations.tolist()) == (("a", "b"), [4, 1], [1, 2, 3, 4, 5])
 
 
 class TestReadSummary:
