@@ -372,9 +372,10 @@ def read_samples(path: str | Path) -> tuple[np.ndarray, np.ndarray, int, Path]:
 def _read_plain_samples(samples: Path, sizes: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int] | None:
     """read_samples' points of a samples file in the plain subset of the
     format, read by whole columns; None for any other file.  Plain is what
-    null-model writes: a file that _plain_body takes, whose lines _line_fields takes; replicate and
-    h fields of 1 to 19 ASCII digits; and a positive multiple of U lines whose
-    ids repeat the U ids of `sizes` in order, none with surrounding whitespace."""
+    null-model writes: a file that _plain_body takes, whose lines _line_fields
+    takes in one block; replicate and h fields of 1 to 19 ASCII digits; and a
+    positive multiple of U lines whose ids repeat the U ids of `sizes` in
+    order, none with surrounding whitespace."""
     data, ids, units = samples.read_bytes(), list(sizes), len(sizes)
     body = _plain_body(data, SAMPLES_HEADER) if units else None
     lines = None if body is None else _line_fields(data, body, len(data))
