@@ -210,7 +210,7 @@ def _read_plain_publications(path: str | Path) -> Dataset | None:
     if lo is None:
         return None
     counts = np.empty((len(data) - lo) // 4, dtype=np.uint64)  # no line is shorter than ",,0\n"
-    rows, last = 0, None
+    rows, last = 0, (lo, lo)  # the span of the prefix before a block; empty at first, so no line repeats it
     run_rows, run_starts, run_ends = [], [], []  # each run's first line and the span of its prefix
     while lo < len(data):  # blocks of whole lines, a line longer than _BLOCK_BYTES a block of its own
         hi = data.rfind(b"\n", lo, lo + _BLOCK_BYTES) + 1 or data.find(b"\n", lo) + 1
@@ -224,10 +224,7 @@ def _read_plain_publications(path: str | Path) -> Dataset | None:
         counts[rows : rows + values.size] = values
         # runs of lines with one "id,name" prefix, up to the second comma; a block's
         # first line starts one unless it repeats the previous block's last prefix
-        if last is None:
-            new = np.concatenate(([True], ~_same_as_earlier(data, starts, second, 1)))
-        else:
-            new = ~_same_as_earlier(data, np.append(last[0], starts), np.append(last[1], second), 1)
+        new = ~_same_as_earlier(data, np.append(last[0], starts), np.append(last[1], second), 1)
         run_rows.append(rows + np.flatnonzero(new))
         run_starts.append(starts[new])
         run_ends.append(second[new])
