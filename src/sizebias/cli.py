@@ -195,13 +195,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.source == "summary":
         display = args.input
         rows, digest = _load_summary_spec(display)
-        kept = [r for r in rows if r.h_index > 0]
-        sizes, h = [r.n_publications for r in kept], [r.h_index for r in kept]
-        n_excluded = len(rows) - len(kept)
+        sizes, h = np.array([(r.n_publications, r.h_index) for r in rows], dtype=np.uint64).T
     else:
-        sizes, h, n_excluded, samples = io.read_samples(args.input)
+        sizes, h, samples = io.read_samples(args.input)
         display, digest = str(samples), io.file_sha256(samples)
-    fit = fit_power_law(sizes, h)
+    kept = h > 0  # log h is undefined at h = 0: such points are counted, not fitted
+    fit = fit_power_law(sizes[kept], h[kept])
+    n_excluded = int(h.size - np.count_nonzero(kept))
     # the curve keys plus the t-test of the slope, whose points are samples;
     # the exact benchmark curve carries no test
     payload = {

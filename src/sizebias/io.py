@@ -81,13 +81,16 @@ class SummaryRow:
 
 
 def _csv_rows(
-    path: str | Path, expected: tuple[str, ...], other: tuple[str, ...] | None = None
+    path: str | Path, expected: tuple[str, ...], other: tuple[str, ...] | None, problems: list[str]
 ) -> Iterator[tuple[int, list[str]]]:
     """Stream the data rows of a CSV file after checking its header.
 
-    Yields (line number, fields) for every non-blank row, numbered by
-    physical line in the file.  A header equal to `other`, the header of
-    another recognized format, raises WrongFormatError.
+    Yields (line number, fields) for every row with one field per header
+    column, numbered by physical line in the file; any other non-blank row
+    goes into `problems`, which the caller extends with its own.  After the
+    last row, raises IngestError with the problems, or with "no data rows"
+    if no row had the right width.  A header equal to `other`, the header
+    of another recognized format, raises WrongFormatError.
     """
     p = Path(path)
     if not p.is_file():
@@ -106,9 +109,13 @@ def _csv_rows(
                 )
             if header != expected:
                 raise IngestError(path, [f"bad header {first!r}; expected {','.join(expected)}"])
+            rows = 0
             for row in reader:
-                if row:
+                if len(row) == len(expected):
+                    rows += 1
                     yield reader.line_num, row
+                elif row:
+                    problems.append(f"line {reader.line_num}: expected {len(expected)} fields, got {len(row)}")
     except UnicodeDecodeError:  # at an offset into the decoder's buffer: decode the whole file to place the byte
         try:
             p.read_bytes().decode("utf-8")
@@ -118,6 +125,10 @@ def _csv_rows(
         raise
     except csv.Error as exc:  # such as a field past csv's size limit
         raise IngestError(path, [f"line {reader.line_num}: {exc}"]) from exc
+    if problems:
+        raise IngestError(path, problems)
+    if not rows:
+        raise IngestError(path, ["no data rows"])
 
 
 def _parse_count(text: str, lineno: int, field: str, problems: list[str], cap: int = MAX_CITATIONS) -> int | None:
@@ -270,11 +281,8 @@ def _read_publication_lines(path: str | Path) -> Dataset:
     problems: list[str] = []
     names: dict[str, str] = {}
     citations: dict[str, list[int]] = {}
-    for lineno, row in _csv_rows(path, PUBLICATIONS_HEADER, SUMMARY_HEADER):
-        if len(row) != 3:
-            problems.append(f"line {lineno}: expected 3 fields, got {len(row)}")
-            continue
-        unit_id, unit_name, text = row[0].strip(), row[1], row[2]
+    for lineno, (unit_id, unit_name, text) in _csv_rows(path, PUBLICATIONS_HEADER, SUMMARY_HEADER, problems):
+        unit_id = unit_id.strip()
         if not unit_id:
             problems.append(f"line {lineno}: empty unit_id")
             continue
@@ -291,10 +299,6 @@ def _read_publication_lines(path: str | Path) -> Dataset:
             names[unit_id] = unit_name
             citations[unit_id] = []
         citations[unit_id].append(value)
-    if problems:
-        raise IngestError(path, problems)
-    if not citations:
-        raise IngestError(path, ["no data rows"])
     # every count passed _parse_count: one exact uint64 array, no per-value check
     return Dataset(
         unit_ids=tuple(citations),
@@ -309,19 +313,16 @@ def read_summary(path: str | Path) -> list[SummaryRow]:
     problems: list[str] = []
     out: list[SummaryRow] = []
     seen: set[str] = set()
-    for lineno, row in _csv_rows(path, SUMMARY_HEADER, PUBLICATIONS_HEADER):
-        if len(row) != 4:
-            problems.append(f"line {lineno}: expected 4 fields, got {len(row)}")
-            continue
-        unit_id = row[0].strip()
+    for lineno, (unit_id, unit_name, n_text, h_text) in _csv_rows(path, SUMMARY_HEADER, PUBLICATIONS_HEADER, problems):
+        unit_id = unit_id.strip()
         if not unit_id:
             problems.append(f"line {lineno}: empty unit_id")
             continue
         if unit_id in seen:
             problems.append(f"line {lineno}: duplicate unit_id {unit_id!r}")
             continue
-        n = _parse_count(row[2], lineno, "n_publications", problems)
-        h = _parse_count(row[3], lineno, "h_index", problems)
+        n = _parse_count(n_text, lineno, "n_publications", problems)
+        h = _parse_count(h_text, lineno, "h_index", problems)
         if n is None or h is None:
             continue
         if n < 1:
@@ -331,21 +332,17 @@ def read_summary(path: str | Path) -> list[SummaryRow]:
             problems.append(f"line {lineno}: h_index {h} exceeds n_publications {n}")
             continue
         seen.add(unit_id)
-        out.append(SummaryRow(unit_id=unit_id, unit_name=row[1], n_publications=n, h_index=h))
-    if problems:
-        raise IngestError(path, problems)
-    if not out:
-        raise IngestError(path, ["no data rows"])
+        out.append(SummaryRow(unit_id=unit_id, unit_name=unit_name, n_publications=n, h_index=h))
     return out
 
 
-def read_samples(path: str | Path) -> tuple[np.ndarray, np.ndarray, int, Path]:
+def read_samples(path: str | Path) -> tuple[np.ndarray, np.ndarray, Path]:
     """Pooled (N, h) points of a null-model run, from its directory or its
     samples CSV; unit sizes come from the run's summary JSON beside it.
 
-    Returns the sizes and the h of the h > 0 points as two float arrays,
-    the count of excluded h = 0 points, and the samples CSV path.  A plain
-    samples file (see _read_plain_samples) is read by whole columns.
+    Returns every point's size and h as two integer arrays, h = 0 points
+    included, and the samples CSV path.  A plain samples file (see
+    _read_plain_samples) is read by whole columns.
     """
     p = Path(path)
     if p.is_dir():
@@ -366,7 +363,7 @@ def read_samples(path: str | Path) -> tuple[np.ndarray, np.ndarray, int, Path]:
     return (*(_read_sample_lines(samples, sizes) if points is None else points), samples)
 
 
-def _read_plain_samples(samples: Path, sizes: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int] | None:
+def _read_plain_samples(samples: Path, sizes: dict[str, int]) -> tuple[np.ndarray, np.ndarray] | None:
     """read_samples' points of a samples file in the plain subset of the
     format, read by whole columns; None for any other file.  Plain is what
     null-model writes: a file that _plain_body takes, whose lines _line_fields
@@ -384,40 +381,28 @@ def _read_plain_samples(samples: Path, sizes: dict[str, int]) -> tuple[np.ndarra
         return None
     try:
         head = [data[a + 1 : b].decode("utf-8") for a, b in zip(first[:units].tolist(), second[:units].tolist())]
-        unit_n = np.array(list(sizes.values()), dtype=float)
-    except (UnicodeDecodeError, OverflowError):  # the line reader raises the first, and the second on a kept point
+    except UnicodeDecodeError:  # the line reader raises it
         return None
     if head != ids or any(uid != uid.strip() for uid in ids):
         return None
-    kept = h > 0
-    return np.tile(unit_n, h.size // units)[kept], h[kept].astype(float), int(h.size - kept.sum())
+    return np.tile(np.array(list(sizes.values())), h.size // units), h
 
 
-def _read_sample_lines(samples: Path, sizes: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int]:
+def _read_sample_lines(samples: Path, sizes: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
     """read_samples' points one CSV row at a time; the source of every IngestError."""
-    kept_n: list[int] = []
-    kept_h: list[int] = []
-    n_excluded = 0
+    points_n: list[int] = []
+    points_h: list[int] = []
     problems: list[str] = []
-    for lineno, row in _csv_rows(samples, SAMPLES_HEADER):
-        if len(row) != 3:
-            problems.append(f"line {lineno}: expected 3 fields, got {len(row)}")
-            continue
-        uid = row[1].strip()
+    for lineno, (_, uid, text) in _csv_rows(samples, SAMPLES_HEADER, None, problems):
+        uid = uid.strip()
         if uid not in sizes:
             problems.append(f"line {lineno}: unit {uid!r} missing from the run summary")
             continue
-        h = _parse_count(row[2], lineno, "h", problems)
-        if h is None:
-            continue
-        if h > 0:
-            kept_n.append(sizes[uid])
-            kept_h.append(h)
-        else:
-            n_excluded += 1
-    if problems:
-        raise IngestError(samples, problems)
-    return np.array(kept_n, dtype=float), np.array(kept_h, dtype=float), n_excluded
+        h = _parse_count(text, lineno, "h", problems)
+        if h is not None:
+            points_n.append(sizes[uid])
+            points_h.append(h)
+    return np.array(points_n), np.array(points_h, dtype=np.uint64)
 
 
 def bundled_summary_path(name: str) -> Path:
@@ -443,12 +428,23 @@ def _atomic_write(path: str | Path, newline: str | None = None) -> Iterator[Text
         raise
 
 
+class _Echo:
+    """A file whose `write` returns its text, so a csv writer's `writerow`
+    returns the row it formats."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+_ECHO = csv.writer(_Echo(), lineterminator="\n")  # the one writer of every CSV line: writerow returns it
+
+
 def _csv_lines(header: tuple[str, ...], rows: Iterable[Sequence]) -> Iterator[str]:
     """Every CSV report's lines, one at a time: text and Python numbers by
     `str` (a float's shortest round-trip repr), and None as an empty cell."""
-    echo = csv.writer(_Echo(), lineterminator="\n")
-    yield echo.writerow(header)
-    yield from map(echo.writerow, rows)
+    yield _ECHO.writerow(header)
+    yield from map(_ECHO.writerow, rows)
 
 
 def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[Sequence]) -> None:
@@ -469,9 +465,8 @@ def write_publications(dataset: Dataset, path: str | Path) -> None:
     empty = [dataset.unit_ids[i] for i in np.flatnonzero(dataset.sizes == 0)]
     if empty:
         raise ValueError(f"units with no publications cannot be written as publications: {', '.join(empty)}")
-    echo = csv.writer(_Echo(), lineterminator="\n")
     # "<id>,<name>," per unit, from a row with a last, empty cell
-    prefixes = [echo.writerow(unit + ("",))[:-1] for unit in zip(dataset.unit_ids, dataset.unit_names)]
+    prefixes = [_ECHO.writerow(unit + ("",))[:-1] for unit in zip(dataset.unit_ids, dataset.unit_names)]
     ends = np.cumsum(dataset.sizes).tolist()
     with _atomic_write(path, newline="") as fh:
         fh.write(",".join(PUBLICATIONS_HEADER) + "\n")
@@ -481,22 +476,12 @@ def write_publications(dataset: Dataset, path: str | Path) -> None:
                 fh.write(prefix + f"\n{prefix}".join(counts) + "\n")
 
 
-class _Echo:
-    """A file whose `write` returns its text, so a csv writer's `writerow`
-    returns the row it formats."""
-
-    @staticmethod
-    def write(text: str) -> str:
-        return text
-
-
 def write_samples_csv(result: ReshuffleResult, path: str | Path) -> None:
     """Replicate-major long format: one row per (replicate, unit), the
     bytes of csv.writer.  Each unit id is quoted by the csv module once and
     each h level formatted once; every replicate is one joined string."""
-    echo = csv.writer(_Echo(), lineterminator="\n")
     # a second, empty cell: a lone empty field would be written as ""
-    id_cells = [echo.writerow((uid, ""))[:-1] for uid in result.unit_ids]  # "<id>,"
+    id_cells = [_ECHO.writerow((uid, ""))[:-1] for uid in result.unit_ids]  # "<id>,"
     levels = [str(h) for h in range(int(result.h_samples.max(initial=0)) + 1)]
     with _atomic_write(path, newline="") as fh:
         fh.write(",".join(SAMPLES_HEADER) + "\n")

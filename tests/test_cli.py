@@ -93,7 +93,7 @@ class TestTopLevel:
         with warnings.catch_warnings():  # setuptools may call its [tool.setuptools] support beta
             warnings.simplefilter("ignore")
             config = read_configuration(pyproject, expand=True)
-        assert config["project"]["version"] == sizebias.__version__ == "0.17.2"
+        assert config["project"]["version"] == sizebias.__version__ == "0.17.3"
 
     @pytest.mark.parametrize(
         "argv",

@@ -20,6 +20,9 @@ from sizebias.cli import main
 from sizebias.io import (
     BENCHMARK_HEADER,
     BUNDLED_SUMMARIES,
+    PUBLICATIONS_HEADER,
+    SAMPLES_HEADER,
+    SUMMARY_HEADER,
     IngestError,
     SummaryRow,
     WrongFormatError,
@@ -487,23 +490,18 @@ class TestReadSamples:
     @staticmethod
     def assert_same(got, expected):
         (n, h, *rest), (n_exp, h_exp, *rest_exp) = got, expected
-        assert n.dtype == h.dtype == np.float64
+        assert (n.dtype, h.dtype) == (np.int64, np.uint64)
         assert n.tolist() == n_exp.tolist() and h.tolist() == h_exp.tolist()
         assert rest == rest_exp
 
     def test_points_from_directory_or_file(self, tmp_path):
         result = self.run_dir(tmp_path)
-        sizes, hs, n_excluded, samples = read_samples(tmp_path)
+        sizes, hs, samples = read_samples(tmp_path)
         assert samples == tmp_path / "reshuffle_samples.csv"
-        expected = [
-            (float(n), float(h))
-            for row in result.h_samples
-            for n, h in zip(result.productivities, row)
-            if h > 0
-        ]
+        # every point, h = 0 included: the fit excludes and counts those
+        expected = [(n, h) for row in result.h_samples.tolist() for n, h in zip(result.productivities.tolist(), row)]
         assert list(zip(sizes.tolist(), hs.tolist())) == expected
-        assert n_excluded == result.h_samples.size - len(expected)
-        self.assert_same(read_samples(samples), (sizes, hs, n_excluded, samples))
+        self.assert_same(read_samples(samples), (sizes, hs, samples))
 
     def test_byte_order_mark_accepted(self, tmp_path):
         self.run_dir(tmp_path)
@@ -541,6 +539,52 @@ class TestReadSamples:
         (tmp_path / "reshuffle_samples.csv").write_text("unit_id,unit_name,citations\n", encoding="utf-8")
         with pytest.raises(IngestError, match="bad header"):
             read_samples(tmp_path)
+
+
+# Each line reader, with its header, a data line that breaks a rule of its own
+# format alone, and the problem that line raises.
+LINE_READERS = {
+    "publications": (
+        sizebias.io._read_publication_lines, PUBLICATIONS_HEADER, "a,A,x", "citations 'x' is not an integer"
+    ),
+    "summary": (read_summary, SUMMARY_HEADER, "a,A,0,0", "n_publications must be >= 1"),
+    "samples": (
+        lambda path: sizebias.io._read_sample_lines(path, {"a": 3}),
+        SAMPLES_HEADER,
+        "0,zz,1",
+        "unit 'zz' missing from the run summary",
+    ),
+}
+
+
+class TestLineReaders:
+    """Every line reader checks a row's width, and ends, in one row loop."""
+
+    @pytest.mark.parametrize("kind", LINE_READERS)
+    def test_wrong_width_is_reported_at_its_physical_line(self, tmp_path, kind):
+        read, header, bad, problem = LINE_READERS[kind]
+        path = tmp_path / "in.csv"
+        wide = ",".join("x" * (len(header) + 1))
+        path.write_text(f"{','.join(header)}\n{bad}\n\n{wide}\n", encoding="utf-8")
+        with pytest.raises(IngestError) as err:
+            read(path)
+        width = f"line 4: expected {len(header)} fields, got {len(header) + 1}"
+        assert err.value.problems == [f"line 2: {problem}", width]
+
+    @pytest.mark.parametrize("kind", LINE_READERS)
+    def test_header_alone_has_no_data_rows(self, tmp_path, kind):
+        read, header, _, _ = LINE_READERS[kind]
+        path = tmp_path / "in.csv"
+        path.write_text(",".join(header) + "\n", encoding="utf-8")
+        with pytest.raises(IngestError) as err:
+            read(path)
+        assert err.value.problems == ["no data rows"]
+
+    def test_fit_of_a_header_only_samples_file_exits_3(self, tmp_path, capsys):
+        TestReadSamples.run_dir(tmp_path)
+        (tmp_path / "reshuffle_samples.csv").write_text(",".join(SAMPLES_HEADER) + "\n", encoding="utf-8")
+        assert main(["fit", str(tmp_path), "--source", "null-model"]) == 3
+        assert capsys.readouterr().err.endswith("reshuffle_samples.csv: no data rows\n")
 
 
 # Unit ids of a samples file: plain ones, and some that take it out of the
@@ -619,10 +663,10 @@ def write_changed_run(run, result, change, i, j):
 def points_outcome(read, samples, sizes):
     """What a samples reader makes of a file: its points, or the error."""
     try:
-        n, h, n_excluded = read(samples, sizes)
+        n, h = read(samples, sizes)
     except IngestError as exc:
         return type(exc), str(exc)
-    return n.dtype, n.tolist(), h.dtype, h.tolist(), n_excluded
+    return n.dtype, n.tolist(), h.dtype, h.tolist()
 
 
 class TestColumnarSamples:
@@ -635,7 +679,7 @@ class TestColumnarSamples:
         meta = json.loads((run / "reshuffle_summary.json").read_text(encoding="utf-8"))
         sizes = {u["unit_id"]: int(u["n_publications"]) for u in meta["units"]}
         expected = points_outcome(sizebias.io._read_sample_lines, samples, sizes)
-        assert points_outcome(lambda *_: read_samples(run)[:3], samples, sizes) == expected
+        assert points_outcome(lambda *_: read_samples(run)[:2], samples, sizes) == expected
         columnar = sizebias.io._read_plain_samples(samples, sizes)
         if columnar is not None:
             assert points_outcome(lambda *_: columnar, samples, sizes) == expected
@@ -672,7 +716,7 @@ class TestColumnarSamples:
             raise AssertionError("the line reader ran on null-model's samples")
 
         monkeypatch.setattr(sizebias.io, "_read_sample_lines", refuse)
-        assert points_outcome(lambda *_: read_samples(run)[:3], None, None) == expected
+        assert points_outcome(lambda *_: read_samples(run)[:2], None, None) == expected
         assert main(["fit", str(run), "--source", "null-model"]) == 0
         capsys.readouterr()
 
